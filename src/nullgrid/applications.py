@@ -314,6 +314,7 @@ def hopf_stiefel(p: int, r: int, s: int) -> int:
     with n - r < k < s (an empty range counts).  Always at most r + s - 1."""
     if r < 1 or s < 1:
         raise ValueError("arguments must be positive")
+    FieldSpec.prime(p)  # validates primality; Lucas's theorem needs a prime
     for n in itertools.count(1):
         if all(lucas_binomial(n, k, p) == 0 for k in range(n - r + 1, s)):
             return n

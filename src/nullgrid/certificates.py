@@ -18,9 +18,8 @@ which forces the degree of f to be at least the total size difference.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError
 from .fields import FieldElement
@@ -89,23 +88,11 @@ def trim_grid(grid: MultisetGrid, t: Sequence[int]) -> MultisetGrid:
     return MultisetGrid(sets)
 
 
-def _scan_points(f: MultiPoly, grid: MultisetGrid, points) -> Optional[Witness]:
-    for point in points:
-        mv = grid.multiplicity_vector(point)
-        shifted = f.shift(point)
-        for u in itertools.product(*(range(m) for m in mv)):
-            c = shifted.coefficient(u)
-            if c.value:
-                return Witness(tuple(point), u, c)
-    return None
-
-
 def find_witness(
     f: MultiPoly,
     grid: MultisetGrid,
     t: Sequence[int],
     method: str = "exhaustive",
-    workers: int = None,
 ) -> Witness:
     """Produce a nonvanishing witness; both methods are deterministic and
     return the lexicographically smallest qualifying (point, exponent) pair.
@@ -119,18 +106,14 @@ def find_witness(
     """
     t = _check_witness_preconditions(f, grid, t)
     if method == "exhaustive":
-        if workers and workers > 1:
-            points = list(grid.points())
-            chunk = (len(points) + workers - 1) // workers
-            parts = [points[k : k + chunk] for k in range(0, len(points), chunk)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                hits = list(pool.map(lambda part: _scan_points(f, grid, part), parts))
-            found = next((w for w in hits if w is not None), None)
-        else:
-            found = _scan_points(f, grid, grid.points())
-        if found is None:
-            raise InvariantViolation("no witness found on a valid instance")
-        return found
+        for point in grid.points():
+            mv = grid.multiplicity_vector(point)
+            shifted = f.shift(point)
+            for u in itertools.product(*(range(m) for m in mv)):
+                c = shifted.coefficient(u)
+                if c.value:
+                    return Witness(tuple(point), u, c)
+        raise InvariantViolation("no witness found on a valid instance")
     if method == "divided_difference":
         trimmed = trim_grid(grid, t)
         table = weight_table(trimmed)

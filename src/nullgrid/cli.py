@@ -55,7 +55,6 @@ from .ideals import (
 from .polynomials import MultiPoly, parse_poly
 
 SCHEMA = "nullgrid.v1"
-PARALLEL_WORKERS = 4
 
 
 class _InputError(ValueError):
@@ -145,8 +144,7 @@ def _cmd_witness(args):
     f = _load_poly(args, grid)
     t = _parse_ints(args.t, "--t")
     method = args.method.replace("-", "_")
-    workers = PARALLEL_WORKERS if args.parallel else None
-    w = find_witness(f, grid, t, method=method, workers=workers)
+    w = find_witness(f, grid, t, method=method)
     text = f"point: {_fmt_tuple(w.point)}\nexponent: {_fmt_tuple(w.exponent)}\nvalue: {w.value}"
     obj = {
         "point": [str(x) for x in w.point],
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--parallel",
         action="store_true",
-        help="partition exhaustive scans across worker threads (same output)",
+        help="accepted for compatibility; has no effect (scans run serially)",
     )
     gridded = argparse.ArgumentParser(add_help=False)
     gridded.add_argument("--grid", help="path to a grid JSON file")

@@ -5,9 +5,14 @@ standard monomial in its reduced form.  It can be computed two independent
 ways: definitionally (reduce, then read the coefficient) or by a recursion
 that splits one coordinate multiset at two distinct elements and divides by
 their difference, bottoming out in expansion coefficients at single points.
-Expanding that recursion symbolically yields a weight table: field constants,
-depending only on the grid, expressing the bracket as a linear combination of
-pointwise expansion coefficients.  The weights attached to the maximal
+
+A weight table holds field constants, depending only on the grid, that
+express the bracket as a linear combination of pointwise expansion
+coefficients.  The grid ideal is a tensor product of univariate ideals, so
+the bracket is a tensor product of one-coordinate brackets and every weight
+is a product of one-coordinate weights: the confluent divided-difference
+coefficients of each coordinate multiset, found by expanding the recursion
+symbolically on that multiset alone.  The weights attached to the maximal
 exponents are never zero, which is what powers the witness search.
 """
 
@@ -123,43 +128,52 @@ class WeightTable:
         )
 
 
-def weight_table(grid: MultisetGrid) -> WeightTable:
-    """Expand the bracket recursion symbolically, treating the polynomial as an
-    indeterminate functional, and collect the weight of every base term."""
-    spec = grid.spec
+def _coordinate_weights(spec, row) -> dict:
+    """Weights of the one-coordinate grid with the given row, as raw
+    {(element, exponent): weight}: the two-point recursion expanded
+    symbolically over sub-multisets of the row, splitting at its two smallest
+    elements.  Missing keys have weight zero."""
     zero = spec._zero_raw
-    memo: Dict[_State, dict] = {}
+    memo: Dict[tuple, dict] = {}
 
-    def go(state: _State) -> dict:
-        cached = memo.get(state)
+    def go(row) -> dict:
+        cached = memo.get(row)
         if cached is not None:
             return cached
-        if all(len(row) == 1 for row in state):
-            point = tuple(row[0][0] for row in state)
-            u = tuple(row[0][1] - 1 for row in state)
-            res = {(point, u): spec._one_raw}
+        if len(row) == 1:
+            (s, m), = row
+            res = {(s, m - 1): spec._one_raw}
         else:
-            i, a, b = _pick_pivot(state)
-            left = go(state[:i] + (_drop_one(state[i], a),) + state[i + 1:])
-            right = go(state[:i] + (_drop_one(state[i], b),) + state[i + 1:])
+            a, b = row[0][0], row[1][0]
             inv = spec._inv(spec._sub(b, a))
-            res = {k: spec._mul(v, inv) for k, v in left.items()}
-            for k, v in right.items():
+            res = {k: spec._mul(v, inv) for k, v in go(_drop_one(row, a)).items()}
+            for k, v in go(_drop_one(row, b)).items():
                 t = spec._sub(res.get(k, zero), spec._mul(v, inv))
                 if t:
                     res[k] = t
                 else:
                     res.pop(k, None)
-        memo[state] = res
+        memo[row] = res
         return res
 
-    raw = go(_state_of(grid))
+    return go(row)
+
+
+def weight_table(grid: MultisetGrid) -> WeightTable:
+    """The bracket is the tensor product of one-coordinate brackets, so the
+    weight of (s, u) is the product over coordinates i of the weight of
+    (s_i, u_i) in the table of the one-coordinate grid S_i."""
+    spec = grid.spec
+    zero = spec._zero_raw
+    tables = [_coordinate_weights(spec, row) for row in _state_of(grid)]
     weights = {}
     for point in grid.points():
         mv = grid.multiplicity_vector(point)
-        key_point = tuple(e.value for e in point)
         for u in itertools.product(*(range(m) for m in mv)):
-            weights[(point, u)] = FieldElement(raw.get((key_point, u), zero), spec)
+            w = spec._one_raw
+            for table, s, e in zip(tables, point, u):
+                w = spec._mul(w, table.get((s.value, e), zero))
+            weights[(point, u)] = FieldElement(w, spec)
     return WeightTable(grid, weights)
 
 

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec
-from .polynomials import MultiPoly, TermOrder, _grlex_key
+from .polynomials import MultiPoly, TermOrder, _divmod_raw
 
 
 class Multiset:
@@ -180,45 +180,21 @@ def _check_poly_grid(f: MultiPoly, grid: MultisetGrid):
 def reduce_poly(f: MultiPoly, grid: MultisetGrid) -> ReductionResult:
     """Reduce f modulo the grid generators.
 
-    Strategy: repeatedly eliminate the graded-lex-largest monomial whose i-th
-    exponent reaches the i-th multiset size (smallest such i when several
-    qualify).  Every elimination replaces the monomial by strictly smaller
-    total degrees, so the loop terminates; the remainder is independent of
-    the strategy, and fixing one makes the cofactors reproducible.
+    Strategy: divide by g_1 in x_1, then the remainder by g_2 in x_2, and so
+    on; the i-th quotient is the cofactor h_i.  The remainder is unique.  The
+    cofactors are those of eliminating, one monomial at a time, each x^u
+    through the smallest i with u_i >= d_i: that rewrite is linear, and once
+    stages 1..i-1 are done no term has u_j >= d_j for any j < i, so stage i
+    sends exactly those monomials to g_i.
     """
     _check_poly_grid(f, grid)
     spec = f.spec
     n = grid.arity
-    d = grid.sizes
-    zero = spec._zero_raw
-    # generator tails: g_i minus its leading monomial, as univariate (exp, coeff) pairs
-    tails: List[List[Tuple[int, object]]] = []
-    for i, g in enumerate(grid.generators()):
-        tails.append([(u[i], c.value) for u, c in g.terms.items() if u[i] != d[i]])
-
     work = {u: c.value for u, c in f.terms.items()}
-    cof: List[Dict[Tuple[int, ...], object]] = [dict() for _ in range(n)]
-    while True:
-        target = None
-        for u in work:
-            for i in range(n):
-                if u[i] >= d[i]:
-                    if target is None or _grlex_key(u) > _grlex_key(target[0]):
-                        target = (u, i)
-                    break
-        if target is None:
-            break
-        u, i = target
-        c = work.pop(u)
-        q = u[:i] + (u[i] - d[i],) + u[i + 1:]
-        cof[i][q] = spec._add(cof[i].get(q, zero), c)
-        for e, b in tails[i]:
-            w = q[:i] + (q[i] + e,) + q[i + 1:]
-            v = spec._sub(work.get(w, zero), spec._mul(c, b))
-            if v:
-                work[w] = v
-            else:
-                work.pop(w, None)
+    cof = []
+    for i, g in enumerate(grid.generators()):
+        h, work = _divmod_raw(spec, work, i, {u[i]: c.value for u, c in g.terms.items()})
+        cof.append(h)
     return ReductionResult(
         remainder=MultiPoly._from_raw(n, spec, work),
         cofactors=tuple(MultiPoly._from_raw(n, spec, h) for h in cof),

@@ -308,35 +308,13 @@ class MultiPoly:
             if any(e and i != var for i, e in enumerate(u)):
                 raise ValueError(f"divisor is not univariate in x{var + 1}")
         spec = self.spec
-        d = divisor.degree_in(var)
-        lead = divisor.terms[tuple(d if i == var else 0 for i in range(self.arity))]
-        lead_inv = spec._inv(lead.value)
-        div_rest = [(u[var], c.value) for u, c in divisor.terms.items() if u[var] != d]
-        zero = spec._zero_raw
-
-        work = {u: c.value for u, c in self.terms.items()}
-        quot: Dict[ExponentVector, object] = {}
-        while True:
-            cand = None
-            for u in work:
-                if u[var] >= d and (cand is None or u[var] > cand[var] or (u[var] == cand[var] and u > cand)):
-                    cand = u
-            if cand is None:
-                break
-            c = spec._mul(work.pop(cand), lead_inv)
-            qexp = cand[:var] + (cand[var] - d,) + cand[var + 1:]
-            quot[qexp] = spec._add(quot.get(qexp, zero), c)
-            for e, b in div_rest:
-                w = qexp[:var] + (qexp[var] + e,) + qexp[var + 1:]
-                v = spec._sub(work.get(w, zero), spec._mul(c, b))
-                if v:
-                    work[w] = v
-                else:
-                    work.pop(w, None)
-        return (
-            MultiPoly._from_raw(self.arity, spec, quot),
-            MultiPoly._from_raw(self.arity, spec, work),
+        quot, rem = _divmod_raw(
+            spec,
+            {u: c.value for u, c in self.terms.items()},
+            var,
+            {u[var]: c.value for u, c in divisor.terms.items()},
         )
+        return MultiPoly._from_raw(self.arity, spec, quot), MultiPoly._from_raw(self.arity, spec, rem)
 
     # -- printing ----------------------------------------------------------------
 
@@ -372,6 +350,41 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, divisor: Dict[int, object]):
+    """Long division of raw terms by a polynomial in x_{var+1} alone, given as
+    {exponent: raw coefficient} with an invertible leading coefficient.
+
+    Terms that share their exponents in the other variables form one dense
+    row in x_{var+1}, and each row is divided textbook-style from the top
+    down.  Returns raw (quotient, remainder) term maps; every remainder term
+    has degree in x_{var+1} below the divisor's."""
+    d = max(divisor)
+    lead_inv = spec._inv(divisor[d])
+    tail = [(e, b) for e, b in divisor.items() if e != d]
+    zero = spec._zero_raw
+    rows: Dict[ExponentVector, Dict[int, object]] = {}
+    for u, c in terms.items():
+        rows.setdefault(u[:var] + u[var + 1:], {})[u[var]] = c
+    quot: Dict[ExponentVector, object] = {}
+    rem: Dict[ExponentVector, object] = {}
+    for rest, sparse in rows.items():
+        row = [zero] * (max(sparse) + 1)
+        for e, c in sparse.items():
+            row[e] = c
+        for k in range(len(row) - 1, d - 1, -1):
+            if not row[k]:
+                continue
+            c = spec._mul(row[k], lead_inv)
+            base = k - d
+            quot[rest[:var] + (base,) + rest[var:]] = c
+            for e, b in tail:
+                row[base + e] = spec._sub(row[base + e], spec._mul(c, b))
+        for e in range(min(d, len(row))):
+            if row[e]:
+                rem[rest[:var] + (e,) + rest[var:]] = row[e]
+    return quot, rem
 
 
 # -- expression parser ------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each function computes an expected value by a route different from the
 implementation it checks: textbook long division on coefficient lists, the
-classical Newton table, big-integer binomials, and direct enumeration.
+classical Newton table, the residue form of the weights, big-integer
+binomials, and direct enumeration.
 """
 
 import itertools
@@ -78,6 +79,33 @@ def dual_basis_poly(grid, point, u):
             if elem != point[i]:
                 f = f * (xi - MultiPoly.constant(n, spec, elem)) ** mult
     return f
+
+
+def residue_weight_oracle(grid, point, u):
+    """Weight-table entry in residue form.  Per coordinate, with y = x - s,
+    the weight of (s, e) is the coefficient of y^(m_s - 1 - e) in the product
+    over the other elements s' of (y + s - s')^(-m_s'), expanded as a power
+    series truncated below y^(m_s); the full weight is the product over the
+    coordinates.  Uses field operations only."""
+    spec = grid.spec
+    weight = spec.one
+    for ms, s, e in zip(grid.sets, point, u):
+        s = spec.element(s)
+        m = ms.multiplicity(s)
+        series = [spec.one] + [spec.zero] * (m - 1)
+        for other, mult in ms.entries.items():
+            if other == s:
+                continue
+            # (y + c)^(-1) = sum over k of (-1)^k c^(-k-1) y^k
+            c_inv = (s - other).inv()
+            geometric = [(-c_inv) ** k * c_inv for k in range(m)]
+            for _ in range(mult):
+                series = [
+                    sum((series[i] * geometric[k - i] for i in range(k + 1)), spec.zero)
+                    for k in range(m)
+                ]
+        weight = weight * series[m - 1 - e]
+    return weight
 
 
 def build_punctured_instance(rng, spec, n, max_size=3):

@@ -228,6 +228,12 @@ def test_hopf_stiefel_examples():
             assert hopf_stiefel(p, s, 1) == s
 
 
+def test_hopf_stiefel_rejects_non_prime_p():
+    for p in (0, 1, 4):
+        with pytest.raises(ValueError):
+            hopf_stiefel(p, 2, 2)
+
+
 def test_hopf_stiefel_against_oracle_and_properties():
     for p in (2, 3, 5):
         for r in range(1, 7):

@@ -52,19 +52,6 @@ def test_witness_matches_brute_oracle():
         assert not w.value.is_zero()
 
 
-def test_witness_parallel_scan_is_deterministic():
-    rng = random.Random(9)
-    for _ in range(10):
-        f, grid, t = rand_witness_instance(rng, FieldSpec.prime(5), 2)
-        serial = find_witness(f, grid, t)
-        parallel = find_witness(f, grid, t, workers=4)
-        assert (serial.point, serial.exponent, serial.value) == (
-            parallel.point,
-            parallel.exponent,
-            parallel.value,
-        )
-
-
 def test_witness_preconditions_are_named():
     grid = MultisetGrid.of(F5, [{0: 1, 1: 1}])
     g1 = grid.generators()[0]

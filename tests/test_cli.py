@@ -47,6 +47,28 @@ def test_golden_reduce(tmp_path):
     assert out == "r: x1\nh1: x1 + 1\n"
 
 
+def test_golden_reduce_multivariate():
+    grid = (
+        '{"field":{"kind":"prime","p":5},"sets":[[{"value":"0","mult":1},{"value":"1","mult":1}],'
+        '[{"value":"2","mult":2}]]}'
+    )
+    code, out, err = run_cli(["reduce", "--poly", "(x1 + 2*x2 + 1)^4", "--grid-inline", grid])
+    assert code == 0 and err == ""
+    assert out == (
+        "r: 3*x1*x2\n"
+        "h1: x1^2 + 3*x1*x2 + 4*x2^2 + 2*x2 + 1\n"
+        "h2: 2*x1*x2 + x2^2 + x2 + 4\n"
+    )
+
+
+def test_hopf_stiefel_non_prime_p_is_an_input_error():
+    for p in ("0", "1", "4"):
+        code, out, err = run_cli(["hopf-stiefel", "--p", p, "--r", "2", "--s", "2"])
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_repeat_runs_and_parallel_are_byte_identical():
     cases = [
         ["witness", "--poly", "x1*x2", "--grid-inline", GRID_F3_2D, "--t", "1,1"],

@@ -19,7 +19,7 @@ from nullgrid import (
 )
 from nullgrid.divdiff import WeightTable
 from nullgrid.randgen import rand_grid, rand_poly, rand_spec
-from oracles import dual_basis_poly, newton_table_oracle
+from oracles import dual_basis_poly, newton_table_oracle, residue_weight_oracle
 
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
@@ -143,6 +143,16 @@ def test_top_weights_match_closed_form_and_are_nonzero():
             assert w == top_weight_closed_form(grid, point)
     with pytest.raises(ValueError):
         top_weight_closed_form(grid, [2])
+
+
+def test_every_weight_matches_residue_oracle():
+    rng = random.Random(29)
+    for trial in range(36):
+        spec = Q if trial % 3 == 0 else rand_spec(rng)
+        grid = rand_grid(rng, spec, rng.randint(1, 3), max_size=4)
+        table = weight_table(grid)
+        for (point, u), w in table.weights.items():
+            assert w == residue_weight_oracle(grid, point, u), (grid, point, u)
 
 
 def test_identity_examples():

@@ -208,3 +208,23 @@ def test_divmod_univariate():
     assert r2.is_zero() and q2 == parse_poly("x1*x2 + 5", 2, Q)
     with pytest.raises(ValueError):
         f.divmod_univariate(parse_poly("x1*x2", 2, Q), 0)
+
+
+def test_divmod_univariate_random_variable_and_leading_coefficient():
+    rng = random.Random(41)
+    for spec in (FieldSpec.prime(7), Q):
+        for _ in range(30):
+            f = rand_poly(rng, spec, 3, max_deg=6, max_terms=10)
+            var = rng.randrange(3)
+            coeffs = {}
+            deg = rng.randint(0, 3)
+            for e in range(deg):
+                coeffs[tuple(e if i == var else 0 for i in range(3))] = rand_element(rng, spec)
+            lead = rand_element(rng, spec)
+            while lead.is_zero():
+                lead = rand_element(rng, spec)
+            coeffs[tuple(deg if i == var else 0 for i in range(3))] = lead
+            d = MultiPoly(3, spec, coeffs)
+            q, r = f.divmod_univariate(d, var)
+            assert q * d + r == f
+            assert r.is_zero() or r.degree_in(var) < deg
