@@ -108,7 +108,7 @@ def find_witness(
     if method == "exhaustive":
         for point in grid.points():
             mv = grid.multiplicity_vector(point)
-            shifted = f.shift(point)
+            shifted = f.shift(point, mv)
             for u in itertools.product(*(range(m) for m in mv)):
                 c = shifted.coefficient(u)
                 if c.value:
@@ -122,7 +122,7 @@ def find_witness(
         found = None
         for point in trimmed.points():
             mv = trimmed.multiplicity_vector(point)
-            shifted = f.shift(point)
+            shifted = f.shift(point, mv)
             for u in itertools.product(*(range(m) for m in mv)):
                 c = shifted.coefficient(u)
                 if c.value and found is None:

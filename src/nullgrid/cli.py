@@ -456,6 +456,10 @@ def main(argv=None) -> int:
     except (ArityMismatchError, FieldMismatchError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # an unmapped failure is a bug, reported without a traceback
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 1
     if args.json:
         payload = {"schema": SCHEMA, "command": args.command}
         payload.update(obj)

@@ -73,7 +73,9 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid, rng=None) -> 
     smallest elements) makes traces reproducible; pass an rng to randomize the
     pivots instead, which must not change the value.  Sub-brackets are
     memoized, the two pivot elements are distinct so the division is always
-    legal, and single-point states reduce to one expansion coefficient.
+    legal, and single-point states reduce to one expansion coefficient.  Each
+    point is expanded once, in the box of its multiplicities in the grid,
+    which holds every exponent its sub-states ask for.
     """
     _check_poly_grid(f, grid)
     spec = f.spec
@@ -82,7 +84,8 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid, rng=None) -> 
     def expansion_at(point_raw, u):
         g = shifts.get(point_raw)
         if g is None:
-            g = f.shift([FieldElement(v, spec) for v in point_raw])
+            point = [FieldElement(v, spec) for v in point_raw]
+            g = f.shift(point, grid.multiplicity_vector(point))
             shifts[point_raw] = g
         return g.coefficient(u).value
 
@@ -212,7 +215,7 @@ def top_coefficient_identity_holds(
     acc = spec._zero_raw
     for point in grid.points():
         mv = grid.multiplicity_vector(point)
-        shifted = f.shift(point)
+        shifted = f.shift(point, mv)
         for u in itertools.product(*(range(m) for m in mv)):
             w = table.weight(point, u)
             if w.value:

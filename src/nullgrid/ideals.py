@@ -204,11 +204,7 @@ def reduce_poly(f: MultiPoly, grid: MultisetGrid) -> ReductionResult:
 def in_local_ideal(f: MultiPoly, point: Sequence, box: Sequence[int]) -> bool:
     """Whether every expansion coefficient of f at the point with exponent
     strictly below box (componentwise) vanishes."""
-    if len(box) != f.arity or any(b < 1 for b in box):
-        raise ArityMismatchError(f"box {tuple(box)} must be >= 1 in every component")
-    shifted = f.shift(point)
-    # the shifted term map holds only nonzero coefficients
-    return not any(all(e < b for e, b in zip(u, box)) for u in shifted.terms)
+    return f.shift(point, box).is_zero()
 
 
 def in_grid_ideal(f: MultiPoly, grid: MultisetGrid, method: str = "remainder") -> bool:

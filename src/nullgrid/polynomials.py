@@ -8,7 +8,10 @@ so degree-bound checks stay honest when a cofactor vanishes.
 Coordinate shifts f(x) -> f(x + s) are the workhorse: the coefficient of x^u
 in the shifted polynomial is the expansion coefficient of f at s attached to
 (x - s)^u.  Reading those coefficients off a shift is valid in every
-characteristic, unlike the factorial-scaled derivative formula.
+characteristic, unlike the factorial-scaled derivative formula.  Callers
+usually need only the exponents below a box (a multiplicity vector), so
+shift takes an optional box and works one coordinate at a time, cutting
+each coordinate to its bound before the next is shifted.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .fields import FieldElement, FieldSpec
 ExponentVector = Tuple[int, ...]
 
 _MAX_EXPONENT = 10_000  # parser guard against accidental blow-ups
+_MAX_NESTING = 200  # parser guard: deeper '(' / unary '-' chains would exhaust the stack
 
 
 def _grlex_key(u: ExponentVector):
@@ -245,54 +249,27 @@ class MultiPoly:
             acc = spec._add(acc, t)
         return FieldElement(acc, spec)
 
-    def shift(self, point: Sequence) -> "MultiPoly":
+    def shift(self, point: Sequence, box: Sequence[int] = None) -> "MultiPoly":
         """Substitute x_i -> x_i + s_i; the result's coefficient at x^u is the
-        expansion coefficient of this polynomial at s attached to (x - s)^u."""
+        expansion coefficient of this polynomial at s attached to (x - s)^u.
+
+        With a box, only the coefficients with u strictly below it in every
+        component are computed and kept.  The shift runs one coordinate at a
+        time, truncating as it goes, so later passes see only the rows that
+        survive the earlier boxes."""
+        if box is not None and (len(box) != self.arity or any(b < 1 for b in box)):
+            raise ArityMismatchError(f"box {tuple(box)} must be >= 1 in every component")
         spec = self.spec
         s = self._point_raw(point)
-        zero = spec._zero_raw
-        # rows[i][e] = [(j, C(e, j) * s_i^(e-j)) for j in 0..e], built lazily
-        rows: list = [dict() for _ in range(self.arity)]
-
-        def row(i: int, e: int):
-            cached = rows[i].get(e)
-            if cached is None:
-                si = s[i]
-                powers = [spec._one_raw]
-                for _ in range(e):
-                    powers.append(spec._mul(powers[-1], si))
-                cached = [
-                    (j, spec._mul(spec._from_int(math.comb(e, j)), powers[e - j]))
-                    for j in range(e + 1)
-                ]
-                rows[i][e] = cached
-            return cached
-
-        out: Dict[ExponentVector, object] = {}
-        for u, c in self.terms.items():
-            partial = [((), c.value)]
-            for i, e in enumerate(u):
-                if e == 0:
-                    partial = [(exp + (0,), v) for exp, v in partial]
-                    continue
-                expansion = row(i, e)
-                partial = [
-                    (exp + (j,), spec._mul(v, w)) for exp, v in partial for j, w in expansion if w
-                ]
-            for exp, v in partial:
-                t = spec._add(out.get(exp, zero), v)
-                if t:
-                    out[exp] = t
-                else:
-                    out.pop(exp, None)
-        return MultiPoly._from_raw(self.arity, spec, out)
+        terms = {u: c.value for u, c in self.terms.items()}
+        for i, si in enumerate(s):
+            terms = _shift_raw(spec, terms, i, si, None if box is None else box[i])
+        return MultiPoly._from_raw(self.arity, spec, terms)
 
     def expansion_coefficients(self, point: Sequence, box: Sequence[int]) -> Dict[ExponentVector, FieldElement]:
         """All expansion coefficients at the point for exponents strictly below
         box in every component (zeros included, so the domain is the full box)."""
-        if len(box) != self.arity or any(b < 1 for b in box):
-            raise ArityMismatchError(f"box {tuple(box)} must be >= 1 in every component")
-        g = self.shift(point)
+        g = self.shift(point, box)
         return {u: g.coefficient(u) for u in itertools.product(*(range(b) for b in box))}
 
     # -- division by a univariate ----------------------------------------------
@@ -387,6 +364,48 @@ def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, 
     return quot, rem
 
 
+def _shift_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, point, box=None):
+    """Substitute x_{var+1} -> x_{var+1} + point in raw terms, keeping only
+    exponents below box in that variable (all of them when box is None).
+
+    Terms that share their exponents in the other variables form one row
+    (a_e) in x_{var+1}; its shifted coefficient at j is the sum over e >= j
+    of C(e, j) * point^(e - j) * a_e, read from one table built per call.
+    Returns a new raw term map without zero coefficients."""
+    if not point:
+        return {u: c for u, c in terms.items() if box is None or u[var] < box}
+    rows: Dict[ExponentVector, Dict[int, object]] = {}
+    top = 0
+    for u, c in terms.items():
+        e = u[var]
+        rows.setdefault(u[:var] + u[var + 1:], {})[e] = c
+        if e > top:
+            top = e
+    width = top + 1 if box is None else min(box, top + 1)
+    powers = [spec._one_raw]
+    for _ in range(top):
+        powers.append(spec._mul(powers[-1], point))
+    # table[e][j] = C(e, j) * point^(e - j) for j < min(e + 1, width)
+    table = [
+        [spec._mul(spec._from_int(math.comb(e, j)), powers[e - j]) for j in range(min(e + 1, width))]
+        for e in range(top + 1)
+    ]
+    p = spec.p
+    zero = spec._zero_raw
+    out: Dict[ExponentVector, object] = {}
+    for rest, sparse in rows.items():
+        acc = [zero] * width
+        for e, c in sparse.items():
+            for j, w in enumerate(table[e]):
+                acc[j] += c * w  # reduced once per coefficient below
+        for j, v in enumerate(acc):
+            if p:
+                v %= p
+            if v:
+                out[rest[:var] + (j,) + rest[var:]] = v
+    return out
+
+
 # -- expression parser ------------------------------------------------------------
 
 _TOKEN = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*^()/])")
@@ -411,11 +430,13 @@ class _Parser:
     term := factor ('*' factor)*; factor := atom ['^' INT];
     atom := '-' atom | INT ['/' INT] | VAR | '(' expr ')'.
     Rational literals 'a/b' are accepted only over the rationals; there is no
-    general division operator and no implicit multiplication."""
+    general division operator and no implicit multiplication.  Parentheses
+    and unary minus nest at most _MAX_NESTING deep."""
 
     def __init__(self, text: str, arity: int, spec: FieldSpec):
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
         self.arity = arity
         self.spec = spec
 
@@ -479,8 +500,17 @@ class _Parser:
 
     def atom(self) -> MultiPoly:
         kind, val, pos = self.next()
-        if kind == "op" and val == "-":
-            return -self.atom()
+        if kind == "op" and val in "-(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise PolyParseError("expression nested too deeply", pos)
+            if val == "-":
+                poly = -self.atom()
+            else:
+                poly = self.expr()
+                self.expect_op(")")
+            self.depth -= 1
+            return poly
         if kind == "int":
             num = int(val)
             kind2, val2, pos2 = self.peek()
@@ -501,10 +531,6 @@ class _Parser:
             if not 1 <= index <= self.arity:
                 raise PolyParseError(f"unknown variable {val!r} (arity {self.arity})", pos)
             return MultiPoly.variable(self.arity, self.spec, index - 1)
-        if kind == "op" and val == "(":
-            poly = self.expr()
-            self.expect_op(")")
-            return poly
         raise PolyParseError(f"unexpected {val or 'end of input'!r}", pos)
 
 

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from nullgrid import FieldSpec, parse_poly
+from nullgrid import FieldSpec, cli, parse_poly
 from nullgrid.cli import main
 
 GRID_F3_2D = '{"field":{"kind":"prime","p":3},"sets":[[{"value":"0","mult":1},{"value":"1","mult":1}],[{"value":"0","mult":1},{"value":"1","mult":1}]]}'
@@ -190,6 +190,23 @@ def test_exit_codes():
         ]
     )
     assert code == 1 and "tight" in err
+
+
+def test_deeply_nested_poly_is_an_input_error():
+    for poly in ["(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"]:
+        code, out, err = run_cli(["reduce", f"--poly={poly}", "--grid-inline", GRID_F5_01])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: expression nested too deeply")
+
+
+def test_unexpected_exception_is_one_internal_error_line(monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_hopf_stiefel", broken)
+    code, out, err = run_cli(["hopf-stiefel", "--p", "2", "--r", "2", "--s", "2"])
+    assert code == 1 and out == ""
+    assert err == "error: internal: RuntimeError: boom second line\n"
 
 
 def test_console_entry_point():

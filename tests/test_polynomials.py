@@ -12,6 +12,7 @@ from nullgrid import (
     parse_poly,
 )
 from nullgrid.randgen import rand_element, rand_poly, rand_spec
+from oracles import expansion_coefficient_oracle
 
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
@@ -56,6 +57,41 @@ def test_shift_composition_random():
         s = [rand_element(rng, spec) for _ in range(n)]
         neg = [-x for x in s]
         assert f.shift(s).shift(neg) == f
+
+
+def test_truncated_shift_is_the_full_shift_cut_to_the_box():
+    rng = random.Random(29)
+    specs = [FieldSpec.prime(p) for p in (2, 3, 7, 101)] + [Q]
+    for k in range(150):
+        spec = specs[k % len(specs)]
+        n = rng.randint(1, 4)
+        f = rand_poly(rng, spec, n, max_deg=6, max_terms=12)
+        if k % 10 == 0:
+            f = MultiPoly.zero(n, spec)
+        s = [rand_element(rng, spec) for _ in range(n)]
+        top = f.total_degree() or 0
+        full = f.shift(s)
+        for box in (
+            tuple(rng.randint(1, 4) for _ in range(n)),
+            (1,) * n,
+            tuple(top + rng.randint(1, 3) for _ in range(n)),  # above the degree
+        ):
+            cut = {u: c for u, c in full.terms.items() if all(e < b for e, b in zip(u, box))}
+            boxed = f.shift(s, box)
+            assert boxed.terms == cut
+            # independent of the shift kernel: the term-by-term expansion
+            u = tuple(rng.randrange(b) for b in box)
+            assert boxed.coefficient(u) == expansion_coefficient_oracle(f, s, u)
+
+
+def test_shift_box_must_fit_the_arity():
+    f = parse_poly("x1*x2 + 1", 2, F5)
+    point = [F5.element(1), F5.element(2)]
+    for box in [(1,), (1, 1, 1), (0, 2), (2, 0)]:
+        with pytest.raises(ArityMismatchError):
+            f.shift(point, box)
+        with pytest.raises(ArityMismatchError):
+            f.expansion_coefficients(point, box)
 
 
 def test_expansion_coefficient_examples():
@@ -179,6 +215,17 @@ def test_parse_errors_carry_positions():
         parse_poly("1/2*x1", 1, F5)  # rational literals need the rational field
     with pytest.raises(PolyParseError):
         parse_poly("x1/2", 1, Q)  # '/' only joins integer literals
+
+
+def test_parse_rejects_deep_nesting():
+    for text in ["(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"]:
+        with pytest.raises(PolyParseError, match="nested too deeply"):
+            parse_poly(text, 1, F5)
+    # nesting up to the limit of 200 still parses
+    assert parse_poly("(" * 200 + "x1" + ")" * 200, 1, F5) == parse_poly("x1", 1, F5)
+    assert parse_poly("-" * 200 + "x1", 1, F5) == parse_poly("x1", 1, F5)
+    with pytest.raises(PolyParseError, match="nested too deeply"):
+        parse_poly("-(" * 100 + "-x1" + ")" * 100, 1, F5)
 
 
 def test_parse_rational_literals():
