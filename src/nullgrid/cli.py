@@ -61,6 +61,23 @@ class _InputError(ValueError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with the exit-code contract: a usage error is one "error:"
+    line and exit 2 (raised as _InputError), and a dash-led token that names
+    no option is a value, so --poly -x1 reads like --poly=-x1."""
+
+    def error(self, message):
+        raise _InputError(message)
+
+    def _parse_optional(self, arg_string):
+        parsed = super()._parse_optional(arg_string)
+        # Python 3.12 returns a list of candidate tuples, earlier versions one tuple
+        first = parsed[0] if isinstance(parsed, list) else parsed
+        if first is not None and first[0] is None and not arg_string.startswith("--"):
+            return None
+        return parsed
+
+
 def _parse_field(text: str) -> FieldSpec:
     if text == "rational":
         return FieldSpec.rationals()
@@ -334,7 +351,7 @@ def _cmd_ek_check(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nullgrid",
         description="Exact vanishing-ideal computations on multiset grids.",
     )
@@ -437,9 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text, obj, code = args.handler(args)
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

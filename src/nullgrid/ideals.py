@@ -3,12 +3,15 @@ with prescribed multiplicities.
 
 Each coordinate carries a finite nonempty multiset; the grid ideal is cut out
 by one monic univariate generator per coordinate, the product of (x_i - s)
-raised to the multiplicity of s.  Reducing a polynomial modulo those
-generators terminates, produces a unique remainder with per-variable degrees
-below the multiset sizes, and decides ideal membership; membership can be
-cross-checked pointwise through expansion coefficients, and the remainder and
-cofactors never leave the subring generated by the inputs' coefficients
-because the generators are monic.
+raised to the multiplicity of s.  A generator is built as a raw univariate
+coefficient list, one linear factor at a time, and reduction divides by that
+list directly; the n-variate MultiPoly form exists only for callers that ask
+for it.  Reducing a polynomial modulo the generators terminates, produces a
+unique remainder with per-variable degrees below the multiset sizes, and
+decides ideal membership; membership can be cross-checked pointwise through
+expansion coefficients, and the remainder and cofactors never leave the
+subring generated by the inputs' coefficients because the generators are
+monic.
 """
 
 from __future__ import annotations
@@ -57,14 +60,31 @@ class Multiset:
     def items(self):
         return tuple(self.entries.items())
 
-    def generator_poly(self, var: int, arity: int) -> MultiPoly:
-        """The monic univariate product of (x_{var+1} - s)^mult over this multiset."""
+    def _generator_raw(self) -> list:
+        """Raw coefficients of the monic product of (x - s)^mult over this
+        multiset, lowest degree first; one linear factor is multiplied in at
+        a time, O(size^2) field operations."""
         spec = self.spec
-        g = MultiPoly.constant(arity, spec, 1)
-        x = MultiPoly.variable(arity, spec, var)
+        g = [spec._one_raw]
         for elem, mult in self.entries.items():
-            g = g * (x - MultiPoly.constant(arity, spec, elem)) ** mult
+            s = elem.value
+            for _ in range(mult):
+                # g * (x - s): the new coefficient at k is g[k-1] - s * g[k]
+                g.append(g[-1])
+                for k in range(len(g) - 2, 0, -1):
+                    g[k] = spec._sub(g[k - 1], spec._mul(s, g[k]))
+                g[0] = spec._neg(spec._mul(s, g[0]))
         return g
+
+    def generator_poly(self, var: int, arity: int) -> MultiPoly:
+        """The monic univariate product of (x_{var+1} - s)^mult over this
+        multiset as an arity-variate polynomial: the raw coefficient list of
+        _generator_raw, which reduction reads directly, wrapped once."""
+        if not 0 <= var < arity:
+            raise ArityMismatchError(f"variable index {var} out of range for arity {arity}")
+        head, tail = (0,) * var, (0,) * (arity - var - 1)
+        raw = {head + (e,) + tail: c for e, c in enumerate(self._generator_raw())}
+        return MultiPoly._from_raw(arity, self.spec, raw)
 
     def __eq__(self, other):
         if not isinstance(other, Multiset):
@@ -192,8 +212,8 @@ def reduce_poly(f: MultiPoly, grid: MultisetGrid) -> ReductionResult:
     n = grid.arity
     work = {u: c.value for u, c in f.terms.items()}
     cof = []
-    for i, g in enumerate(grid.generators()):
-        h, work = _divmod_raw(spec, work, i, {u[i]: c.value for u, c in g.terms.items()})
+    for i, ms in enumerate(grid.sets):
+        h, work = _divmod_raw(spec, work, i, ms._generator_raw())
         cof.append(h)
     return ReductionResult(
         remainder=MultiPoly._from_raw(n, spec, work),

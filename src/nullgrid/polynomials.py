@@ -285,12 +285,10 @@ class MultiPoly:
             if any(e and i != var for i, e in enumerate(u)):
                 raise ValueError(f"divisor is not univariate in x{var + 1}")
         spec = self.spec
-        quot, rem = _divmod_raw(
-            spec,
-            {u: c.value for u, c in self.terms.items()},
-            var,
-            {u[var]: c.value for u, c in divisor.terms.items()},
-        )
+        coeffs = [spec._zero_raw] * (divisor.degree_in(var) + 1)
+        for u, c in divisor.terms.items():
+            coeffs[u[var]] = c.value
+        quot, rem = _divmod_raw(spec, {u: c.value for u, c in self.terms.items()}, var, coeffs)
         return MultiPoly._from_raw(self.arity, spec, quot), MultiPoly._from_raw(self.arity, spec, rem)
 
     # -- printing ----------------------------------------------------------------
@@ -329,17 +327,17 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, divisor: Dict[int, object]):
+def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, divisor: Sequence):
     """Long division of raw terms by a polynomial in x_{var+1} alone, given as
-    {exponent: raw coefficient} with an invertible leading coefficient.
+    its raw coefficient list, lowest degree first, with a nonzero last entry.
 
     Terms that share their exponents in the other variables form one dense
     row in x_{var+1}, and each row is divided textbook-style from the top
     down.  Returns raw (quotient, remainder) term maps; every remainder term
     has degree in x_{var+1} below the divisor's."""
-    d = max(divisor)
+    d = len(divisor) - 1
     lead_inv = spec._inv(divisor[d])
-    tail = [(e, b) for e, b in divisor.items() if e != d]
+    tail = [(e, b) for e, b in enumerate(divisor[:d]) if b]
     zero = spec._zero_raw
     rows: Dict[ExponentVector, Dict[int, object]] = {}
     for u, c in terms.items():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from nullgrid import FieldSpec, cli, parse_poly
 from nullgrid.cli import main
 
@@ -207,6 +209,41 @@ def test_unexpected_exception_is_one_internal_error_line(monkeypatch):
     code, out, err = run_cli(["hopf-stiefel", "--p", "2", "--r", "2", "--s", "2"])
     assert code == 1 and out == ""
     assert err == "error: internal: RuntimeError: boom second line\n"
+
+
+def test_usage_errors_are_one_error_line():
+    for argv in (
+        ["reduce", "--bogus", "--poly", "x1", "--grid-inline", GRID_F5_01],
+        ["reduce", "--grid-inline", GRID_F5_01],
+        ["--bogus"],
+        ["no-such-command"],
+        ["member", "--method", "neither", "--poly", "x1", "--grid-inline", GRID_F5_01],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), argv
+    code, _, err = run_cli(["reduce", "--grid-inline", GRID_F5_01])
+    assert err == "error: the following arguments are required: --poly\n"
+
+
+def test_help_still_prints_usage():
+    for argv in (["--help"], ["reduce", "--help"]):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and out.getvalue().startswith("usage: nullgrid")
+
+
+def test_dash_led_poly_value_matches_equals_spelling():
+    grid_f7 = '{"field":{"kind":"prime","p":7},"sets":[[{"value":"1","mult":2},{"value":"3","mult":1}],[{"value":"0","mult":2}]]}'
+    for poly in ("-x1", "-x1^4*x2^2 + 3*x2", "-(x1 + 2)^5", "-2*x2^3"):
+        for tail in ([], ["--json"]):
+            spaced = run_cli(["reduce", "--poly", poly, "--grid-inline", grid_f7] + tail)
+            joined = run_cli(["reduce", f"--poly={poly}", "--grid-inline", grid_f7] + tail)
+            assert spaced == joined and spaced[0] == 0 and spaced[2] == ""
+    # a dash-led value that is not a polynomial is still one input-error line
+    code, _, err = run_cli(["reduce", "--poly", "-x9", "--grid-inline", grid_f7])
+    assert code == 2 and err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_console_entry_point():

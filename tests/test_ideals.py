@@ -22,7 +22,8 @@ from nullgrid import (
     universal_gb_check,
 )
 from nullgrid.randgen import rand_grid, rand_ideal_member, rand_poly, rand_spec
-from oracles import poly_to_coeff_list, univariate_divmod_oracle
+from nullgrid.errors import ArityMismatchError
+from oracles import generator_oracle, poly_to_coeff_list, univariate_divmod_oracle
 
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
@@ -57,6 +58,26 @@ def test_generator_examples():
     assert g == expected == parse_poly("x1^3 + 4*x1^2 + x1 + 4", 1, F5)
     assert g.coefficient((3,)).value == 1  # monic
     assert g.total_degree() == ms.size
+
+
+def test_generator_matches_linear_factor_oracle():
+    rng = random.Random(17)
+    for spec in (F2, FieldSpec.prime(3), FieldSpec.prime(7), FieldSpec.prime(101), Q):
+        pool = range(spec.p) if spec.p else [Fraction(k, 2) for k in range(-7, 8)]
+        for _ in range(10):
+            values = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+            ms = Multiset(spec, [(v, rng.randint(1, 4)) for v in values])
+            for arity in (1, 2, 3):
+                for var in range(arity):
+                    g = ms.generator_poly(var, arity)
+                    assert g == generator_oracle(ms, var, arity)
+                    top = tuple(ms.size if i == var else 0 for i in range(arity))
+                    assert g.coefficient(top) == spec.one  # monic
+                    assert g.total_degree() == g.degree_in(var) == ms.size
+            grid = MultisetGrid([ms] * 3)
+            assert grid.generators() == tuple(generator_oracle(ms, i, 3) for i in range(3))
+            with pytest.raises(ArityMismatchError):
+                ms.generator_poly(3, 3)
 
 
 def test_reduce_univariate_against_long_division():
