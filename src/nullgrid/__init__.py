@@ -17,6 +17,7 @@ from .ideals import (
     MultisetGrid,
     ReductionResult,
     coefficients_stay_integral,
+    grid_expansions,
     grid_from_dict,
     grid_to_dict,
     in_grid_ideal,

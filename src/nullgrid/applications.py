@@ -311,13 +311,20 @@ def lucas_binomial(n: int, k: int, p: int) -> int:
 
 def hopf_stiefel(p: int, r: int, s: int) -> int:
     """The smallest n >= 1 such that p divides C(n, k) for every integer k
-    with n - r < k < s (an empty range counts).  Always at most r + s - 1."""
+    with n - r < k < s (an empty range counts).  Always at most r + s - 1.
+
+    Computed by the closed form min over k >= 0 of
+    (ceil(r / p^k) + ceil(s / p^k) - 1) * p^k; the term for the first
+    p^k >= max(r, s) is p^k itself and no larger k does better, so the loop
+    takes O(log max(r, s)) steps."""
     if r < 1 or s < 1:
         raise ValueError("arguments must be positive")
-    FieldSpec.prime(p)  # validates primality; Lucas's theorem needs a prime
-    for n in itertools.count(1):
-        if all(lucas_binomial(n, k, p) == 0 for k in range(n - r + 1, s)):
-            return n
+    FieldSpec.prime(p)  # validates primality; the closed form needs a prime
+    best, q = r + s - 1, 1
+    while q < max(r, s):
+        q *= p
+        best = min(best, (-(-r // q) - (-s // q) - 1) * q)
+    return best
 
 
 class VectorMultiset:

@@ -7,7 +7,9 @@ coefficient.  Two independent searches realize that guarantee: a direct scan
 of every (point, exponent) pair, and a route through the weight table of a
 trimmed grid, where the nonzero top coefficient forces a nonzero term in the
 weighted sum.  Failure of either search on a valid instance is an internal
-bug, never a legitimate outcome.
+bug, never a legitimate outcome.  Both searches read the expansion
+coefficients from ideals.grid_expansions, so points that share a prefix share
+its shifts.
 
 The punctured decomposition handles polynomials vanishing everywhere on a
 grid except at points of a tight sub-grid: the reduced form is then exactly
@@ -28,6 +30,7 @@ from .ideals import (
     Multiset,
     MultisetGrid,
     _check_poly_grid,
+    grid_expansions,
     in_local_ideal,
     reduce_poly,
 )
@@ -106,13 +109,11 @@ def find_witness(
     """
     t = _check_witness_preconditions(f, grid, t)
     if method == "exhaustive":
-        for point in grid.points():
-            mv = grid.multiplicity_vector(point)
-            shifted = f.shift(point, mv)
+        for point, mv, shifted in grid_expansions(f, grid):
             for u in itertools.product(*(range(m) for m in mv)):
                 c = shifted.coefficient(u)
                 if c.value:
-                    return Witness(tuple(point), u, c)
+                    return Witness(point, u, c)
         raise InvariantViolation("no witness found on a valid instance")
     if method == "divided_difference":
         trimmed = trim_grid(grid, t)
@@ -120,13 +121,11 @@ def find_witness(
         spec = f.spec
         acc = spec._zero_raw
         found = None
-        for point in trimmed.points():
-            mv = trimmed.multiplicity_vector(point)
-            shifted = f.shift(point, mv)
+        for point, mv, shifted in grid_expansions(f, trimmed):
             for u in itertools.product(*(range(m) for m in mv)):
                 c = shifted.coefficient(u)
                 if c.value and found is None:
-                    found = Witness(tuple(point), u, c)
+                    found = Witness(point, u, c)
                 if c.value:
                     w = table.weight(point, u)
                     if w.value:

@@ -14,6 +14,10 @@ is a product of one-coordinate weights: the confluent divided-difference
 coefficients of each coordinate multiset, found by expanding the recursion
 symbolically on that multiset alone.  The weights attached to the maximal
 exponents are never zero, which is what powers the witness search.
+
+Both the recursion's single-point expansions and the weighted-sum check read
+expansion coefficients from ideals.grid_expansions, so points that share a
+prefix share its shifts.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import PreconditionError
 from .fields import FieldElement
-from .ideals import MultisetGrid, _check_poly_grid, reduce_poly
+from .ideals import MultisetGrid, _check_poly_grid, grid_expansions, reduce_poly
 from .polynomials import MultiPoly
 
 # a grid state is one row per coordinate, each row a tuple of
@@ -73,22 +77,14 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid, rng=None) -> 
     smallest elements) makes traces reproducible; pass an rng to randomize the
     pivots instead, which must not change the value.  Sub-brackets are
     memoized, the two pivot elements are distinct so the division is always
-    legal, and single-point states reduce to one expansion coefficient.  Each
-    point is expanded once, in the box of its multiplicities in the grid,
-    which holds every exponent its sub-states ask for.
+    legal, and single-point states reduce to one expansion coefficient.  Every
+    point is expanded once, by one grid_expansions walk, in the box of its
+    multiplicities in the grid, which holds every exponent its sub-states ask
+    for.
     """
     _check_poly_grid(f, grid)
     spec = f.spec
-    shifts: Dict[tuple, MultiPoly] = {}
-
-    def expansion_at(point_raw, u):
-        g = shifts.get(point_raw)
-        if g is None:
-            point = [FieldElement(v, spec) for v in point_raw]
-            g = f.shift(point, grid.multiplicity_vector(point))
-            shifts[point_raw] = g
-        return g.coefficient(u).value
-
+    shifts = {tuple(s.value for s in point): g for point, _, g in grid_expansions(f, grid)}
     memo: Dict[_State, object] = {}
 
     def go(state: _State):
@@ -98,7 +94,7 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid, rng=None) -> 
         if all(len(row) == 1 for row in state):
             point = tuple(row[0][0] for row in state)
             u = tuple(row[0][1] - 1 for row in state)
-            val = expansion_at(point, u)
+            val = shifts[point].coefficient(u).value
         else:
             i, a, b = _pick_pivot(state, rng)
             left = state[:i] + (_drop_one(state[i], a),) + state[i + 1:]
@@ -213,9 +209,7 @@ def top_coefficient_identity_holds(
         table = weight_table(grid)
     spec = f.spec
     acc = spec._zero_raw
-    for point in grid.points():
-        mv = grid.multiplicity_vector(point)
-        shifted = f.shift(point, mv)
+    for point, mv, shifted in grid_expansions(f, grid):
         for u in itertools.product(*(range(m) for m in mv)):
             w = table.weight(point, u)
             if w.value:

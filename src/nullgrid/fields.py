@@ -284,8 +284,12 @@ def field_to_dict(spec: FieldSpec) -> dict:
 
 
 def field_from_dict(d: dict) -> FieldSpec:
+    if not isinstance(d, dict):
+        raise ValueError(f"field must be an object with a 'kind', got {d!r}")
     kind = d.get("kind")
     if kind == "prime":
+        if "p" not in d:
+            raise ValueError("prime field object needs 'p'")
         return FieldSpec.prime(d["p"])
     if kind == "rational":
         return FieldSpec.rationals()

@@ -244,6 +244,13 @@ def test_hopf_stiefel_against_oracle_and_properties():
                 assert max(r, s) <= beta <= r + s - 1
 
 
+def test_hopf_stiefel_closed_form_matches_oracle():
+    for p in (2, 3, 5, 7):
+        for r in range(1, 40):
+            for s in range(1, 40):
+                assert hopf_stiefel(p, r, s) == hopf_stiefel_oracle(p, r, s), (p, r, s)
+
+
 def test_ek_examples():
     a = VectorMultiset(2, 2, [((0, 0), 1), ((1, 0), 1)])
     b = VectorMultiset(2, 2, [((0, 0), 1), ((0, 1), 1)])

@@ -5,6 +5,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullgrid import FieldSpec, cli, parse_poly
 from nullgrid.cli import main
@@ -69,6 +70,17 @@ def test_hopf_stiefel_non_prime_p_is_an_input_error():
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_hopf_stiefel_large_arguments_finish():
+    proc = subprocess.run(
+        [sys.executable, "-m", "nullgrid", "hopf-stiefel", "--p", "2", "--r", "99999999", "--s", "99999999"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "134217728\n"
 
 
 def test_repeat_runs_and_parallel_are_byte_identical():
@@ -194,6 +206,17 @@ def test_exit_codes():
     assert code == 1 and "tight" in err
 
 
+def test_malformed_field_is_an_input_error():
+    sets = '"sets":[[{"value":"0","mult":1}]]'
+    for field, message in (
+        ('"x"', "error: field must be an object with a 'kind', got 'x'\n"),
+        ("[5]", "error: field must be an object with a 'kind', got [5]\n"),
+        ('{"kind":"prime"}', "error: prime field object needs 'p'\n"),
+    ):
+        code, out, err = run_cli(["reduce", "--poly", "x1", "--grid-inline", f'{{"field":{field},{sets}}}'])
+        assert (code, out, err) == (2, "", message)
+
+
 def test_deeply_nested_poly_is_an_input_error():
     for poly in ["(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"]:
         code, out, err = run_cli(["reduce", f"--poly={poly}", "--grid-inline", GRID_F5_01])
@@ -254,3 +277,131 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+# -- CLI fuzz: small, possibly malformed inputs on every subcommand ---------------
+# Each input is well formed four times in five, so that most examples get past
+# parsing into the computation.
+
+
+def _mostly(valid, malformed):
+    return st.integers(0, 9).flatmap(lambda k: valid if k < 8 else malformed)
+
+
+_VALUES = st.one_of(st.integers(-3, 7).map(str), st.sampled_from(["1/2", "-2/3", "x", "", 3, None]))
+_BAD_ENTRIES = st.one_of(
+    st.fixed_dictionaries({"value": _VALUES, "mult": st.sampled_from([1, 2, 0, -1, "2", True, 1.5, None])}),
+    st.sampled_from([{}, {"value": "1"}, {"mult": 1}, 3, "x", None, []]),
+)
+_MULTISETS = _mostly(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 2)), min_size=1, max_size=3, unique_by=lambda vm: vm[0])
+    .map(lambda pairs: [{"value": str(v), "mult": m} for v, m in pairs]),
+    st.lists(_BAD_ENTRIES, max_size=3),
+)
+_FIELDS = _mostly(
+    st.sampled_from([{"kind": "prime", "p": 3}, {"kind": "prime", "p": 5}, {"kind": "rational"}]),
+    st.sampled_from(
+        [
+            {"kind": "prime", "p": 4}, {"kind": "prime", "p": "5"}, {"kind": "prime"},
+            {"kind": "rational", "p": 3}, {"kind": "complex"}, {}, "x", 5, None, [],
+        ]
+    ),
+)
+_GRIDS = _mostly(
+    st.fixed_dictionaries({"field": _FIELDS, "sets": st.lists(_MULTISETS, min_size=1, max_size=3)})
+    .map(json.dumps),
+    st.sampled_from(
+        [
+            "{not json", "", "[]", '"x"', "3", "null", '{"sets": []}', '{"field": {"kind": "rational"}}',
+            '{"field": {"kind": "prime", "p": 3}, "sets": 5}',
+            '{"field": {"kind": "prime", "p": 3}, "sets": [5]}',
+            '{"field": {"kind": "prime", "p": 3}, "sets": []}',
+        ]
+    ),
+)
+_ATOMS = _mostly(
+    st.sampled_from(["x1", "x2", "x3", "2", "1/2", "(x1 - x2)", "(x1 + 1)^2", "x2^3", "x1*x2"]),
+    st.sampled_from(["x0", "x4", "^", "1/0", "(x1", "x1^", "2^-1"]),
+)
+_POLYS = _mostly(
+    st.tuples(_ATOMS, st.lists(st.tuples(st.sampled_from([" + ", " - ", "*"]), _ATOMS), max_size=3))
+    .map(lambda first_rest: first_rest[0] + "".join(op + atom for op, atom in first_rest[1])),
+    st.text(alphabet="x12+-*^()/ ", max_size=6),
+)
+_INTS = _mostly(st.integers(1, 40).map(str), st.sampled_from(["-1", "0", "4", "99999999", "x", ""]))
+_TARGETS = st.sampled_from(["0", "1", "1,1", "0,1", "2,1", "1,0,1", "2,2,2", "-1", "x", ""])
+_VECTORS = _mostly(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 2)), min_size=1, max_size=3,
+        unique_by=lambda t: t[:2],
+    ).map(lambda rows: json.dumps([{"value": [a, b], "mult": m} for a, b, m in rows])),
+    st.sampled_from(["[]", "{}", "[3]", '[{"value": 3, "mult": 1}]', '[{"value": [0], "mult": 0}]', "x"]),
+)
+_HYPERPLANES = _mostly(
+    st.lists(st.lists(st.sampled_from(["0", "1", "-1", "2"]), min_size=3, max_size=3), max_size=3).map(json.dumps),
+    st.sampled_from(["{}", "5", "[5]", '[["x", 1]]', "[[1]]"]),
+)
+
+_MULTISET_JSON = _MULTISETS.map(json.dumps)
+_OPTIONS = {
+    "reduce": {"--grid-inline": _GRIDS, "--poly": _POLYS},
+    "member": {
+        "--grid-inline": _GRIDS, "--poly": _POLYS,
+        "--method": st.sampled_from(["both", "remainder", "pointwise"]),
+    },
+    "witness": {
+        "--grid-inline": _GRIDS, "--poly": _POLYS, "--t": _TARGETS,
+        "--method": st.sampled_from(["exhaustive", "divided-difference"]),
+    },
+    "punctured": {"--grid-inline": _GRIDS, "--poly": _POLYS, "--sub-grid-inline": _GRIDS},
+    "divdiff": {"--grid-inline": _GRIDS, "--poly": _POLYS, "--method": st.sampled_from(["both", "def", "rec"])},
+    "alpha": {"--grid-inline": _GRIDS},
+    "check-relation": {"--grid-inline": _GRIDS, "--poly": _POLYS},
+    "cover-check": {"--grid-inline": _GRIDS, "--hyperplanes-inline": _HYPERPLANES},
+    "cover-extremal": {"--grid-inline": _GRIDS},
+    "sumset": {
+        "--field": st.sampled_from(["prime:3", "prime:5", "prime:4", "rational", "x"]),
+        "--a": _MULTISET_JSON, "--b": _MULTISET_JSON,
+    },
+    "cd-check": {
+        "--field": st.sampled_from(["prime:3", "prime:7", "prime:1", "rational"]),
+        "--a": _MULTISET_JSON, "--b": _MULTISET_JSON,
+    },
+    "valueset": {"--grid-inline": _GRIDS, "--poly": _POLYS},
+    "sun-check": {
+        "--grid-inline": _GRIDS, "--coeffs": st.sampled_from(["1", "1,1", "1,2", "1,0", "2,x", ""]),
+        "--k": st.sampled_from(["1", "2", "3", "0", "-1", "x"]), "--g": _POLYS,
+    },
+    "hopf-stiefel": {"--p": st.sampled_from(["2", "3", "5", "4", "0", "x"]), "--r": _INTS, "--s": _INTS},
+    "ek-check": {
+        "--p": st.sampled_from(["2", "3", "4", "0", "x"]), "--dim": st.sampled_from(["2", "1", "0", "-1"]),
+        "--a": _VECTORS, "--b": _VECTORS,
+    },
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    left_out = draw(_mostly(st.none(), st.sampled_from(sorted(options))))
+    argv = [command]
+    for flag, values in options.items():
+        if flag != left_out:
+            argv.append(f"{flag}={draw(values)}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argvs())
+def test_cli_fuzz_keeps_the_exit_code_contract(argv):
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 0 or (code == 1 and out):
+        # computed; exit 1 with a report on stdout is a checked bound that fails
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:"), (argv, err)

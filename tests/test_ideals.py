@@ -11,6 +11,7 @@ from nullgrid import (
     MultisetGrid,
     PreconditionError,
     coefficients_stay_integral,
+    grid_expansions,
     grid_from_dict,
     grid_to_dict,
     in_grid_ideal,
@@ -21,7 +22,8 @@ from nullgrid import (
     term_order_family,
     universal_gb_check,
 )
-from nullgrid.randgen import rand_grid, rand_ideal_member, rand_poly, rand_spec
+from nullgrid import ideals
+from nullgrid.randgen import rand_grid, rand_ideal_member, rand_multiset, rand_poly, rand_spec
 from nullgrid.errors import ArityMismatchError
 from oracles import generator_oracle, poly_to_coeff_list, univariate_divmod_oracle
 
@@ -190,6 +192,82 @@ def test_membership_methods_agree_random():
         if rng.random() < 0.5:
             f = rand_ideal_member(rng, grid)
         assert in_grid_ideal(f, grid, "remainder") == in_grid_ideal(f, grid, "pointwise")
+
+
+def _walk_instance(rng, spec, n):
+    """A random grid, with 0 added to some coordinates, and a dense enough f."""
+    sets = []
+    for _ in range(n):
+        ms = rand_multiset(rng, spec, max_size=3)
+        if rng.random() < 0.4 and ms.multiplicity(0) == 0:
+            ms = Multiset(spec, list(ms.entries.items()) + [(0, rng.randint(1, 2))])
+        sets.append(ms)
+    return MultisetGrid(sets), rand_poly(rng, spec, n, max_deg=6, max_terms=12)
+
+
+def _count_shifts(monkeypatch):
+    calls = []
+    inner = ideals._shift_raw
+
+    def counting(spec, terms, var, point, box=None):
+        calls.append(var)
+        return inner(spec, terms, var, point, box)
+
+    monkeypatch.setattr(ideals, "_shift_raw", counting)
+    return calls
+
+
+def test_grid_expansions_match_per_point_shifts():
+    rng = random.Random(53)
+    specs = [F2, FieldSpec.prime(3), FieldSpec.prime(101), Q]
+    for _ in range(120):
+        spec = rng.choice(specs)
+        n = rng.randint(1, 4)
+        grid, f = _walk_instance(rng, spec, n)
+        walked = list(grid_expansions(f, grid))
+        assert [s for s, _, _ in walked] == list(grid.points())
+        for s, mv, got in walked:
+            assert mv == grid.multiplicity_vector(s)
+            # equal terms in equal insertion order
+            assert list(got.terms.items()) == list(f.shift(s, mv).terms.items())
+    # more coordinates than the interpreter's recursion limit
+    grid = MultisetGrid.of(F5, [{1: 1}] * 1500 + [{0: 1, 2: 2}])
+    f = parse_poly("x1^2 + 3*x1501 + 1", 1501, F5)
+    walked = list(grid_expansions(f, grid))
+    assert [list(g.terms.items()) for _, _, g in walked] == [
+        list(f.shift(s, grid.multiplicity_vector(s)).terms.items()) for s in grid.points()
+    ]
+    with pytest.raises(ArityMismatchError):
+        next(grid_expansions(parse_poly("x1", 1, F5), MultisetGrid.of(F5, [{0: 1}, {1: 1}])))
+
+
+def test_grid_expansions_shift_each_prefix_once(monkeypatch):
+    calls = _count_shifts(monkeypatch)
+    rng = random.Random(59)
+    for _ in range(40):
+        spec = rng.choice([FieldSpec.prime(3), FieldSpec.prime(101), Q])
+        n = rng.randint(1, 4)
+        grid, f = _walk_instance(rng, spec, n)
+        calls.clear()
+        points = sum(1 for _ in grid_expansions(f, grid))
+        assert points == grid.point_count()
+        prefixes = 1
+        for i, ms in enumerate(grid.sets):
+            prefixes *= len(ms.support)
+            assert calls.count(i) == prefixes
+
+
+def test_grid_expansions_stop_when_partly_consumed(monkeypatch):
+    calls = _count_shifts(monkeypatch)
+    grid = MultisetGrid.of(F5, [{0: 1, 1: 1, 2: 1}, {0: 2, 3: 1}, {1: 1, 4: 2}])
+    f = parse_poly("(x1 + x2 + 2*x3 + 1)^4", 3, F5)
+    walk = grid_expansions(f, grid)
+    first = next(walk)
+    assert first[0] == next(grid.points()) and calls == [0, 1, 2]
+    second = next(walk)
+    assert second[1] == (1, 2, 2) and calls == [0, 1, 2, 2]
+    walk.close()
+    assert len(calls) == 4  # the full walk would shift 3 + 6 + 12 times
 
 
 def test_standard_monomials():
