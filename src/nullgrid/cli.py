@@ -4,13 +4,18 @@ Every subcommand maps to one library operation.  Exit codes: 0 when the
 computation succeeded and any checked bound holds, 1 when a bound or a
 documented precondition was violated (with a diagnostic), 2 for input errors
 (bad syntax, bad schema), reported on one line prefixed with "error:".
-Output is deterministic; --json switches to a schema-versioned object.
+Output is deterministic; --json switches to a schema-versioned object.  A
+closed stdout (`| head`) cuts the output without a traceback; the exit code
+is still the computation's.  The parser is built once per process, and
+subcommand foo-bar is handled by _cmd_foo_bar, looked up at dispatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .applications import (
@@ -278,25 +283,18 @@ def _cmd_cover_extremal(args):
     return "\n".join(lines), obj, 0
 
 
-def _load_multiset(spec, text: str, flag: str):
-    data = _load_json(text, inline=True)
-    if not isinstance(data, list):
-        raise _InputError(f"{flag} must be a JSON list of {{'value','mult'}} entries")
-    return multiset_from_list(spec, data)
-
-
 def _cmd_sumset(args):
     spec = _parse_field(args.field)
-    a = _load_multiset(spec, args.a, "--a")
-    b = _load_multiset(spec, args.b, "--b")
+    a = multiset_from_list(spec, _load_json(args.a, inline=True))
+    b = multiset_from_list(spec, _load_json(args.b, inline=True))
     s = sumset(a, b)
     return str(s), {"sumset": multiset_to_list(s), "size": s.size}, 0
 
 
 def _cmd_cd_check(args):
     spec = _parse_field(args.field)
-    a = _load_multiset(spec, args.a, "--a")
-    b = _load_multiset(spec, args.b, "--b")
+    a = multiset_from_list(spec, _load_json(args.a, inline=True))
+    b = multiset_from_list(spec, _load_json(args.b, inline=True))
     chk = cauchy_davenport_check(a, b)
     s = sumset(a, b)
     text = (
@@ -350,6 +348,7 @@ def _cmd_ek_check(args):
     return text, obj, 0 if chk.holds else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="nullgrid",
@@ -370,12 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reduce", parents=[common, gridded], help="remainder and cofactors modulo the grid")
     sp.add_argument("--poly", required=True)
-    sp.set_defaults(handler=_cmd_reduce)
 
     sp = sub.add_parser("member", parents=[common, gridded], help="grid ideal membership")
     sp.add_argument("--poly", required=True)
     sp.add_argument("--method", choices=["remainder", "pointwise", "both"], default="both")
-    sp.set_defaults(handler=_cmd_member)
 
     sp = sub.add_parser("witness", parents=[common, gridded], help="nonvanishing witness")
     sp.add_argument("--poly", required=True)
@@ -383,72 +380,59 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--method", choices=["exhaustive", "divided-difference"], default="exhaustive"
     )
-    sp.set_defaults(handler=_cmd_witness)
 
     sp = sub.add_parser("punctured", parents=[common, gridded], help="punctured decomposition")
     sp.add_argument("--poly", required=True)
     sp.add_argument("--sub-grid", help="path to the sub-grid JSON file")
     sp.add_argument("--sub-grid-inline", help="sub-grid JSON given inline")
-    sp.set_defaults(handler=_cmd_punctured)
 
     sp = sub.add_parser("divdiff", parents=[common, gridded], help="generalized divided difference")
     sp.add_argument("--poly", required=True)
     sp.add_argument("--method", choices=["def", "rec", "both"], default="both")
-    sp.set_defaults(handler=_cmd_divdiff)
 
     sp = sub.add_parser("alpha", parents=[common, gridded], help="weight table of the grid")
-    sp.set_defaults(handler=_cmd_alpha)
 
     sp = sub.add_parser(
         "check-relation", parents=[common, gridded], help="top-coefficient linear identity"
     )
     sp.add_argument("--poly", required=True)
-    sp.set_defaults(handler=_cmd_check_relation)
 
     sp = sub.add_parser("cover-check", parents=[common, gridded], help="verify a hyperplane cover")
     sp.add_argument("--hyperplanes", help="path to hyperplane JSON (list of coefficient arrays)")
     sp.add_argument("--hyperplanes-inline", help="hyperplane JSON given inline")
-    sp.set_defaults(handler=_cmd_cover_check)
 
     sp = sub.add_parser(
         "cover-extremal", parents=[common, gridded], help="the bound-matching cover"
     )
-    sp.set_defaults(handler=_cmd_cover_extremal)
 
     sp = sub.add_parser("sumset", parents=[common], help="multiset sumset over F_p")
     sp.add_argument("--field", required=True, help="prime:<p>")
     sp.add_argument("--a", required=True, help='multiset JSON, e.g. [{"value":"0","mult":2}]')
     sp.add_argument("--b", required=True)
-    sp.set_defaults(handler=_cmd_sumset)
 
     sp = sub.add_parser("cd-check", parents=[common], help="Cauchy-Davenport bound")
     sp.add_argument("--field", required=True, help="prime:<p>")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    sp.set_defaults(handler=_cmd_cd_check)
 
     sp = sub.add_parser("valueset", parents=[common, gridded], help="value-set multiset")
     sp.add_argument("--poly", required=True)
-    sp.set_defaults(handler=_cmd_valueset)
 
     sp = sub.add_parser("sun-check", parents=[common, gridded], help="power-sum value-set bound")
     sp.add_argument("--coeffs", required=True, help="nonzero coefficients, e.g. 1,1")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--g", default="", help="perturbation polynomial with deg < k")
-    sp.set_defaults(handler=_cmd_sun_check)
 
     sp = sub.add_parser("hopf-stiefel", parents=[common], help="Hopf-Stiefel number")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
-    sp.set_defaults(handler=_cmd_hopf_stiefel)
 
     sp = sub.add_parser("ek-check", parents=[common], help="Eliahou-Kervaire bound over F_p^d")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--a", required=True, help='vector multiset JSON, e.g. [{"value":[0,1],"mult":1}]')
     sp.add_argument("--b", required=True)
-    sp.set_defaults(handler=_cmd_ek_check)
 
     return parser
 
@@ -456,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        text, obj, code = args.handler(args)
+        text, obj, code = globals()["_cmd_" + args.command.replace("-", "_")](args)
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -479,7 +463,9 @@ def main(argv=None) -> int:
     if args.json:
         payload = {"schema": SCHEMA, "command": args.command}
         payload.update(obj)
-        print(json.dumps(payload))
-    else:
-        print(text)
+        text = json.dumps(payload)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # silence the flush at exit (Python docs' SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code

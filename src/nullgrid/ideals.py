@@ -331,6 +331,8 @@ def multiset_to_list(ms: Multiset) -> list:
 
 
 def multiset_from_list(spec: FieldSpec, items: list) -> Multiset:
+    if not isinstance(items, list):
+        raise ValueError(f"multiset must be a list of {{'value': ..., 'mult': ...}} entries, got {items!r}")
     pairs = []
     for item in items:
         if not isinstance(item, dict) or "value" not in item or "mult" not in item:
@@ -351,7 +353,13 @@ def grid_to_dict(grid: MultisetGrid) -> dict:
 def grid_from_dict(d: dict) -> MultisetGrid:
     from .fields import field_from_dict
 
-    if "field" not in d or "sets" not in d:
-        raise ValueError("grid object needs 'field' and 'sets'")
+    if not isinstance(d, dict) or "field" not in d or "sets" not in d:
+        raise ValueError("grid must be an object with 'field' and 'sets'")
     spec = field_from_dict(d["field"])
-    return MultisetGrid([multiset_from_list(spec, items) for items in d["sets"]])
+    sets = d["sets"]
+    if not isinstance(sets, list):
+        raise ValueError(f"grid 'sets' must be a list of multisets, got {sets!r}")
+    for i, items in enumerate(sets):
+        if not isinstance(items, list):
+            raise ValueError(f"grid sets[{i}] must be a list of {{'value': ..., 'mult': ...}} entries, got {items!r}")
+    return MultisetGrid([multiset_from_list(spec, items) for items in sets])

@@ -176,6 +176,29 @@ def test_value_set_examples():
     assert value_set(parse_poly("x1", 1, F5), MultisetGrid.of(F5, [{0: 2}])) == Multiset.of(F5, {0: 2})
 
 
+def test_separable_value_set_is_iterated_sumset():
+    # For f = f_1(x_1) + ... + f_n(x_n) the rule "c gets the largest
+    # sum(m_i) - n + 1 over f(s) = c" splits coordinate by coordinate into the
+    # sumset rule mx + my - 1.  value_set enumerates the whole grid; the other
+    # side composes one-variable value sets with sumset.  Neither calls the other.
+    rng = random.Random(7081)
+    for _ in range(400):
+        spec = FieldSpec.prime(rng.choice([2, 3, 5, 7, 11]))
+        n = rng.randint(1, 3)
+        sets = [
+            Multiset(spec, [(v, rng.randint(1, 3)) for v in rng.sample(range(spec.p), rng.randint(1, min(3, spec.p)))])
+            for _ in range(n)
+        ]
+        parts = [{e: rng.randrange(spec.p) for e in range(rng.randint(0, 3) + 1)} for _ in range(n)]
+        f = MultiPoly.zero(n, spec)
+        composed = None
+        for i, (ms, coeffs) in enumerate(zip(sets, parts)):
+            f = f + MultiPoly(n, spec, {tuple(e if j == i else 0 for j in range(n)): c for e, c in coeffs.items()})
+            one = value_set(MultiPoly(1, spec, {(e,): c for e, c in coeffs.items()}), MultisetGrid([ms]))
+            composed = one if composed is None else sumset(composed, one)
+        assert value_set(f, MultisetGrid(sets)) == composed, (spec.p, sets, parts)
+
+
 def test_sun_examples():
     grid = MultisetGrid.of(F5, [{0: 1, 1: 1}, {0: 1, 1: 1}])
     chk = sun_value_set_check(["1", "1"], 1, MultiPoly.zero(2, F5), grid)

@@ -91,11 +91,50 @@ def test_repeat_runs_and_parallel_are_byte_identical():
         ["reduce", "--poly", "x1^3", "--grid-inline", GRID_F5_01],
         ["alpha", "--grid-inline", GRID_F3_2D],
     ]
+    forward = []
     for argv in cases:
         first = run_cli(argv)
         second = run_cli(argv)
         with_parallel = run_cli(argv + ["--parallel"])
         assert first == second == with_parallel
+        forward.append(first)
+    assert [run_cli(argv) for argv in reversed(cases)] == forward[::-1]
+
+
+def fresh_cli(argv):
+    proc = subprocess.run([sys.executable, "-m", "nullgrid"] + argv, capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cached_parser_keeps_no_state_between_calls():
+    assert cli.build_parser() is cli.build_parser()
+    member = ["member", "--poly", "x1^2 - x1", "--grid-inline", GRID_F5_01]
+    witness = ["witness", "--poly", "x1*x2", "--grid-inline", GRID_F3_2D, "--t", "1,1"]
+    usage_error = ["member", "--method", "neither", "--poly", "x1", "--grid-inline", GRID_F5_01]
+    fresh = {}
+    # each call follows one that set other options, yet prints what a fresh process prints
+    for argv in (member + ["--method", "pointwise"], member, witness + ["--json"], witness, usage_error):
+        fresh[tuple(argv)] = fresh_cli(argv)
+        assert run_cli(argv) == fresh[tuple(argv)], argv
+    with redirect_stdout(io.StringIO()), pytest.raises(SystemExit):
+        main(["member", "--help"])
+    assert run_cli(member) == fresh[tuple(member)] == (0, "member: true\nmethod: both\n", "")
+
+
+def test_closed_stdout_exits_quietly_with_the_computation_code():
+    # 70x70 grid over F_101: about 116 KB of weights, well above a 64 KiB pipe buffer
+    grid = json.dumps({"field": {"kind": "prime", "p": 101}, "sets": [[{"value": str(v), "mult": 1} for v in range(70)]] * 2})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nullgrid", "alpha", "--grid-inline", grid],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(100).startswith(b"s=(0, 0) u=(0, 0): ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_printed_polynomials_reparse():
@@ -215,6 +254,22 @@ def test_malformed_field_is_an_input_error():
     ):
         code, out, err = run_cli(["reduce", "--poly", "x1", "--grid-inline", f'{{"field":{field},{sets}}}'])
         assert (code, out, err) == (2, "", message)
+
+
+def test_malformed_grid_names_the_bad_part():
+    field = '"field":{"kind":"prime","p":3}'
+    for grid, message in (
+        (f'{{{field},"sets":5}}', "error: grid 'sets' must be a list of multisets, got 5\n"),
+        (f'{{{field},"sets":[5]}}', "error: grid sets[0] must be a list of {'value': ..., 'mult': ...} entries, got 5\n"),
+        (
+            f'{{{field},"sets":[[{{"value":"0","mult":1}}],5]}}',
+            "error: grid sets[1] must be a list of {'value': ..., 'mult': ...} entries, got 5\n",
+        ),
+        ("3", "error: grid must be an object with 'field' and 'sets'\n"),
+    ):
+        assert run_cli(["reduce", "--poly", "x1", "--grid-inline", grid]) == (2, "", message)
+        sub = ["--sub-grid-inline", grid]
+        assert run_cli(["punctured", "--poly", "x1", "--grid-inline", GRID_F5_01] + sub) == (2, "", message)
 
 
 def test_deeply_nested_poly_is_an_input_error():

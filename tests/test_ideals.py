@@ -16,6 +16,7 @@ from nullgrid import (
     grid_to_dict,
     in_grid_ideal,
     in_local_ideal,
+    multiset_from_list,
     parse_poly,
     reduce_poly,
     standard_monomials,
@@ -363,6 +364,11 @@ def test_grid_json_round_trip():
     assert grid_from_dict(data) == gq
     with pytest.raises(ValueError):
         grid_from_dict({"sets": []})
+    for bad in (3, {"field": {"kind": "prime", "p": 5}, "sets": 5}, {"field": {"kind": "prime", "p": 5}, "sets": [5]}):
+        with pytest.raises(ValueError, match="grid"):
+            grid_from_dict(bad)
+    with pytest.raises(ValueError, match="multiset must be a list"):
+        multiset_from_list(F5, 5)
     with pytest.raises(ValueError):
         grid_from_dict(
             {
