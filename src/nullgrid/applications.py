@@ -3,7 +3,8 @@ hyperplane coverings of multiset grids, the Cauchy-Davenport sumset bound,
 Sun's value-set bound for power-sum polynomials, and the Eliahou-Kervaire
 bound through Hopf-Stiefel numbers.
 
-These are verification tools: value sets and covers enumerate the full grid,
+These are verification tools: value sets and covers enumerate the full grid
+(a cover counts its hits per zero-set class of planes, not plane by plane),
 and the bound checkers surface both sides as data so exhaustive suites can
 assert the inequalities rather than trust them.
 """
@@ -55,13 +56,6 @@ class Hyperplane:
     def arity(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        acc = self.coeffs[0].value
-        spec = self.spec
-        for c, x in zip(self.coeffs[1:], point):
-            acc = spec._add(acc, spec._mul(c.value, x.value))
-        return FieldElement(acc, spec)
-
     def as_poly(self) -> MultiPoly:
         n = self.arity
         terms = {(0,) * n: self.coeffs[0]}
@@ -72,9 +66,9 @@ class Hyperplane:
     def direction_key(self):
         """Coefficients normalized by the first nonzero normal entry; two
         hyperplanes with equal keys are proportional (same zero set)."""
-        lead = next(c for c in self.coeffs[1:] if not c.is_zero())
-        inv = lead.inv()
-        return tuple((c * inv).value for c in self.coeffs)
+        spec = self.spec
+        inv = spec._inv(next(c.value for c in self.coeffs[1:] if c.value))
+        return tuple(spec._mul(c.value, inv) for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Hyperplane):
@@ -122,7 +116,14 @@ def _check_cover_hypothesis(grid: MultisetGrid):
 
 def verify_cover(hyperplanes: Sequence[Hyperplane], grid: MultisetGrid) -> CoverReport:
     """Count, for every nonzero grid point, the hyperplanes vanishing there;
-    each point s needs at least |m(s)| - n + 1 hits and the origin none."""
+    each point s needs at least |m(s)| - n + 1 hits and the origin none.
+
+    Hits are counted per zero-set class, not per plane.  Planes with equal
+    direction keys share a zero set, and planes whose keys share the
+    normalized normal (c1..cn) vanish at s exactly when c1*s1 + ... + cn*sn
+    equals minus their constant.  So each point costs one sum per normal
+    class, of terms read from per-coordinate tables, and one lookup in that
+    class's {-constant: planes} count."""
     _check_cover_hypothesis(grid)
     n = grid.arity
     for h in hyperplanes:
@@ -130,31 +131,49 @@ def verify_cover(hyperplanes: Sequence[Hyperplane], grid: MultisetGrid) -> Cover
             raise ArityMismatchError(f"hyperplane arity {h.arity} vs grid arity {n}")
         if h.spec != grid.spec:
             raise FieldMismatchError("hyperplane and grid fields differ")
-    origin = (grid.spec.zero,) * n
-    origin_covered = any(h.evaluate(origin).is_zero() for h in hyperplanes)
+    spec = grid.spec
+    groups: Dict[tuple, List[int]] = {}
+    for i, h in enumerate(hyperplanes):
+        groups.setdefault(h.direction_key(), []).append(i)
+    classes: Dict[tuple, Dict[object, int]] = {}
+    for key, members in groups.items():
+        classes.setdefault(key[1:], {})[spec._neg(key[0])] = len(members)
+    supports = [ms.support for ms in grid.sets]
+    mult_rows = [[ms.entries[e] for e in ms.support] for ms in grid.sets]
+    # per normal class, the terms c_i * s_i of each point, in grid.points() order
+    term_streams = [
+        itertools.product(*([spec._mul(c, e.value) for e in supp] for c, supp in zip(normal, supports)))
+        for normal in classes
+    ]
+    origin_at = 0
+    for supp in supports:
+        origin_at = origin_at * len(supp) + supp.index(spec.zero)
+    p = spec.p
     per_point = {}
     undercovered = []
-    for point in grid.points():
-        if point == origin:
+    for at, point, mults, *terms in zip(
+        itertools.count(), grid.points(), itertools.product(*mult_rows), *term_streams
+    ):
+        if at == origin_at:
             continue
-        required = sum(grid.multiplicity_vector(point)) - n + 1
-        achieved = sum(1 for h in hyperplanes if h.evaluate(point).is_zero())
+        required = sum(mults) - n + 1
+        achieved = 0
+        for hits, t in zip(classes.values(), terms):
+            v = sum(t)
+            achieved += hits.get(v % p if p else v, 0)
         per_point[point] = (required, achieved)
         if achieved < required:
             undercovered.append(point)
+    origin_covered = any(not key[0] for key in groups)
     if origin_covered:
         verdict = "origin_violated"
     elif undercovered:
         verdict = "undercovered"
     else:
         verdict = "valid_cover"
-    keys = [h.direction_key() for h in hyperplanes]
-    proportional = [
-        (i, j)
-        for i in range(len(keys))
-        for j in range(i + 1, len(keys))
-        if keys[i] == keys[j]
-    ]
+    proportional = sorted(
+        pair for members in groups.values() for pair in itertools.combinations(members, 2)
+    )
     return CoverReport(
         verdict=verdict,
         k=len(hyperplanes),
@@ -179,7 +198,7 @@ def extremal_cover(grid: MultisetGrid) -> List[Hyperplane]:
             if elem.is_zero():
                 continue
             coeffs = [-elem] + [spec.element(1 if j == i else 0) for j in range(n)]
-            planes.extend(Hyperplane(spec, coeffs) for _ in range(mult))
+            planes.extend([Hyperplane(spec, coeffs)] * mult)
     return planes
 
 
@@ -419,19 +438,30 @@ def iter_vector_multisets(p: int, dim: int, max_size: int) -> Iterable[VectorMul
 # -- JSON wire formats -----------------------------------------------------------------
 
 
-def hyperplanes_from_lists(spec: FieldSpec, rows: Sequence[Sequence]) -> List[Hyperplane]:
-    return [Hyperplane(spec, [str(c) for c in row]) for row in rows]
+def hyperplanes_from_lists(spec: FieldSpec, rows: list) -> List[Hyperplane]:
+    if not isinstance(rows, list):
+        raise ValueError("hyperplanes JSON must be a list of coefficient arrays")
+    planes = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"hyperplanes[{i}] must be a list of coefficients, got {row!r}")
+        planes.append(Hyperplane(spec, [str(c) for c in row]))
+    return planes
 
 
 def hyperplane_to_list(h: Hyperplane) -> List[str]:
     return [str(c) for c in h.coeffs]
 
 
-def vector_multiset_from_list(p: int, dim: int, items: Sequence[dict]) -> VectorMultiset:
+def vector_multiset_from_list(p: int, dim: int, items: list) -> VectorMultiset:
+    if not isinstance(items, list):
+        raise ValueError(f"vector multiset must be a list of {{'value': [..], 'mult': ..}} entries, got {items!r}")
     pairs = []
     for item in items:
         if not isinstance(item, dict) or "value" not in item or "mult" not in item:
             raise ValueError(f"entry must be {{'value': [..], 'mult': ..}}, got {item!r}")
+        if not isinstance(item["value"], list):
+            raise ValueError(f"entry value must be a list of coordinates, got {item['value']!r}")
         pairs.append((item["value"], item["mult"]))
     return VectorMultiset(p, dim, pairs)
 

@@ -244,8 +244,6 @@ def _cmd_cover_check(args):
         rows = _load_json(args.hyperplanes_inline, inline=True)
     else:
         raise _InputError("hyperplanes are required (--hyperplanes PATH or --hyperplanes-inline JSON)")
-    if not isinstance(rows, list):
-        raise _InputError("hyperplanes JSON must be a list of coefficient arrays")
     planes = hyperplanes_from_lists(grid.spec, rows)
     rep = verify_cover(planes, grid)
     lines = [
@@ -365,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     gridded.add_argument("--grid", help="path to a grid JSON file")
     gridded.add_argument("--grid-inline", help="grid JSON given inline")
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
 
     sp = sub.add_parser("reduce", parents=[common, gridded], help="remainder and cofactors modulo the grid")
     sp.add_argument("--poly", required=True)
@@ -440,6 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # the subcommand is checked here, not by argparse, so that an
+        # unrecognized option before it (nullgrid --bogus) is the error named
+        if args.command is None:
+            raise _InputError("the following arguments are required: command")
         text, obj, code = globals()["_cmd_" + args.command.replace("-", "_")](args)
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

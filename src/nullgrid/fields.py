@@ -10,7 +10,6 @@ All values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .errors import FieldMismatchError
 
@@ -272,9 +271,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self.value}:{self.spec}"
-
-
-FieldLike = Union[FieldElement, int, Fraction, str]
 
 
 def field_to_dict(spec: FieldSpec) -> dict:

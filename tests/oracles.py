@@ -3,14 +3,14 @@
 Each function computes an expected value by a route different from the
 implementation it checks: textbook long division on coefficient lists, the
 classical Newton table, the residue form of the weights, big-integer
-binomials, term-by-term binomial expansion, products of linear factors, and
-direct enumeration.
+binomials, term-by-term binomial expansion, products of linear factors,
+plane-by-plane evaluation, and direct enumeration.
 """
 
 import itertools
 import math
 
-from nullgrid import MultiPoly, Multiset, MultisetGrid
+from nullgrid import CoverReport, MultiPoly, Multiset, MultisetGrid
 from nullgrid.randgen import rand_grid, rand_ideal_member, rand_poly
 
 
@@ -81,6 +81,53 @@ def brute_first_witness(f, grid):
             if not c.is_zero():
                 return tuple(point), u, c
     return None
+
+
+def cover_report_oracle(hyperplanes, grid):
+    """verify_cover's report by evaluating every plane at every nonzero grid
+    point in field arithmetic, with the required count read from
+    grid.multiplicity_vector.  Two planes are proportional when every 2x2
+    minor of their coefficient vectors vanishes; direction keys are not used."""
+    spec = grid.spec
+    n = grid.arity
+    origin = (spec.zero,) * n
+
+    def vanishes(h, point):
+        total = h.coeffs[0]
+        for c, x in zip(h.coeffs[1:], point):
+            total = total + c * x
+        return total.is_zero()
+
+    per_point = {}
+    for point in grid.points():
+        if point != origin:
+            required = sum(grid.multiplicity_vector(point)) - n + 1
+            per_point[point] = (required, sum(1 for h in hyperplanes if vanishes(h, point)))
+    undercovered = [point for point, (required, achieved) in per_point.items() if achieved < required]
+    origin_covered = any(vanishes(h, origin) for h in hyperplanes)
+    if origin_covered:
+        verdict = "origin_violated"
+    elif undercovered:
+        verdict = "undercovered"
+    else:
+        verdict = "valid_cover"
+    proportional = [
+        (i, j)
+        for (i, g), (j, h) in itertools.combinations(enumerate(hyperplanes), 2)
+        if all(
+            g.coeffs[a] * h.coeffs[b] == g.coeffs[b] * h.coeffs[a]
+            for a, b in itertools.combinations(range(n + 1), 2)
+        )
+    ]
+    return CoverReport(
+        verdict=verdict,
+        k=len(hyperplanes),
+        bound=sum(grid.sizes) - n,
+        origin_covered=origin_covered,
+        per_point=per_point,
+        undercovered_points=undercovered,
+        proportional_pairs=proportional,
+    )
 
 
 def dual_basis_poly(grid, point, u):

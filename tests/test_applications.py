@@ -33,8 +33,8 @@ from nullgrid.applications import (
     vector_multiset_from_list,
     vector_multiset_to_list,
 )
-from nullgrid.randgen import rand_multiset, rand_spec
-from oracles import hopf_stiefel_oracle
+from nullgrid.randgen import rand_element, rand_multiset, rand_spec
+from oracles import cover_report_oracle, hopf_stiefel_oracle
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -104,6 +104,67 @@ def test_proportional_hyperplanes_reported():
     rep = verify_cover(planes, grid)
     assert rep.proportional_pairs == [(0, 1)]
     assert rep.k == 3  # multiplicity counts as listed
+
+
+def _random_planes(rng, spec, grid):
+    """Planes over a few shared normals, so classes hold parallel planes:
+    some through the origin, some through a grid point, some anywhere, and
+    some followed by a scalar multiple of themselves."""
+    n = grid.arity
+    points = list(grid.points())
+    normals = []
+    for _ in range(rng.randint(1, 3)):
+        normal = [rand_element(rng, spec) for _ in range(n)]
+        if all(c.is_zero() for c in normal):
+            normal[rng.randrange(n)] = spec.one
+        normals.append(normal)
+    planes = []
+    for _ in range(rng.randint(0, 6)):
+        normal = rng.choice(normals)
+        roll = rng.random()
+        if roll < 0.2:
+            c0 = spec.zero
+        elif roll < 0.7:
+            c0 = -sum((c * x for c, x in zip(normal, rng.choice(points))), spec.zero)
+        else:
+            c0 = rand_element(rng, spec)
+        coeffs = [c0] + normal
+        planes.append(Hyperplane(spec, coeffs))
+        if rng.random() < 0.4:
+            scale = rand_element(rng, spec)
+            if not scale.is_zero():
+                planes.append(Hyperplane(spec, [scale * c for c in coeffs]))
+    rng.shuffle(planes)
+    return planes
+
+
+def test_cover_report_matches_plane_by_plane_oracle():
+    rng = random.Random(71)
+    primes = (2, 3, 5, 7, 11, 13, 101)
+    for trial in range(450):
+        spec = rand_spec(rng, primes=primes, rational_weight=0.2)
+        sets = []
+        for _ in range(rng.randint(1, 3)):
+            ms = rand_multiset(rng, spec, max_size=4)
+            entries = {e: m for e, m in ms.entries.items() if not e.is_zero()}
+            entries[spec.zero] = 1
+            sets.append(Multiset(spec, entries.items()))
+        grid = MultisetGrid(sets)
+        kind = trial % 3
+        if kind == 2:
+            planes = _random_planes(rng, spec, grid)
+        else:
+            planes = extremal_cover(grid)
+            if kind == 1 and planes:
+                del planes[rng.randrange(len(planes))]
+            rng.shuffle(planes)
+        rep = verify_cover(planes, grid)
+        want = cover_report_oracle(planes, grid)
+        assert list(rep.per_point.items()) == list(want.per_point.items())
+        assert rep.undercovered_points == want.undercovered_points
+        assert rep.verdict == want.verdict
+        assert rep.origin_covered == want.origin_covered
+        assert rep.proportional_pairs == want.proportional_pairs
 
 
 # -- sumsets ----------------------------------------------------------------------

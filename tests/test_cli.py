@@ -272,6 +272,28 @@ def test_malformed_grid_names_the_bad_part():
         assert run_cli(["punctured", "--poly", "x1", "--grid-inline", GRID_F5_01] + sub) == (2, "", message)
 
 
+def test_malformed_json_lists_name_the_bad_entry():
+    grid = '{"field":{"kind":"prime","p":5},"sets":[[{"value":"0","mult":1},{"value":"1","mult":1},{"value":"4","mult":1}]]}'
+    for planes, message in (
+        ('["41"]', "error: hyperplanes[0] must be a list of coefficients, got '41'\n"),
+        ('[["-1","1"],{"4":0,"1":0}]', "error: hyperplanes[1] must be a list of coefficients, got {'4': 0, '1': 0}\n"),
+        ("[5]", "error: hyperplanes[0] must be a list of coefficients, got 5\n"),
+        ("{}", "error: hyperplanes JSON must be a list of coefficient arrays\n"),
+    ):
+        assert run_cli(["cover-check", "--grid-inline", grid, "--hyperplanes-inline", planes]) == (2, "", message)
+    b = '[{"value":[0,0],"mult":1}]'
+    for a, message in (
+        ('[{"value":"12","mult":1}]', "error: entry value must be a list of coordinates, got '12'\n"),
+        ('[{"value":{"1":0,"2":0},"mult":1}]', "error: entry value must be a list of coordinates, got {'1': 0, '2': 0}\n"),
+        ('[{"value":5,"mult":1}]', "error: entry value must be a list of coordinates, got 5\n"),
+        (
+            '{"value":[1,2],"mult":1}',
+            "error: vector multiset must be a list of {'value': [..], 'mult': ..} entries, got {'value': [1, 2], 'mult': 1}\n",
+        ),
+    ):
+        assert run_cli(["ek-check", "--p", "3", "--dim", "2", "--a", a, "--b", b]) == (2, "", message)
+
+
 def test_deeply_nested_poly_is_an_input_error():
     for poly in ["(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"]:
         code, out, err = run_cli(["reduce", f"--poly={poly}", "--grid-inline", GRID_F5_01])
@@ -302,6 +324,11 @@ def test_usage_errors_are_one_error_line():
         assert err.count("\n") == 1 and err.startswith("error: "), argv
     code, _, err = run_cli(["reduce", "--grid-inline", GRID_F5_01])
     assert err == "error: the following arguments are required: --poly\n"
+
+
+def test_unknown_option_before_the_subcommand_is_named():
+    assert run_cli(["--bogus"]) == (2, "", "error: unrecognized arguments: --bogus\n")
+    assert run_cli([]) == (2, "", "error: the following arguments are required: command\n")
 
 
 def test_help_still_prints_usage():
