@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec
-from .ideals import Multiset, MultisetGrid
+from .ideals import Multiset, MultisetGrid, _check_poly_grid
 from .polynomials import MultiPoly
 
 
@@ -139,7 +139,6 @@ def verify_cover(hyperplanes: Sequence[Hyperplane], grid: MultisetGrid) -> Cover
     for key, members in groups.items():
         classes.setdefault(key[1:], {})[spec._neg(key[0])] = len(members)
     supports = [ms.support for ms in grid.sets]
-    mult_rows = [[ms.entries[e] for e in ms.support] for ms in grid.sets]
     # per normal class, the terms c_i * s_i of each point, in grid.points() order
     term_streams = [
         itertools.product(*([spec._mul(c, e.value) for e in supp] for c, supp in zip(normal, supports)))
@@ -152,7 +151,7 @@ def verify_cover(hyperplanes: Sequence[Hyperplane], grid: MultisetGrid) -> Cover
     per_point = {}
     undercovered = []
     for at, point, mults, *terms in zip(
-        itertools.count(), grid.points(), itertools.product(*mult_rows), *term_streams
+        itertools.count(), grid.points(), grid.multiplicity_vectors(), *term_streams
     ):
         if at == origin_at:
             continue
@@ -245,14 +244,10 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
     do not solve.  Powers of the support elements are tabulated once so the
     sweep stays cheap on the exhaustive suites.
     """
-    if f.arity != grid.arity:
-        raise ArityMismatchError(f"polynomial arity {f.arity} vs grid arity {grid.arity}")
-    if f.spec != grid.spec:
-        raise FieldMismatchError("polynomial and grid fields differ")
+    _check_poly_grid(f, grid)
     spec = grid.spec
     n = grid.arity
     supports = [ms.support for ms in grid.sets]
-    mult_rows = [[ms.entries[e] for e in ms.support] for ms in grid.sets]
     max_exp = [max((u[i] for u in f.terms), default=0) for i in range(n)]
     pow_tables = []
     for i in range(n):
@@ -266,7 +261,8 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
     raw_terms = [(u, c.value) for u, c in f.terms.items()]
     zero = spec._zero_raw
     best: Dict[object, int] = {}
-    for combo in itertools.product(*(range(len(s)) for s in supports)):
+    combos = itertools.product(*(range(len(s)) for s in supports))
+    for combo, mults in zip(combos, grid.multiplicity_vectors()):
         acc = zero
         for u, cv in raw_terms:
             t = cv
@@ -275,7 +271,7 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
                 if e:
                     t = spec._mul(t, pow_tables[i][j][e])
             acc = spec._add(acc, t)
-        m = sum(mult_rows[i][j] for i, j in enumerate(combo)) - n + 1
+        m = sum(mults) - n + 1
         if best.get(acc, 0) < m:
             best[acc] = m
     return Multiset(spec, [(FieldElement(v, spec), m) for v, m in best.items()])
@@ -348,20 +344,21 @@ def hopf_stiefel(p: int, r: int, s: int) -> int:
 
 class VectorMultiset:
     """A multiset of coordinate vectors over F_p^dim with componentwise
-    addition; stands in for multisets of a finite vector space."""
+    addition; stands in for multisets of a finite vector space.  Coordinates
+    are values that FieldSpec.element reads."""
 
     __slots__ = ("p", "dim", "entries")
 
     def __init__(self, p: int, dim: int, pairs: Iterable):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        FieldSpec.prime(p)  # validates primality
+        spec = FieldSpec.prime(p)  # validates primality
         entries: Dict[Tuple[int, ...], int] = {}
         for vec, mult in pairs:
-            vec = tuple(int(x) % p for x in vec)
+            vec = tuple(spec.element(x).value for x in vec)
             if len(vec) != dim:
                 raise ArityMismatchError(f"vector {vec} has dimension != {dim}")
-            if not isinstance(mult, int) or mult < 1:
+            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise ValueError(f"multiplicity of {vec} must be a positive integer")
             if vec in entries:
                 raise ValueError(f"duplicate vector {vec} in multiset input")
@@ -462,7 +459,7 @@ def vector_multiset_from_list(p: int, dim: int, items: list) -> VectorMultiset:
             raise ValueError(f"entry must be {{'value': [..], 'mult': ..}}, got {item!r}")
         if not isinstance(item["value"], list):
             raise ValueError(f"entry value must be a list of coordinates, got {item['value']!r}")
-        pairs.append((item["value"], item["mult"]))
+        pairs.append(([str(x) for x in item["value"]], item["mult"]))
     return VectorMultiset(p, dim, pairs)
 
 

@@ -9,7 +9,7 @@ trimmed grid, where the nonzero top coefficient forces a nonzero term in the
 weighted sum.  Failure of either search on a valid instance is an internal
 bug, never a legitimate outcome.  Both searches read the expansion
 coefficients from ideals.grid_expansions, so points that share a prefix share
-its shifts.
+its shifts, and return the smallest exponent of its first nonempty box.
 
 The punctured decomposition handles polynomials vanishing everywhere on a
 grid except at points of a tight sub-grid: the reduced form is then exactly
@@ -19,13 +19,12 @@ which forces the degree of f to be at least the total size difference.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError
 from .fields import FieldElement
-from .divdiff import weight_table
+from .divdiff import _weighted_sum, weight_table
 from .ideals import (
     Multiset,
     MultisetGrid,
@@ -98,43 +97,30 @@ def find_witness(
     method: str = "exhaustive",
 ) -> Witness:
     """Produce a nonvanishing witness; both methods are deterministic and
-    return the lexicographically smallest qualifying (point, exponent) pair.
+    return the smallest exponent of the first nonempty box of grid_expansions.
 
     exhaustive scans the grid as given.  divided_difference first trims the
     grid so every size equals t_i + 1, builds the weight table, evaluates the
-    weighted sum of expansion coefficients -- which must reproduce the nonzero
-    coefficient of x^t, certifying that a witness exists -- and returns the
-    first valid pair of the trimmed grid.  After identical trimming the two
-    methods always return the same witness.
+    weighted sum of expansion coefficients (divdiff._weighted_sum) -- which
+    must reproduce the nonzero coefficient of x^t, certifying that a witness
+    exists -- and returns the first witness of that walk of the trimmed grid.
+    After identical trimming the two methods always return the same witness.
     """
     t = _check_witness_preconditions(f, grid, t)
     if method == "exhaustive":
-        for point, mv, shifted in grid_expansions(f, grid):
-            for u in itertools.product(*(range(m) for m in mv)):
-                c = shifted.coefficient(u)
-                if c.value:
-                    return Witness(point, u, c)
+        for point, _, shifted in grid_expansions(f, grid):
+            if shifted.terms:
+                u = min(shifted.terms)
+                return Witness(point, u, shifted.terms[u])
         raise InvariantViolation("no witness found on a valid instance")
     if method == "divided_difference":
         trimmed = trim_grid(grid, t)
-        table = weight_table(trimmed)
-        spec = f.spec
-        acc = spec._zero_raw
-        found = None
-        for point, mv, shifted in grid_expansions(f, trimmed):
-            for u in itertools.product(*(range(m) for m in mv)):
-                c = shifted.coefficient(u)
-                if c.value and found is None:
-                    found = Witness(point, u, c)
-                if c.value:
-                    w = table.weight(point, u)
-                    if w.value:
-                        acc = spec._add(acc, spec._mul(w.value, c.value))
+        acc, first = _weighted_sum(f, trimmed, weight_table(trimmed))
+        # a sum equal to the nonzero coefficient of x^t has a nonzero term,
+        # so a certified instance always has a first witness
         if acc != f.coefficient(t).value:
             raise InvariantViolation("weighted coefficient sum failed to certify the instance")
-        if found is None:
-            raise InvariantViolation("certified instance produced no witness")
-        return found
+        return Witness(*first)
     raise ValueError(f"unknown witness method {method!r}")
 
 
@@ -200,8 +186,7 @@ def punctured_decompose(
     _check_tight_subgrid(s_grid, d_grid)
 
     punctured = []
-    for point in s_grid.points():
-        mv = s_grid.multiplicity_vector(point)
+    for point, mv in zip(s_grid.points(), s_grid.multiplicity_vectors()):
         if not in_local_ideal(f, point, mv):
             if not d_grid.contains_point(point):
                 raise PreconditionError(

@@ -15,9 +15,10 @@ coefficients of each coordinate multiset, found by expanding the recursion
 symbolically on that multiset alone.  The weights attached to the maximal
 exponents are never zero, which is what powers the witness search.
 
-Both the recursion's single-point expansions and the weighted-sum check read
+Both the recursion's single-point expansions and the weighted sum read
 expansion coefficients from ideals.grid_expansions, so points that share a
-prefix share its shifts.
+prefix share its shifts.  The weighted sum is one loop, shared with the
+divided-difference witness search, which takes the walk's first witness.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ def weight_table(grid: MultisetGrid) -> WeightTable:
     zero = spec._zero_raw
     tables = [_coordinate_weights(spec, row) for row in _state_of(grid)]
     weights = {}
-    for point in grid.points():
-        mv = grid.multiplicity_vector(point)
+    for point, mv in zip(grid.points(), grid.multiplicity_vectors()):
         for u in itertools.product(*(range(m) for m in mv)):
             w = spec._one_raw
             for table, s, e in zip(tables, point, u):
@@ -192,6 +192,24 @@ def top_weight_closed_form(grid: MultisetGrid, point) -> FieldElement:
     return FieldElement(spec._inv(denom), spec)
 
 
+def _weighted_sum(f: MultiPoly, grid: MultisetGrid, table: WeightTable):
+    """One grid_expansions walk: the raw sum of weight times expansion
+    coefficient over the grid, and the walk's first witness (point,
+    exponent, coefficient) -- the smallest exponent of the first nonempty
+    box -- or None.  Boxes hold only nonzero coefficients, so the table is
+    read only where f has one."""
+    spec = f.spec
+    acc = spec._zero_raw
+    first = None
+    for point, _, shifted in grid_expansions(f, grid):
+        if first is None and shifted.terms:
+            u = min(shifted.terms)
+            first = (point, u, shifted.terms[u])
+        for u, c in shifted.terms.items():
+            acc = spec._add(acc, spec._mul(table.weight(point, u).value, c.value))
+    return acc, first
+
+
 def top_coefficient_identity_holds(
     f: MultiPoly, grid: MultisetGrid, table: Optional[WeightTable] = None
 ) -> bool:
@@ -207,11 +225,4 @@ def top_coefficient_identity_holds(
         )
     if table is None:
         table = weight_table(grid)
-    spec = f.spec
-    acc = spec._zero_raw
-    for point, mv, shifted in grid_expansions(f, grid):
-        for u in itertools.product(*(range(m) for m in mv)):
-            w = table.weight(point, u)
-            if w.value:
-                acc = spec._add(acc, spec._mul(w.value, shifted.coefficient(u).value))
-    return f.coefficient(t).value == acc
+    return f.coefficient(t).value == _weighted_sum(f, grid, table)[0]

@@ -140,6 +140,10 @@ class MultisetGrid:
         """All grid points, in lexicographic order of canonical representatives."""
         return itertools.product(*(ms.support for ms in self.sets))
 
+    def multiplicity_vectors(self):
+        """The multiplicity vector of every grid point, in points() order."""
+        return itertools.product(*(tuple(ms.entries.values()) for ms in self.sets))
+
     def point_count(self) -> int:
         prod = 1
         for ms in self.sets:
@@ -225,7 +229,9 @@ def reduce_poly(f: MultiPoly, grid: MultisetGrid) -> ReductionResult:
 
 def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     """Yield (point, multiplicity vector, f.shift(point, mv)) for every grid
-    point, lazily and in grid.points() order.
+    point, lazily and in grid.points() order.  Each shifted polynomial holds
+    only the nonzero expansion coefficients at its point, all strictly below
+    mv, so readers iterate its terms instead of scanning the box.
 
     The box bound m_i(s_i) depends on s_i alone, so the grid is walked as a
     tree: x_{i+1} is shifted and cut once per prefix (s_1, ..., s_{i+1}), and
@@ -235,24 +241,20 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     recursion limit."""
     _check_poly_grid(f, grid)
     spec, n = f.spec, grid.arity
-    rows = [tuple(ms.entries.items()) for ms in grid.sets]
-    index = [0] * n  # (point[i], mv[i]) is rows[i][index[i]]
-    point, mv = [None] * n, [0] * n
     # shifted[i] is f shifted in x_1..x_i at the current point's prefix
     shifted = [{u: c.value for u, c in f.terms.items()}] + [None] * n
-    depth = 0  # coordinates depth.. must be read and shifted again
-    while True:
+    prev = (None,) * n
+    for cells in itertools.product(*(tuple(ms.entries.items()) for ms in grid.sets)):
+        # product changes a suffix of the cells: reshift from its first new cell
+        depth = 0
+        while cells[depth] is prev[depth]:
+            depth += 1
         for i in range(depth, n):
-            point[i], mv[i] = rows[i][index[i]]
-            shifted[i + 1] = _shift_raw(spec, shifted[i], i, point[i].value, mv[i])
-        yield tuple(point), tuple(mv), MultiPoly._from_raw(n, spec, shifted[n])
-        depth = n - 1
-        while depth >= 0 and index[depth] == len(rows[depth]) - 1:
-            index[depth] = 0
-            depth -= 1
-        if depth < 0:
-            return
-        index[depth] += 1
+            elem, m = cells[i]
+            shifted[i + 1] = _shift_raw(spec, shifted[i], i, elem.value, m)
+        prev = cells
+        point, mv = zip(*cells)
+        yield point, mv, MultiPoly._from_raw(n, spec, shifted[n])
 
 
 def in_local_ideal(f: MultiPoly, point: Sequence, box: Sequence[int]) -> bool:

@@ -41,17 +41,14 @@ class TermOrder:
 
     KINDS = ("lex", "grlex", "grevlex")
 
-    def __init__(self, kind: str = "grlex", permutation: Sequence[int] = None, arity: int = None):
+    def __init__(self, kind: str = "grlex", permutation: Sequence[int] = None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown term order kind {kind!r}")
+        perm = None
         if permutation is not None:
             perm = tuple(permutation)
             if sorted(perm) != list(range(len(perm))):
                 raise ValueError(f"not a permutation of 0..{len(perm)-1}: {perm}")
-        elif arity is not None:
-            perm = tuple(range(arity))
-        else:
-            perm = None
         self.kind = kind
         self.permutation = perm
 
@@ -135,9 +132,6 @@ class MultiPoly:
             raise ValueError("the zero polynomial has no leading monomial")
         key = order.key
         return max(self.terms, key=key)
-
-    def leading_coefficient(self, order: TermOrder) -> FieldElement:
-        return self.terms[self.leading_monomial(order)]
 
     def _check_compatible(self, other: "MultiPoly"):
         if self.arity != other.arity:

@@ -364,6 +364,10 @@ def test_vector_multiset_validation():
         VectorMultiset(2, 2, [((0, 0), 1), ((2, 0), 1)])  # (2,0) = (0,0) mod 2
     with pytest.raises(ValueError):
         VectorMultiset(4, 2, [((0, 0), 1)])  # 4 is not prime
+    with pytest.raises(ValueError):
+        VectorMultiset(3, 2, [((0, 0), True)])
+    with pytest.raises(TypeError):
+        VectorMultiset(3, 2, [((1.7, 2), 1)])
 
 
 def test_vector_sumset_group_structure():

@@ -4,6 +4,7 @@ import pytest
 
 from nullgrid import (
     FieldSpec,
+    InvariantViolation,
     MultiPoly,
     Multiset,
     MultisetGrid,
@@ -15,6 +16,7 @@ from nullgrid import (
     punctured_decompose,
     trim_grid,
 )
+from nullgrid import certificates
 from nullgrid.randgen import rand_spec, rand_witness_instance
 from oracles import brute_first_witness, build_punctured_instance
 
@@ -87,6 +89,24 @@ def test_witness_methods_agree_after_identical_trimming():
         w_ex = find_witness(f, trimmed, t, method="exhaustive")
         assert (w_dd.point, w_dd.exponent, w_dd.value) == (w_ex.point, w_ex.exponent, w_ex.value)
         assert all(e < m for e, m in zip(w_dd.exponent, trimmed.multiplicity_vector(w_dd.point)))
+
+
+def test_divided_difference_witness_rejects_a_wrong_table(monkeypatch):
+    true_table = certificates.weight_table
+
+    def doubled(grid):
+        table = true_table(grid)
+        table.weights = {k: w + w for k, w in table.weights.items()}
+        return table
+
+    monkeypatch.setattr(certificates, "weight_table", doubled)
+    rng = random.Random(67)
+    for _ in range(30):
+        spec = rand_spec(rng, rational_weight=0.2)
+        f, grid, t = rand_witness_instance(rng, spec, rng.randint(1, 3))
+        find_witness(f, grid, t)  # the exhaustive scan reads no table
+        with pytest.raises(InvariantViolation, match="failed to certify"):
+            find_witness(f, grid, t, method="divided_difference")
 
 
 def test_obstruction_check_examples():

@@ -290,8 +290,14 @@ def test_malformed_json_lists_name_the_bad_entry():
             '{"value":[1,2],"mult":1}',
             "error: vector multiset must be a list of {'value': [..], 'mult': ..} entries, got {'value': [1, 2], 'mult': 1}\n",
         ),
+        ('[{"value":[1.7,2],"mult":1}]', "error: invalid F_3 value '1.7'\n"),
+        ('[{"value":[true,"2"],"mult":1}]', "error: invalid F_3 value 'True'\n"),
+        ('[{"value":[null,2],"mult":1}]', "error: invalid F_3 value 'None'\n"),
+        ('[{"value":[1,2],"mult":true}]', "error: multiplicity of (1, 2) must be a positive integer\n"),
     ):
         assert run_cli(["ek-check", "--p", "3", "--dim", "2", "--a", a, "--b", b]) == (2, "", message)
+    code, out, _ = run_cli(["ek-check", "--p", "3", "--dim", "2", "--a", '[{"value":["1","5"],"mult":1}]', "--b", b])
+    assert code == 0 and out.startswith("sumset: {[1, 2]:1}\n")
 
 
 def test_deeply_nested_poly_is_an_input_error():

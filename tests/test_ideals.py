@@ -271,6 +271,14 @@ def test_grid_expansions_stop_when_partly_consumed(monkeypatch):
     assert len(calls) == 4  # the full walk would shift 3 + 6 + 12 times
 
 
+def test_multiplicity_vectors_follow_points():
+    rng = random.Random(61)
+    for _ in range(200):
+        spec = rng.choice([F2, F5, FieldSpec.prime(101), Q])
+        grid = rand_grid(rng, spec, rng.randint(1, 3), max_size=4)
+        assert list(grid.multiplicity_vectors()) == [grid.multiplicity_vector(p) for p in grid.points()]
+
+
 def test_standard_monomials():
     grid = MultisetGrid.of(F5, [{0: 1, 1: 1}, {2: 2}])
     assert standard_monomials(grid) == {(0, 0), (0, 1), (1, 0), (1, 1)}
