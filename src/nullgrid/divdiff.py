@@ -132,8 +132,9 @@ def _coordinate_weights(spec, row) -> dict:
     """Weights of the one-coordinate grid with the given row, as raw
     {(element, exponent): weight}: the two-point recursion expanded
     symbolically over sub-multisets of the row, splitting at its two smallest
-    elements.  Missing keys have weight zero."""
-    zero = spec._zero_raw
+    elements, each weight reduced once per sub-multiset.  Missing keys have
+    weight zero."""
+    p = spec.p
     memo: Dict[tuple, dict] = {}
 
     def go(row) -> dict:
@@ -142,17 +143,15 @@ def _coordinate_weights(spec, row) -> dict:
             return cached
         if len(row) == 1:
             (s, m), = row
-            res = {(s, m - 1): spec._one_raw}
+            res = {(s, m - 1): 1}
         else:
             a, b = row[0][0], row[1][0]
             inv = spec._inv(spec._sub(b, a))
-            res = {k: spec._mul(v, inv) for k, v in go(_drop_one(row, a)).items()}
+            res = {k: v * inv for k, v in go(_drop_one(row, a)).items()}
             for k, v in go(_drop_one(row, b)).items():
-                t = spec._sub(res.get(k, zero), spec._mul(v, inv))
-                if t:
-                    res[k] = t
-                else:
-                    res.pop(k, None)
+                res[k] = res.get(k, 0) - v * inv
+            # reduce each weight once and drop the ones that cancel
+            res = {k: w for k, v in res.items() if (w := v % p if p else v)}
         memo[row] = res
         return res
 
@@ -162,16 +161,19 @@ def _coordinate_weights(spec, row) -> dict:
 def weight_table(grid: MultisetGrid) -> WeightTable:
     """The bracket is the tensor product of one-coordinate brackets, so the
     weight of (s, u) is the product over coordinates i of the weight of
-    (s_i, u_i) in the table of the one-coordinate grid S_i."""
+    (s_i, u_i) in the table of the one-coordinate grid S_i, multiplied out
+    and reduced once per entry."""
     spec = grid.spec
-    zero = spec._zero_raw
+    p = spec.p
     tables = [_coordinate_weights(spec, row) for row in _state_of(grid)]
     weights = {}
     for point, mv in zip(grid.points(), grid.multiplicity_vectors()):
         for u in itertools.product(*(range(m) for m in mv)):
-            w = spec._one_raw
+            w = 1
             for table, s, e in zip(tables, point, u):
-                w = spec._mul(w, table.get((s.value, e), zero))
+                w *= table.get((s.value, e), 0)
+            if p:
+                w %= p
             weights[(point, u)] = FieldElement(w, spec)
     return WeightTable(grid, weights)
 

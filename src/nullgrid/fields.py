@@ -2,9 +2,11 @@
 
 A FieldSpec fixes the coefficient domain at runtime (the CLI must accept any
 prime modulus, so the modulus is a value, not a type parameter).  Elements are
-kept in canonical form -- an integer in [0, p) for prime fields, a reduced
-Fraction for the rationals -- so equality and hashing are representational.
-All values are immutable.
+kept in canonical form -- an integer in [0, p) for prime fields; over the
+rationals a plain int when the value is integral and a reduced Fraction
+otherwise.  Python compares and hashes n and Fraction(n) alike, so equality
+and hashing stay representational even where arithmetic on Fractions leaves
+an integral value as a Fraction.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+_FRACTION_ONE = Fraction(1)
+
+
+def _rational_raw(q: Fraction):
+    """The canonical raw rational: the int when q is integral, else q."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class FieldSpec:
@@ -108,10 +118,10 @@ class FieldSpec:
         if isinstance(value, str):
             return FieldElement(self._raw_from_str(value), self)
         if isinstance(value, int):
-            return FieldElement(value % self.p if self.p else Fraction(value), self)
+            return FieldElement(value % self.p if self.p else int(value), self)
         if isinstance(value, Fraction):
             if self.p is None:
-                return FieldElement(value, self)
+                return FieldElement(_rational_raw(value), self)
             if value.denominator == 1:
                 return FieldElement(value.numerator % self.p, self)
             raise TypeError(f"non-integer rational {value} has no canonical image in {self}")
@@ -121,7 +131,7 @@ class FieldSpec:
         text = text.strip()
         try:
             if self.p is None:
-                return Fraction(text)
+                return _rational_raw(Fraction(text))
             return int(text) % self.p
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid {self} value {text!r}") from exc
@@ -138,16 +148,11 @@ class FieldSpec:
     # Hot loops (polynomial kernels) run on raw representatives and wrap the
     # results once; FieldElement delegates here.
 
-    @property
-    def _zero_raw(self):
-        return 0 if self.p else Fraction(0)
-
-    @property
-    def _one_raw(self):
-        return 1 if self.p else Fraction(1)
+    _zero_raw = 0
+    _one_raw = 1
 
     def _from_int(self, k: int):
-        return k % self.p if self.p else Fraction(k)
+        return k % self.p if self.p else k
 
     def _add(self, a, b):
         return (a + b) % self.p if self.p else a + b
@@ -164,7 +169,9 @@ class FieldSpec:
     def _inv(self, a):
         if not a:
             raise ZeroDivisionError(f"inverse of zero in {self}")
-        return pow(a, -1, self.p) if self.p else 1 / a
+        if self.p:
+            return pow(a, -1, self.p)
+        return _rational_raw(_FRACTION_ONE / a)  # never 1 / a: an int a gives a float
 
     def _pow(self, a, e: int):
         if e < 0:
@@ -175,9 +182,12 @@ class FieldSpec:
 class FieldElement:
     """An element of a FieldSpec field, in canonical form.
 
-    value is an int in [0, p) over a prime field and a reduced Fraction over
-    the rationals.  Arithmetic with a mismatched FieldSpec raises; plain ints
-    are coerced for convenience.
+    value is an int in [0, p) over a prime field.  Over the rationals it is
+    an int when the value is integral and a reduced Fraction otherwise;
+    arithmetic on Fractions may leave an integral value as a Fraction, which
+    compares and hashes as the int does, so nothing observable depends on
+    the form.  Arithmetic with a mismatched FieldSpec raises; plain ints are
+    coerced for convenience.
     """
 
     __slots__ = ("value", "spec")
@@ -260,10 +270,14 @@ class FieldElement:
 
     def __lt__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self.value < other.value
 
     def __le__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self.value <= other.value
 
     def __str__(self):

@@ -65,17 +65,17 @@ class Multiset:
     def _generator_raw(self) -> list:
         """Raw coefficients of the monic product of (x - s)^mult over this
         multiset, lowest degree first; one linear factor is multiplied in at
-        a time, O(size^2) field operations."""
-        spec = self.spec
-        g = [spec._one_raw]
+        a time, O(size^2) field operations, each new coefficient reduced
+        once."""
+        p = self.spec.p
+        g = [1]
         for elem, mult in self.entries.items():
             s = elem.value
             for _ in range(mult):
                 # g * (x - s): the new coefficient at k is g[k-1] - s * g[k]
-                g.append(g[-1])
-                for k in range(len(g) - 2, 0, -1):
-                    g[k] = spec._sub(g[k - 1], spec._mul(s, g[k]))
-                g[0] = spec._neg(spec._mul(s, g[0]))
+                g = [a - s * b for a, b in zip([0] + g, g + [0])]
+                if p:
+                    g = [v % p for v in g]
         return g
 
     def generator_poly(self, var: int, arity: int) -> MultiPoly:

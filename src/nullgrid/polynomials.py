@@ -76,7 +76,9 @@ class MultiPoly:
         canon: Dict[ExponentVector, FieldElement] = {}
         for u, c in (terms or {}).items():
             u = tuple(u)
-            if len(u) != arity or any(e < 0 for e in u):
+            if len(u) != arity or any(
+                isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in u
+            ):
                 raise ArityMismatchError(f"bad exponent vector {u} for arity {arity}")
             fe = spec.element(c)
             if fe.value:
@@ -327,32 +329,39 @@ def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, 
 
     Terms that share their exponents in the other variables form one dense
     row in x_{var+1}, and each row is divided textbook-style from the top
-    down.  Returns raw (quotient, remainder) term maps; every remainder term
-    has degree in x_{var+1} below the divisor's."""
+    down.  Entries accumulate unreduced and each is reduced once, when the
+    elimination reaches it or it is read into the remainder.  Returns raw
+    (quotient, remainder) term maps; every remainder term has degree in
+    x_{var+1} below the divisor's."""
     d = len(divisor) - 1
     lead_inv = spec._inv(divisor[d])
     tail = [(e, b) for e, b in enumerate(divisor[:d]) if b]
-    zero = spec._zero_raw
+    p = spec.p
     rows: Dict[ExponentVector, Dict[int, object]] = {}
     for u, c in terms.items():
         rows.setdefault(u[:var] + u[var + 1:], {})[u[var]] = c
     quot: Dict[ExponentVector, object] = {}
     rem: Dict[ExponentVector, object] = {}
     for rest, sparse in rows.items():
-        row = [zero] * (max(sparse) + 1)
+        row = [0] * (max(sparse) + 1)
         for e, c in sparse.items():
             row[e] = c
         for k in range(len(row) - 1, d - 1, -1):
-            if not row[k]:
+            c = row[k] * lead_inv
+            if p:
+                c %= p
+            if not c:
                 continue
-            c = spec._mul(row[k], lead_inv)
             base = k - d
             quot[rest[:var] + (base,) + rest[var:]] = c
             for e, b in tail:
-                row[base + e] = spec._sub(row[base + e], spec._mul(c, b))
+                row[base + e] -= c * b
         for e in range(min(d, len(row))):
-            if row[e]:
-                rem[rest[:var] + (e,) + rest[var:]] = row[e]
+            v = row[e]
+            if p:
+                v %= p
+            if v:
+                rem[rest[:var] + (e,) + rest[var:]] = v
     return quot, rem
 
 

@@ -3,8 +3,9 @@
 Each function computes an expected value by a route different from the
 implementation it checks: textbook long division on coefficient lists, the
 classical Newton table, the residue form of the weights, big-integer
-binomials, term-by-term binomial expansion, products of linear factors,
-plane-by-plane evaluation, and direct enumeration.
+binomials, term-by-term binomial expansion, Hermite interpolation through
+confluent Vandermonde systems, products of linear factors, plane-by-plane
+evaluation, and direct enumeration.
 """
 
 import itertools
@@ -69,6 +70,63 @@ def expansion_coefficient_oracle(f, point, u):
             term = term * math.comb(ei, ui) * spec.element(si) ** (ei - ui)
         total = total + term
     return total
+
+
+def confluent_vandermonde(ms, spec):
+    """The matrix taking a polynomial of degree below ms.size, as its
+    coefficients of x^0, x^1, ..., to its expansion coefficients at the
+    multiset: one row per (s, j) with j < mult(s), in entry order, holding
+    the coefficient of (x - s)^j in x^e, C(e, j) * s^(e - j)."""
+    return [
+        [spec.element(math.comb(e, j)) * s ** (e - j) if e >= j else spec.zero for e in range(ms.size)]
+        for s, mult in ms.entries.items()
+        for j in range(mult)
+    ]
+
+
+def gauss_jordan_inverse(matrix, spec):
+    """Inverse of an invertible square matrix of field elements, by
+    Gauss-Jordan elimination on [matrix | identity]."""
+    n = len(matrix)
+    rows = [list(row) + [spec.one if i == j else spec.zero for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if not rows[r][col].is_zero())
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col].inv()
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and not factor.is_zero():
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def hermite_remainder_oracle(f, grid):
+    """The remainder of f modulo the grid ideal without division: the unique
+    polynomial with degree below d_i in x_i whose expansion coefficients below
+    the multiplicity vector match f's at every grid point.  The coefficients
+    are tabulated term by term with expansion_coefficient_oracle, and the
+    tensor-product confluent Vandermonde system is solved one axis at a time
+    by applying the inverse of each axis's matrix."""
+    spec = grid.spec
+    n = grid.arity
+    slots = [[(s, j) for s, mult in ms.entries.items() for j in range(mult)] for ms in grid.sets]
+    # values is keyed by one index per axis: a slot (s_i, j_i) before that
+    # axis is solved, an exponent of x_i after
+    values = {}
+    for idx in itertools.product(*(range(len(row)) for row in slots)):
+        cells = [slots[i][k] for i, k in enumerate(idx)]
+        values[idx] = expansion_coefficient_oracle(f, [s for s, _ in cells], [j for _, j in cells])
+    for i, ms in enumerate(grid.sets):
+        inverse = gauss_jordan_inverse(confluent_vandermonde(ms, spec), spec)
+        values = {
+            idx: sum(
+                (inverse[idx[i]][k] * values[idx[:i] + (k,) + idx[i + 1:]] for k in range(ms.size)),
+                spec.zero,
+            )
+            for idx in values
+        }
+    return MultiPoly(n, spec, values)
 
 
 def brute_first_witness(f, grid):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nullgrid import FieldMismatchError, FieldSpec, is_probable_prime
+from nullgrid import FieldMismatchError, FieldSpec, Multiset, is_probable_prime
 
 
 def xgcd(a, b):
@@ -108,6 +108,38 @@ def test_canonical_strings_round_trip():
     assert f11.element("-1").value == 10
     with pytest.raises(ValueError):
         f11.element("1/2")
+
+
+def test_integral_rationals_are_plain_ints():
+    q = FieldSpec.rationals()
+    for value in (4, "8/2", " 4 ", Fraction(8, 2)):
+        raw = q.element(value).value
+        assert type(raw) is int and raw == 4
+    assert type(q.zero.value) is int and type(q.one.value) is int
+    third = q.element("1/3")
+    assert type(third.value) is Fraction
+    assert type(third.inv().value) is int and third.inv().value == 3
+    assert type(q.element(-2).inv().value) is Fraction
+
+
+def test_int_and_fraction_forms_agree():
+    q = FieldSpec.rationals()
+    half = q.element("1/2")
+    one = half + half  # Fraction arithmetic leaves the integral sum a Fraction
+    assert type(one.value) is Fraction and type(q.one.value) is int
+    assert one == q.one and hash(one) == hash(q.one)
+    assert one <= q.one and not one < q.one and str(one) == str(q.one) == "1"
+    for pairs in ([("1", 1), ("2/2", 2)], [(q.one, 1), (one, 2)]):
+        with pytest.raises(ValueError, match="duplicate"):
+            Multiset(q, pairs)
+
+
+def test_ordering_against_a_non_element_is_a_type_error():
+    a = FieldSpec.prime(5).element(1)
+    for compare in (lambda: a < "a", lambda: a <= "a", lambda: a > "a", lambda: a >= "a"):
+        with pytest.raises(TypeError):
+            compare()
+    assert a < 2 and a <= 1
 
 
 def test_coercions_rejected():

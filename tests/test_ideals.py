@@ -26,7 +26,7 @@ from nullgrid import (
 from nullgrid import ideals
 from nullgrid.randgen import rand_grid, rand_ideal_member, rand_multiset, rand_poly, rand_spec
 from nullgrid.errors import ArityMismatchError
-from oracles import generator_oracle, poly_to_coeff_list, univariate_divmod_oracle
+from oracles import generator_oracle, hermite_remainder_oracle, poly_to_coeff_list, univariate_divmod_oracle
 
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
@@ -159,6 +159,22 @@ def test_remainder_uniqueness_random():
         base = reduce_poly(f, grid).remainder
         perturbed = f + rand_ideal_member(rng, grid)
         assert reduce_poly(perturbed, grid).remainder == base
+
+
+def test_remainder_matches_hermite_interpolation():
+    """A third route to the remainder, sharing no code with the division
+    kernel: Hermite interpolation of f's expansion coefficients on the grid
+    must give every coefficient of reduce_poly's remainder."""
+    rng = random.Random(67)
+    for _ in range(200):
+        spec = rand_spec(rng, primes=(2, 3, 5, 7, 13, 101), rational_weight=0.4)
+        n = rng.randint(1, 3)
+        integral = rng.random() < 0.5
+        grid = rand_grid(rng, spec, n, max_size=4, integer_elements=integral)
+        f = rand_poly(rng, spec, n, max_deg=rng.randint(0, 8), integer_coeffs=integral)
+        if rng.random() < 0.3:
+            f = f + rand_ideal_member(rng, grid)
+        assert reduce_poly(f, grid).remainder == hermite_remainder_oracle(f, grid)
 
 
 def test_local_membership_examples():

@@ -28,6 +28,13 @@ def test_arith_examples():
     assert parse_poly("(x1+1)^2", 1, F2) == parse_poly("x1^2 + 1", 1, F2)
 
 
+def test_exponents_must_be_nonnegative_ints():
+    for u in [(1.5,), (True,), (False,), (2.0,), (-1,), ("1",)]:
+        with pytest.raises(ArityMismatchError, match="bad exponent vector"):
+            MultiPoly(1, F5, {u: 1})
+    assert str(MultiPoly(2, F5, {(2, 0): 1, (0, 1): 3})) == "x1^2 + 3*x2"
+
+
 def test_eval_examples():
     f = parse_poly("x1*x2", 2, Q)
     assert f.evaluate([Q.element(2), Q.element(3)]).value == 6
