@@ -68,7 +68,7 @@ class Hyperplane:
         hyperplanes with equal keys are proportional (same zero set)."""
         spec = self.spec
         inv = spec._inv(next(c.value for c in self.coeffs[1:] if c.value))
-        return tuple(spec._mul(c.value, inv) for c in self.coeffs)
+        return tuple(spec._reduce(c.value * inv) for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Hyperplane):
@@ -137,17 +137,18 @@ def verify_cover(hyperplanes: Sequence[Hyperplane], grid: MultisetGrid) -> Cover
         groups.setdefault(h.direction_key(), []).append(i)
     classes: Dict[tuple, Dict[object, int]] = {}
     for key, members in groups.items():
-        classes.setdefault(key[1:], {})[spec._neg(key[0])] = len(members)
+        classes.setdefault(key[1:], {})[spec._reduce(-key[0])] = len(members)
     supports = [ms.support for ms in grid.sets]
-    # per normal class, the terms c_i * s_i of each point, in grid.points() order
+    # per normal class, the terms c_i * s_i of each point, in grid.points()
+    # order; their sum is reduced once per point
     term_streams = [
-        itertools.product(*([spec._mul(c, e.value) for e in supp] for c, supp in zip(normal, supports)))
+        itertools.product(*([c * e.value for e in supp] for c, supp in zip(normal, supports)))
         for normal in classes
     ]
     origin_at = 0
     for supp in supports:
         origin_at = origin_at * len(supp) + supp.index(spec.zero)
-    p = spec.p
+    reduce = spec._reduce
     per_point = {}
     undercovered = []
     for at, point, mults, *terms in zip(
@@ -158,8 +159,7 @@ def verify_cover(hyperplanes: Sequence[Hyperplane], grid: MultisetGrid) -> Cover
         required = sum(mults) - n + 1
         achieved = 0
         for hits, t in zip(classes.values(), terms):
-            v = sum(t)
-            achieved += hits.get(v % p if p else v, 0)
+            achieved += hits.get(reduce(sum(t)), 0)
         per_point[point] = (required, achieved)
         if achieved < required:
             undercovered.append(point)
@@ -246,6 +246,7 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
     """
     _check_poly_grid(f, grid)
     spec = grid.spec
+    reduce = spec._reduce
     n = grid.arity
     supports = [ms.support for ms in grid.sets]
     max_exp = [max((u[i] for u in f.terms), default=0) for i in range(n)]
@@ -253,24 +254,24 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
     for i in range(n):
         rows = []
         for e in supports[i]:
-            row = [spec._one_raw]
+            row = [1]
             for _ in range(max_exp[i]):
-                row.append(spec._mul(row[-1], e.value))
+                row.append(reduce(row[-1] * e.value))
             rows.append(row)
         pow_tables.append(rows)
     raw_terms = [(u, c.value) for u, c in f.terms.items()]
-    zero = spec._zero_raw
     best: Dict[object, int] = {}
     combos = itertools.product(*(range(len(s)) for s in supports))
     for combo, mults in zip(combos, grid.multiplicity_vectors()):
-        acc = zero
+        acc = 0
         for u, cv in raw_terms:
             t = cv
             for i, j in enumerate(combo):
                 e = u[i]
                 if e:
-                    t = spec._mul(t, pow_tables[i][j][e])
-            acc = spec._add(acc, t)
+                    t *= pow_tables[i][j][e]
+            acc += t
+        acc = reduce(acc)
         m = sum(mults) - n + 1
         if best.get(acc, 0) < m:
             best[acc] = m

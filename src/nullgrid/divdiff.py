@@ -100,9 +100,7 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid, rng=None) -> 
             i, a, b = _pick_pivot(state, rng)
             left = state[:i] + (_drop_one(state[i], a),) + state[i + 1:]
             right = state[:i] + (_drop_one(state[i], b),) + state[i + 1:]
-            val = spec._mul(
-                spec._sub(go(left), go(right)), spec._inv(spec._sub(b, a))
-            )
+            val = spec._reduce((go(left) - go(right)) * spec._inv(b - a))
         memo[state] = val
         return val
 
@@ -134,7 +132,7 @@ def _coordinate_weights(spec, row) -> dict:
     symbolically over sub-multisets of the row, splitting at its two smallest
     elements, each weight reduced once per sub-multiset.  Missing keys have
     weight zero."""
-    p = spec.p
+    reduce = spec._reduce
     memo: Dict[tuple, dict] = {}
 
     def go(row) -> dict:
@@ -146,12 +144,12 @@ def _coordinate_weights(spec, row) -> dict:
             res = {(s, m - 1): 1}
         else:
             a, b = row[0][0], row[1][0]
-            inv = spec._inv(spec._sub(b, a))
+            inv = spec._inv(b - a)
             res = {k: v * inv for k, v in go(_drop_one(row, a)).items()}
             for k, v in go(_drop_one(row, b)).items():
                 res[k] = res.get(k, 0) - v * inv
             # reduce each weight once and drop the ones that cancel
-            res = {k: w for k, v in res.items() if (w := v % p if p else v)}
+            res = {k: w for k, v in res.items() if (w := reduce(v))}
         memo[row] = res
         return res
 
@@ -164,7 +162,7 @@ def weight_table(grid: MultisetGrid) -> WeightTable:
     (s_i, u_i) in the table of the one-coordinate grid S_i, multiplied out
     and reduced once per entry."""
     spec = grid.spec
-    p = spec.p
+    reduce = spec._reduce
     tables = [_coordinate_weights(spec, row) for row in _state_of(grid)]
     weights = {}
     for point, mv in zip(grid.points(), grid.multiplicity_vectors()):
@@ -172,9 +170,7 @@ def weight_table(grid: MultisetGrid) -> WeightTable:
             w = 1
             for table, s, e in zip(tables, point, u):
                 w *= table.get((s.value, e), 0)
-            if p:
-                w %= p
-            weights[(point, u)] = FieldElement(w, spec)
+            weights[(point, u)] = FieldElement(reduce(w), spec)
     return WeightTable(grid, weights)
 
 
@@ -184,14 +180,12 @@ def top_weight_closed_form(grid: MultisetGrid, point) -> FieldElement:
     the i-th multiset.  Never zero; cross-checked against weight_table."""
     point = tuple(grid.spec.element(x) for x in point)
     grid.multiplicity_vector(point)  # raises if the point is off the grid
-    spec = grid.spec
-    denom = spec._one_raw
-    for i, ms in enumerate(grid.sets):
-        si = point[i].value
+    denom = grid.spec.one
+    for si, ms in zip(point, grid.sets):
         for other, mult in ms.entries.items():
-            if other.value != si:
-                denom = spec._mul(denom, spec._pow(spec._sub(si, other.value), mult))
-    return FieldElement(spec._inv(denom), spec)
+            if other != si:
+                denom *= (si - other) ** mult
+    return denom.inv()
 
 
 def _weighted_sum(f: MultiPoly, grid: MultisetGrid, table: WeightTable):
@@ -200,16 +194,15 @@ def _weighted_sum(f: MultiPoly, grid: MultisetGrid, table: WeightTable):
     exponent, coefficient) -- the smallest exponent of the first nonempty
     box -- or None.  Boxes hold only nonzero coefficients, so the table is
     read only where f has one."""
-    spec = f.spec
-    acc = spec._zero_raw
+    acc = 0
     first = None
     for point, _, shifted in grid_expansions(f, grid):
         if first is None and shifted.terms:
             u = min(shifted.terms)
             first = (point, u, shifted.terms[u])
         for u, c in shifted.terms.items():
-            acc = spec._add(acc, spec._mul(table.weight(point, u).value, c.value))
-    return acc, first
+            acc += table.weight(point, u).value * c.value  # reduced once below
+    return f.spec._reduce(acc), first
 
 
 def top_coefficient_identity_holds(

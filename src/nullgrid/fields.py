@@ -4,9 +4,9 @@ A FieldSpec fixes the coefficient domain at runtime (the CLI must accept any
 prime modulus, so the modulus is a value, not a type parameter).  Elements are
 kept in canonical form -- an integer in [0, p) for prime fields; over the
 rationals a plain int when the value is integral and a reduced Fraction
-otherwise.  Python compares and hashes n and Fraction(n) alike, so equality
-and hashing stay representational even where arithmetic on Fractions leaves
-an integral value as a Fraction.  All values are immutable.
+otherwise.  FieldSpec._reduce is the one place that rule is written: every
+kernel computes on raw values with native + - * and passes each result
+through it.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ def is_probable_prime(n: int) -> bool:
 
 
 _FRACTION_ONE = Fraction(1)
-
-
-def _rational_raw(q: Fraction):
-    """The canonical raw rational: the int when q is integral, else q."""
-    return q.numerator if q.denominator == 1 else q
 
 
 class FieldSpec:
@@ -118,76 +113,58 @@ class FieldSpec:
         if isinstance(value, str):
             return FieldElement(self._raw_from_str(value), self)
         if isinstance(value, int):
-            return FieldElement(value % self.p if self.p else int(value), self)
+            return FieldElement(self._reduce(value), self)
         if isinstance(value, Fraction):
-            if self.p is None:
-                return FieldElement(_rational_raw(value), self)
             if value.denominator == 1:
-                return FieldElement(value.numerator % self.p, self)
-            raise TypeError(f"non-integer rational {value} has no canonical image in {self}")
+                return FieldElement(self._reduce(value.numerator), self)
+            if self.p:
+                raise TypeError(f"non-integer rational {value} has no canonical image in {self}")
+            return FieldElement(value, self)
         raise TypeError(f"cannot coerce {type(value).__name__} into {self}")
 
     def _raw_from_str(self, text: str):
         text = text.strip()
         try:
-            if self.p is None:
-                return _rational_raw(Fraction(text))
-            return int(text) % self.p
+            # Fraction reads "1e5000000" by building 10**5000000, so exponent
+            # notation is refused before it can run without limit
+            if self.p is None and ("e" in text or "E" in text):
+                raise ValueError("exponent notation is not accepted")
+            return self._reduce(Fraction(text) if self.p is None else int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid {self} value {text!r}") from exc
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self._zero_raw, self)
+        return FieldElement(0, self)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self._one_raw, self)
+        return FieldElement(1, self)
 
-    # -- raw canonical-representative arithmetic -----------------------------
-    # Hot loops (polynomial kernels) run on raw representatives and wrap the
-    # results once; FieldElement delegates here.
+    # -- raw canonical representatives ----------------------------------------
 
-    _zero_raw = 0
-    _one_raw = 1
-
-    def _from_int(self, k: int):
-        return k % self.p if self.p else k
-
-    def _add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
-
-    def _sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
-
-    def _mul(self, a, b):
-        return a * b % self.p if self.p else a * b
-
-    def _neg(self, a):
-        return -a % self.p if self.p else -a
+    def _reduce(self, v):
+        """The canonical form of a raw value: v mod p over F_p; over the
+        rationals the int when v is integral and v otherwise."""
+        return v % self.p if self.p else (v.numerator if v.denominator == 1 else v)
 
     def _inv(self, a):
+        """The canonical inverse of a raw value, reduced or not."""
+        a = self._reduce(a)
         if not a:
             raise ZeroDivisionError(f"inverse of zero in {self}")
         if self.p:
             return pow(a, -1, self.p)
-        return _rational_raw(_FRACTION_ONE / a)  # never 1 / a: an int a gives a float
-
-    def _pow(self, a, e: int):
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        return pow(a, e, self.p) if self.p else a**e
+        return self._reduce(_FRACTION_ONE / a)  # never 1 / a: an int a gives a float
 
 
 class FieldElement:
     """An element of a FieldSpec field, in canonical form.
 
     value is an int in [0, p) over a prime field.  Over the rationals it is
-    an int when the value is integral and a reduced Fraction otherwise;
-    arithmetic on Fractions may leave an integral value as a Fraction, which
-    compares and hashes as the int does, so nothing observable depends on
-    the form.  Arithmetic with a mismatched FieldSpec raises; plain ints are
-    coerced for convenience.
+    an int when the value is integral and a reduced Fraction otherwise.
+    Arithmetic with a mismatched FieldSpec raises; plain ints are coerced
+    for convenience.
     """
 
     __slots__ = ("value", "spec")
@@ -202,14 +179,14 @@ class FieldElement:
                 return other
             raise FieldMismatchError(f"mixed fields {self.spec} and {other.spec}")
         if isinstance(other, int) and not isinstance(other, bool):
-            return FieldElement(self.spec._from_int(other), self.spec)
+            return FieldElement(self.spec._reduce(other), self.spec)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.spec._add(self.value, other.value), self.spec)
+        return FieldElement(self.spec._reduce(self.value + other.value), self.spec)
 
     __radd__ = __add__
 
@@ -217,27 +194,34 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.spec._sub(self.value, other.value), self.spec)
+        return FieldElement(self.spec._reduce(self.value - other.value), self.spec)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.spec._sub(other.value, self.value), self.spec)
+        return FieldElement(self.spec._reduce(other.value - self.value), self.spec)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.spec._mul(self.value, other.value), self.spec)
+        return FieldElement(self.spec._reduce(self.value * other.value), self.spec)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FieldElement(self.spec._neg(self.value), self.spec)
+        return FieldElement(self.spec._reduce(-self.value), self.spec)
 
     def __pow__(self, e: int):
-        return FieldElement(self.spec._pow(self.value, e), self.spec)
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise TypeError(f"field exponent must be an int, got {type(e).__name__}")
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
+        spec = self.spec
+        if spec.p:
+            return FieldElement(pow(self.value, e, spec.p), spec)
+        return FieldElement(spec._reduce(self.value**e), spec)
 
     def inv(self) -> "FieldElement":
         return FieldElement(self.spec._inv(self.value), self.spec)
@@ -258,7 +242,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return self.spec == other.spec and self.value == other.value
         if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == self.spec._from_int(other)
+            return self.value == self.spec._reduce(other)
         return NotImplemented
 
     def __hash__(self):

@@ -67,15 +67,13 @@ class Multiset:
         multiset, lowest degree first; one linear factor is multiplied in at
         a time, O(size^2) field operations, each new coefficient reduced
         once."""
-        p = self.spec.p
+        reduce = self.spec._reduce
         g = [1]
         for elem, mult in self.entries.items():
             s = elem.value
             for _ in range(mult):
                 # g * (x - s): the new coefficient at k is g[k-1] - s * g[k]
-                g = [a - s * b for a, b in zip([0] + g, g + [0])]
-                if p:
-                    g = [v % p for v in g]
+                g = [reduce(a - s * b) for a, b in zip([0] + g, g + [0])]
         return g
 
     def generator_poly(self, var: int, arity: int) -> MultiPoly:

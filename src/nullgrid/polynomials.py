@@ -130,10 +130,13 @@ class MultiPoly:
         return self.terms.get(tuple(u), self.spec.zero)
 
     def leading_monomial(self, order: TermOrder) -> ExponentVector:
+        if order.permutation is not None and len(order.permutation) != self.arity:
+            raise ArityMismatchError(
+                f"term order permutes {len(order.permutation)} variables, polynomial has {self.arity}"
+            )
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        key = order.key
-        return max(self.terms, key=key)
+        return max(self.terms, key=order.key)
 
     def _check_compatible(self, other: "MultiPoly"):
         if self.arity != other.arity:
@@ -145,55 +148,39 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        spec = self.spec
+        reduce = self.spec._reduce
         out = {u: c.value for u, c in self.terms.items()}
         for u, c in other.terms.items():
-            v = spec._add(out.get(u, spec._zero_raw), c.value)
-            if v:
-                out[u] = v
-            else:
-                out.pop(u, None)
-        return MultiPoly._from_raw(self.arity, spec, out)
+            out[u] = reduce(out.get(u, 0) + c.value)
+        return MultiPoly._from_raw(self.arity, self.spec, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        spec = self.spec
+        reduce = self.spec._reduce
         out = {u: c.value for u, c in self.terms.items()}
         for u, c in other.terms.items():
-            v = spec._sub(out.get(u, spec._zero_raw), c.value)
-            if v:
-                out[u] = v
-            else:
-                out.pop(u, None)
-        return MultiPoly._from_raw(self.arity, spec, out)
+            out[u] = reduce(out.get(u, 0) - c.value)
+        return MultiPoly._from_raw(self.arity, self.spec, out)
 
     def __neg__(self) -> "MultiPoly":
-        spec = self.spec
-        return MultiPoly._from_raw(self.arity, spec, {u: spec._neg(c.value) for u, c in self.terms.items()})
+        reduce = self.spec._reduce
+        return MultiPoly._from_raw(self.arity, self.spec, {u: reduce(-c.value) for u, c in self.terms.items()})
 
     def __mul__(self, other):
+        reduce = self.spec._reduce
         if isinstance(other, (FieldElement, int)):
-            s = self.spec.element(other)
-            if not s.value:
-                return MultiPoly.zero(self.arity, self.spec)
-            spec = self.spec
+            s = self.spec.element(other).value
             return MultiPoly._from_raw(
-                self.arity, spec, {u: spec._mul(c.value, s.value) for u, c in self.terms.items()}
+                self.arity, self.spec, {u: reduce(c.value * s) for u, c in self.terms.items()}
             )
         self._check_compatible(other)
-        spec = self.spec
-        zero = spec._zero_raw
         out: Dict[ExponentVector, object] = {}
         for u, a in self.terms.items():
             av = a.value
             for w, b in other.terms.items():
                 e = tuple(map(sum, zip(u, w)))
-                v = spec._add(out.get(e, zero), spec._mul(av, b.value))
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return MultiPoly._from_raw(self.arity, spec, out)
+                out[e] = out.get(e, 0) + av * b.value  # reduced once per coefficient below
+        return MultiPoly._from_raw(self.arity, self.spec, {e: reduce(v) for e, v in out.items()})
 
     __rmul__ = __mul__
 
@@ -223,6 +210,7 @@ class MultiPoly:
 
     def evaluate(self, point: Sequence) -> FieldElement:
         spec = self.spec
+        reduce = spec._reduce
         s = self._point_raw(point)
         # per-variable power tables; exponents at desk scale are small
         maxes = [0] * self.arity
@@ -232,18 +220,18 @@ class MultiPoly:
                     maxes[i] = e
         powers = []
         for i in range(self.arity):
-            row = [spec._one_raw]
+            row = [1]
             for _ in range(maxes[i]):
-                row.append(spec._mul(row[-1], s[i]))
+                row.append(reduce(row[-1] * s[i]))
             powers.append(row)
-        acc = spec._zero_raw
+        acc = 0
         for u, c in self.terms.items():
             t = c.value
             for i, e in enumerate(u):
                 if e:
-                    t = spec._mul(t, powers[i][e])
-            acc = spec._add(acc, t)
-        return FieldElement(acc, spec)
+                    t *= powers[i][e]
+            acc += t
+        return FieldElement(reduce(acc), spec)
 
     def shift(self, point: Sequence, box: Sequence[int] = None) -> "MultiPoly":
         """Substitute x_i -> x_i + s_i; the result's coefficient at x^u is the
@@ -281,7 +269,7 @@ class MultiPoly:
             if any(e and i != var for i, e in enumerate(u)):
                 raise ValueError(f"divisor is not univariate in x{var + 1}")
         spec = self.spec
-        coeffs = [spec._zero_raw] * (divisor.degree_in(var) + 1)
+        coeffs = [0] * (divisor.degree_in(var) + 1)
         for u, c in divisor.terms.items():
             coeffs[u[var]] = c.value
         quot, rem = _divmod_raw(spec, {u: c.value for u, c in self.terms.items()}, var, coeffs)
@@ -336,32 +324,29 @@ def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, 
     d = len(divisor) - 1
     lead_inv = spec._inv(divisor[d])
     tail = [(e, b) for e, b in enumerate(divisor[:d]) if b]
-    p = spec.p
-    rows: Dict[ExponentVector, Dict[int, object]] = {}
+    reduce = spec._reduce
+    # rows are keyed by the exponents before and after x_{var+1}
+    rows: Dict[Tuple[ExponentVector, ExponentVector], Dict[int, object]] = {}
     for u, c in terms.items():
-        rows.setdefault(u[:var] + u[var + 1:], {})[u[var]] = c
+        rows.setdefault((u[:var], u[var + 1:]), {})[u[var]] = c
     quot: Dict[ExponentVector, object] = {}
     rem: Dict[ExponentVector, object] = {}
-    for rest, sparse in rows.items():
+    for (head, rest), sparse in rows.items():
         row = [0] * (max(sparse) + 1)
         for e, c in sparse.items():
             row[e] = c
         for k in range(len(row) - 1, d - 1, -1):
-            c = row[k] * lead_inv
-            if p:
-                c %= p
+            c = reduce(row[k] * lead_inv)
             if not c:
                 continue
             base = k - d
-            quot[rest[:var] + (base,) + rest[var:]] = c
+            quot[head + (base,) + rest] = c
             for e, b in tail:
                 row[base + e] -= c * b
         for e in range(min(d, len(row))):
-            v = row[e]
-            if p:
-                v %= p
+            v = reduce(row[e])
             if v:
-                rem[rest[:var] + (e,) + rest[var:]] = v
+                rem[head + (e,) + rest] = v
     return quot, rem
 
 
@@ -383,25 +368,23 @@ def _shift_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, p
         if e > top:
             top = e
     width = top + 1 if box is None else min(box, top + 1)
-    powers = [spec._one_raw]
+    reduce = spec._reduce
+    powers = [1]
     for _ in range(top):
-        powers.append(spec._mul(powers[-1], point))
+        powers.append(reduce(powers[-1] * point))
     # table[e][j] = C(e, j) * point^(e - j) for j < min(e + 1, width)
     table = [
-        [spec._mul(spec._from_int(math.comb(e, j)), powers[e - j]) for j in range(min(e + 1, width))]
+        [reduce(math.comb(e, j) * powers[e - j]) for j in range(min(e + 1, width))]
         for e in range(top + 1)
     ]
-    p = spec.p
-    zero = spec._zero_raw
     out: Dict[ExponentVector, object] = {}
     for rest, sparse in rows.items():
-        acc = [zero] * width
+        acc = [0] * width
         for e, c in sparse.items():
             for j, w in enumerate(table[e]):
                 acc[j] += c * w  # reduced once per coefficient below
         for j, v in enumerate(acc):
-            if p:
-                v %= p
+            v = reduce(v)
             if v:
                 out[rest[:var] + (j,) + rest[var:]] = v
     return out

@@ -256,6 +256,15 @@ def test_malformed_field_is_an_input_error():
         assert (code, out, err) == (2, "", message)
 
 
+def test_exponent_notation_is_an_input_error():
+    # Fraction would read "1e5000000" by building its 5-million-digit value
+    for value in ("1e3", "2E-1", "1.5e2"):
+        grid = f'{{"field":{{"kind":"rational"}},"sets":[[{{"value":"{value}","mult":1}}]]}}'
+        assert run_cli(["reduce", "--poly", "x1", "--grid-inline", grid]) == (2, "", f"error: invalid QQ value '{value}'\n")
+    grid = '{"field":{"kind":"rational"},"sets":[[{"value":"1.5","mult":1}]]}'
+    assert run_cli(["reduce", "--poly", "x1", "--grid-inline", grid]) == (0, "r: 3/2\nh1: 1\n", "")
+
+
 def test_malformed_grid_names_the_bad_part():
     field = '"field":{"kind":"prime","p":3}'
     for grid, message in (

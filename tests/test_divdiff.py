@@ -19,7 +19,13 @@ from nullgrid import (
 )
 from nullgrid.divdiff import WeightTable
 from nullgrid.randgen import rand_grid, rand_poly, rand_spec
-from oracles import dual_basis_poly, newton_table_oracle, residue_weight_oracle
+from oracles import (
+    confluent_vandermonde,
+    dual_basis_poly,
+    gauss_jordan_inverse,
+    newton_table_oracle,
+    residue_weight_oracle,
+)
 
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
@@ -153,6 +159,28 @@ def test_every_weight_matches_residue_oracle():
         table = weight_table(grid)
         for (point, u), w in table.weights.items():
             assert w == residue_weight_oracle(grid, point, u), (grid, point, u)
+
+
+def test_every_weight_matches_hermite_oracle():
+    """The last row of the inverse confluent Vandermonde matrix of S_i maps
+    expansion coefficients on S_i to the top coefficient of the interpolant,
+    so each weight is the product over axes of that row's entry at
+    (s_i, u_i)."""
+    rng = random.Random(37)
+    for trial in range(36):
+        spec = Q if trial % 3 == 0 else rand_spec(rng)
+        grid = rand_grid(rng, spec, rng.randint(1, 3), max_size=4)
+        last_rows = []
+        for ms in grid.sets:
+            slots = [(s, j) for s, mult in ms.entries.items() for j in range(mult)]
+            last = gauss_jordan_inverse(confluent_vandermonde(ms, spec), spec)[-1]
+            last_rows.append(dict(zip(slots, last)))
+        table = weight_table(grid)
+        for (point, u), w in table.weights.items():
+            expected = spec.one
+            for row, s, e in zip(last_rows, point, u):
+                expected = expected * row[(s, e)]
+            assert w == expected, (grid, point, u)
 
 
 def test_identity_examples():

@@ -1,9 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nullgrid import FieldMismatchError, FieldSpec, Multiset, is_probable_prime
+from nullgrid import (
+    FieldElement,
+    FieldMismatchError,
+    FieldSpec,
+    Multiset,
+    is_probable_prime,
+    reduce_poly,
+    value_set,
+    weight_table,
+)
+from nullgrid.randgen import rand_element, rand_grid, rand_poly
 
 
 def xgcd(a, b):
@@ -89,6 +100,14 @@ def test_pow_examples():
     assert (f7.element(3) ** 6).value == 1  # Fermat
     with pytest.raises(ValueError):
         f7.element(3) ** -1
+    # modular exponentiation: a plain power of 3 this large would not finish
+    assert FieldSpec.prime(10007).element(3) ** 10**18 == pow(3, 10**18, 10007)
+    assert type((FieldSpec.rationals().element("1/2") ** 0).value) is int
+    for e in (0.5, True, Fraction(1, 2), "2"):
+        with pytest.raises(TypeError):
+            FieldSpec.rationals().element(2) ** e
+        with pytest.raises(TypeError):
+            f7.element(3) ** e
 
 
 def test_mismatched_specs():
@@ -110,6 +129,18 @@ def test_canonical_strings_round_trip():
         f11.element("1/2")
 
 
+def test_exponent_notation_is_rejected():
+    q = FieldSpec.rationals()
+    for text in ("1e3", "2E-1", "1.5e2"):
+        with pytest.raises(ValueError, match=repr(text)):
+            q.element(text)
+        with pytest.raises(ValueError, match=repr(text)):
+            FieldSpec.prime(11).element(text)
+    assert q.element("1.5").value == Fraction(3, 2)
+    assert q.element("-3/6").value == Fraction(-1, 2)
+    assert q.element("12").value == 12
+
+
 def test_integral_rationals_are_plain_ints():
     q = FieldSpec.rationals()
     for value in (4, "8/2", " 4 ", Fraction(8, 2)):
@@ -125,13 +156,50 @@ def test_integral_rationals_are_plain_ints():
 def test_int_and_fraction_forms_agree():
     q = FieldSpec.rationals()
     half = q.element("1/2")
-    one = half + half  # Fraction arithmetic leaves the integral sum a Fraction
-    assert type(one.value) is Fraction and type(q.one.value) is int
+    assert type((half + half).value) is int
+    one = FieldElement(Fraction(1), q)  # a non-canonical form, built directly
     assert one == q.one and hash(one) == hash(q.one)
     assert one <= q.one and not one < q.one and str(one) == str(q.one) == "1"
     for pairs in ([("1", 1), ("2/2", 2)], [(q.one, 1), (one, 2)]):
         with pytest.raises(ValueError, match="duplicate"):
             Multiset(q, pairs)
+
+
+def _assert_canonical(spec, raw):
+    if spec.is_prime_field:
+        assert type(raw) is int and 0 <= raw < spec.p, (spec, raw)
+    else:
+        assert type(raw) is int or (type(raw) is Fraction and raw.denominator != 1), raw
+
+
+def test_kernels_return_canonical_raw_values():
+    """Over F_p a raw value is an int in [0, p); over the rationals an int,
+    or a Fraction whose denominator is not 1."""
+    rng = random.Random(61)
+    for trial in range(60):
+        spec = FieldSpec.prime(rng.choice([2, 3, 7, 101])) if trial % 2 else FieldSpec.rationals()
+        n = rng.randint(1, 3)
+        grid = rand_grid(rng, spec, n, max_size=4, integer_elements=trial % 4 == 0)
+        f = rand_poly(rng, spec, n, max_deg=6)
+        res = reduce_poly(f, grid)
+        raws = [c.value for q in (res.remainder,) + res.cofactors for c in q.terms.values()]
+        raws += [v for ms in grid.sets for v in ms._generator_raw()]
+        point = [rand_element(rng, spec) for _ in range(n)]
+        raws += [c.value for c in f.shift(point, [3] * n).terms.values()]
+        raws += [c.value for c in f.shift(point).terms.values()]
+        raws += [f.evaluate(point).value]
+        raws += [w.value for w in weight_table(grid).weights.values()]
+        raws += [e.value for e in value_set(f, grid).support]
+        a, b = rand_element(rng, spec), rand_element(rng, spec)
+        values = [a + b, a - b, a * b, -a, a**3, a + 1, 1 - a, a * 2]
+        raws += [x.value for x in values] + ([(a / b).value, b.inv().value] if b else [])
+        for raw in raws:
+            _assert_canonical(spec, raw)
+    # the integral values that Fraction arithmetic produces come back as ints
+    q = FieldSpec.rationals()
+    assert Multiset(q, [("1/2", 2)])._generator_raw() == [Fraction(1, 4), -1, 1]
+    for raw in Multiset(q, [("1/2", 2)])._generator_raw():
+        _assert_canonical(q, raw)
 
 
 def test_ordering_against_a_non_element_is_a_type_error():

@@ -157,6 +157,9 @@ def test_high_order_coefficients_are_shift_invariant():
 
 def test_leading_monomial_examples():
     f = parse_poly("x1 + x2^2", 2, Q)
+    for perm in ((0,), (0, 1, 2)):
+        with pytest.raises(ArityMismatchError):
+            parse_poly("x2 + x2^2", 2, Q).leading_monomial(TermOrder("lex", perm))
     assert f.leading_monomial(TermOrder("lex", (0, 1))) == (1, 0)
     assert f.leading_monomial(TermOrder("grlex", (0, 1))) == (0, 2)
     assert f.leading_monomial(TermOrder("grevlex", (0, 1))) == (0, 2)
