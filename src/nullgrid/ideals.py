@@ -3,16 +3,18 @@ with prescribed multiplicities.
 
 Each coordinate carries a finite nonempty multiset; the grid ideal is cut out
 by one monic univariate generator per coordinate, the product of (x_i - s)
-raised to the multiplicity of s.  A generator is built as a raw univariate
-coefficient list, one linear factor at a time, and reduction divides by that
-list directly; the n-variate MultiPoly form exists only for callers that ask
-for it.  Reducing a polynomial modulo the generators terminates, produces a
-unique remainder with per-variable degrees below the multiset sizes, and
-decides ideal membership; membership can be cross-checked pointwise through
-expansion coefficients, and the remainder and cofactors never leave the
-subring generated by the inputs' coefficients because the generators are
-monic.  Grid scans read those coefficients from grid_expansions, which walks
-the grid one coordinate at a time so that points sharing a prefix share its
+raised to the multiplicity of s.  A generator is built once per multiset as
+a raw univariate coefficient list: each (x - s)^m is written down as its
+binomial row, and the rows are multiplied up a product tree by the product
+kernel of polynomials.  Reduction divides by that list directly; the
+n-variate MultiPoly form exists only for callers that ask for it.  Reducing
+a polynomial modulo the generators terminates, produces a unique remainder
+with per-variable degrees below the multiset sizes, and decides ideal
+membership; membership can be cross-checked pointwise through expansion
+coefficients, and the remainder and cofactors never leave the subring
+generated by the inputs' coefficients because the generators are monic.
+Grid scans read those coefficients from grid_expansions, which walks the
+grid one coordinate at a time so that points sharing a prefix share its
 shifts.
 """
 
@@ -24,13 +26,13 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec
-from .polynomials import MultiPoly, TermOrder, _divmod_raw, _shift_raw
+from .polynomials import MultiPoly, TermOrder, _divmod_raw, _mul_raw, _shift_raw
 
 
 class Multiset:
     """A finite nonempty multiset of field elements with multiplicities >= 1."""
 
-    __slots__ = ("spec", "entries", "support")
+    __slots__ = ("spec", "entries", "support", "_generator")
 
     def __init__(self, spec: FieldSpec, pairs: Iterable):
         entries: Dict[FieldElement, int] = {}
@@ -46,6 +48,7 @@ class Multiset:
         self.spec = spec
         self.support = tuple(sorted(entries, key=FieldElement.sort_key))
         self.entries = {e: entries[e] for e in self.support}
+        self._generator = None
 
     @classmethod
     def of(cls, spec: FieldSpec, mapping: Dict) -> "Multiset":
@@ -64,17 +67,32 @@ class Multiset:
 
     def _generator_raw(self) -> list:
         """Raw coefficients of the monic product of (x - s)^mult over this
-        multiset, lowest degree first; one linear factor is multiplied in at
-        a time, O(size^2) field operations, each new coefficient reduced
-        once."""
+        multiset, lowest degree first, built on first use and kept: callers
+        read the list and never change it.
+
+        Each (x - s)^m is written down as its binomial row
+        C(m, k) * (-s)^(m - k); C(m, k) is an integer reduced like any other
+        coefficient, so the row is right over F_p even when m >= p.  The rows
+        are multiplied pairwise up a product tree by _mul_raw."""
+        if self._generator is not None:
+            return self._generator
         reduce = self.spec._reduce
-        g = [1]
-        for elem, mult in self.entries.items():
-            s = elem.value
-            for _ in range(mult):
-                # g * (x - s): the new coefficient at k is g[k-1] - s * g[k]
-                g = [reduce(a - s * b) for a, b in zip([0] + g, g + [0])]
-        return g
+        rows = []
+        for elem, m in self.entries.items():
+            neg = reduce(-elem.value)
+            row, binom, power = {}, 1, 1  # C(m, k) and (-s)^(m - k), k from m down
+            for k in range(m, -1, -1):
+                c = reduce(binom * power)
+                if c:
+                    row[(k,)] = c
+                binom = binom * k // (m - k + 1)
+                power = reduce(power * neg)
+            rows.append(row)
+        while len(rows) > 1:
+            rows = [_mul_raw(self.spec, *rows[i:i + 2]) if i + 1 < len(rows) else rows[i]
+                    for i in range(0, len(rows), 2)]
+        self._generator = [rows[0].get((k,), 0) for k in range(self.size + 1)]
+        return self._generator
 
     def generator_poly(self, var: int, arity: int) -> MultiPoly:
         """The monic univariate product of (x_{var+1} - s)^mult over this

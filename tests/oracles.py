@@ -4,15 +4,17 @@ Each function computes an expected value by a route different from the
 implementation it checks: textbook long division on coefficient lists, the
 classical Newton table, the residue form of the weights, big-integer
 binomials, term-by-term binomial expansion, Hermite interpolation through
-confluent Vandermonde systems, products of linear factors, plane-by-plane
-evaluation, and direct enumeration.
+confluent Vandermonde systems, products of linear factors on coefficient
+lists, schoolbook products in field arithmetic, plane-by-plane evaluation,
+and direct enumeration.  No product or generator here goes through
+MultiPoly's * or ** or through Multiset's generator.
 """
 
 import itertools
 import math
 
 from nullgrid import CoverReport, MultiPoly, Multiset, MultisetGrid
-from nullgrid.randgen import rand_grid, rand_ideal_member, rand_poly
+from nullgrid.randgen import rand_grid, rand_poly
 
 
 def univariate_divmod_oracle(coeffs, divisor, spec):
@@ -188,6 +190,18 @@ def cover_report_oracle(hyperplanes, grid):
     )
 
 
+def poly_product_oracle(a, b):
+    """a * b term pair by term pair, adding FieldElement products into a
+    {exponent: FieldElement} dict."""
+    spec = a.spec
+    out = {}
+    for u, x in a.terms.items():
+        for w, y in b.terms.items():
+            e = tuple(i + j for i, j in zip(u, w))
+            out[e] = out.get(e, spec.zero) + x * y
+    return MultiPoly(a.arity, spec, out)
+
+
 def dual_basis_poly(grid, point, u):
     """Nonzero exactly at the (point, u) slot of the weight-table domain: the
     product of (x_i - point_i)^{u_i} and the full factors at the other nodes."""
@@ -196,10 +210,10 @@ def dual_basis_poly(grid, point, u):
     f = MultiPoly.constant(n, spec, 1)
     for i, ms in enumerate(grid.sets):
         xi = MultiPoly.variable(n, spec, i)
-        f = f * (xi - MultiPoly.constant(n, spec, point[i])) ** u[i]
-        for elem, mult in ms.entries.items():
-            if elem != point[i]:
-                f = f * (xi - MultiPoly.constant(n, spec, elem)) ** mult
+        factors = [(point[i], u[i])] + [(elem, mult) for elem, mult in ms.entries.items() if elem != point[i]]
+        for value, power in factors:
+            for _ in range(power):
+                f = poly_product_oracle(f, xi - MultiPoly.constant(n, spec, value))
     return f
 
 
@@ -231,14 +245,28 @@ def residue_weight_oracle(grid, point, u):
 
 
 def generator_oracle(ms, var, arity):
-    """The generator of one grid coordinate as a product of MultiPoly linear
-    factors x_{var+1} - s, one factor per unit of multiplicity."""
-    x = MultiPoly.variable(arity, ms.spec, var)
-    g = MultiPoly.constant(arity, ms.spec, 1)
+    """The generator of one grid coordinate, multiplied out on a FieldElement
+    coefficient list one linear factor x_{var+1} - s at a time, one factor
+    per unit of multiplicity, and wrapped in a MultiPoly at the end."""
+    spec = ms.spec
+    g = [spec.one]
     for elem, mult in ms.entries.items():
         for _ in range(mult):
-            g = g * (x - MultiPoly.constant(arity, ms.spec, elem))
-    return g
+            # g * (x - s): the new coefficient at k is g[k-1] - s * g[k]
+            g = [a - elem * b for a, b in zip([spec.zero] + g, g + [spec.zero])]
+    head, tail = (0,) * var, (0,) * (arity - var - 1)
+    return MultiPoly(arity, spec, {head + (k,) + tail: c for k, c in enumerate(g)})
+
+
+def ideal_member_oracle(rng, grid, max_cof_deg=2, max_terms=4):
+    """randgen.rand_ideal_member with the same draws, so the same polynomial,
+    built from generator_oracle and poly_product_oracle."""
+    spec, n = grid.spec, grid.arity
+    f = MultiPoly.zero(n, spec)
+    for i, ms in enumerate(grid.sets):
+        if rng.random() < 0.75:
+            f = f + poly_product_oracle(rand_poly(rng, spec, n, max_cof_deg, max_terms), generator_oracle(ms, i, n))
+    return f
 
 
 def build_punctured_instance(rng, spec, n, max_size=3):
@@ -257,7 +285,7 @@ def build_punctured_instance(rng, spec, n, max_size=3):
     for i, (big, small) in enumerate(zip(grid.sets, d_grid.sets)):
         outside = [(e, m) for e, m in big.entries.items() if small.multiplicity(e) == 0]
         if outside:
-            quotient = quotient * generator_oracle(Multiset(spec, outside), i, n)
+            quotient = poly_product_oracle(quotient, generator_oracle(Multiset(spec, outside), i, n))
     h = rand_poly(rng, spec, n, max_deg=1, max_terms=2)
-    f = h * quotient + rand_ideal_member(rng, grid)
+    f = poly_product_oracle(h, quotient) + ideal_member_oracle(rng, grid)
     return f, grid, d_grid, quotient

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -61,6 +62,19 @@ def test_golden_reduce_multivariate():
         "r: 3*x1*x2\n"
         "h1: x1^2 + 3*x1*x2 + 4*x2^2 + 2*x2 + 1\n"
         "h2: 2*x1*x2 + x2^2 + x2 + 4\n"
+    )
+
+
+def test_golden_reduce_dense_power():
+    # (x1 + x2 + x3 + 1)^30 has 5456 terms; the digest of its reduction
+    # modulo {1..15}^3 over F_10007 was recorded with the term-pair product
+    values = [{"value": str(v), "mult": 1} for v in range(1, 16)]
+    grid = json.dumps({"field": {"kind": "prime", "p": 10007}, "sets": [values] * 3})
+    code, out, err = run_cli(["reduce", "--poly", "(x1 + x2 + x3 + 1)^30", "--grid-inline", grid])
+    assert code == 0 and err == ""
+    assert len(out) == 109643
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c17ae4ef4a7ad6d6d623d6a8014b1aa189d987f330042fbf77294b480313a718"
     )
 
 

@@ -83,6 +83,25 @@ def test_generator_matches_linear_factor_oracle():
                 ms.generator_poly(3, 3)
 
 
+def test_large_multiplicity_generators_match_linear_factor_oracle():
+    rng = random.Random(71)
+    f10007 = FieldSpec.prime(10007)
+    cases = [
+        Multiset(Q, [("1/2", 200), ("-3", 50)]),
+        Multiset(f10007, [(v, 3) for v in rng.sample(range(10007), 9)]),
+        # multiplicity at or above the characteristic: C(m, k) vanishes mod p
+        Multiset(F5, [("2", 13)]),
+        Multiset(FieldSpec.prime(7), [("3", 7)]),
+        Multiset(FieldSpec.prime(7), [("3", 50), ("0", 9)]),
+    ]
+    for ms in cases:
+        for arity, var in ((1, 0), (3, 1)):
+            assert ms.generator_poly(var, arity) == generator_oracle(ms, var, arity)
+        assert ms._generator_raw()[-1] == 1 and len(ms._generator_raw()) == ms.size + 1
+    # Frobenius: (x - s)^p = x^p - s^p over F_p
+    assert Multiset(F5, [("2", 5)]).generator_poly(0, 1) == parse_poly("x1^5 - 2", 1, F5)
+
+
 def test_reduce_univariate_against_long_division():
     grid = MultisetGrid([Multiset.of(F5, {0: 1, 1: 1})])
     f = parse_poly("x1^3", 1, F5)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +13,9 @@ from nullgrid import (
     TermOrder,
     parse_poly,
 )
+from nullgrid import polynomials
 from nullgrid.randgen import rand_element, rand_poly, rand_spec
-from oracles import expansion_coefficient_oracle
+from oracles import expansion_coefficient_oracle, poly_product_oracle
 
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
@@ -33,6 +36,107 @@ def test_exponents_must_be_nonnegative_ints():
         with pytest.raises(ArityMismatchError, match="bad exponent vector"):
             MultiPoly(1, F5, {u: 1})
     assert str(MultiPoly(2, F5, {(2, 0): 1, (0, 1): 3})) == "x1^2 + 3*x2"
+
+
+def test_scalar_and_exponent_typing():
+    f = parse_poly("2*x1 + 3", 1, Q)
+    half = parse_poly("x1 + 3/2", 1, Q)
+    assert f * Fraction(1, 2) == Fraction(1, 2) * f == half
+    assert f * Q.element(Fraction(1, 2)) == half and f * 2 == 2 * f == parse_poly("4*x1 + 6", 1, Q)
+    g = parse_poly("x1 + 1", 1, F5)
+    assert g * Fraction(6, 2) == g * 3 == parse_poly("3*x1 + 3", 1, F5)
+    with pytest.raises(TypeError):
+        g * Fraction(1, 2)  # no canonical image of 1/2 in F_5 as a rational literal
+    for other in ("3", 2.5, None, [1]):
+        with pytest.raises(TypeError):
+            f * other
+        with pytest.raises(TypeError):
+            other * f
+    for e in (True, False, 2.5, 2.0, "2", None):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            f**e
+    with pytest.raises(ValueError):
+        f**-1
+    assert f**0 == MultiPoly.constant(1, Q, 1) == MultiPoly.zero(1, Q) ** 0
+    assert f**1 == f and MultiPoly.zero(1, Q) ** 3 == MultiPoly.zero(1, Q)
+
+
+def _random_coefficient(rng, spec):
+    if spec.p:
+        return rng.randrange(1, spec.p)
+    return Fraction(rng.randint(-40, 40) or 1, rng.choice([1, 1, 2, 3, 7, 12]))
+
+
+def _dense_poly(rng, spec, degrees):
+    """Every exponent below degrees + 1, each with a nonzero coefficient."""
+    return MultiPoly(len(degrees), spec, {
+        u: _random_coefficient(rng, spec) for u in itertools.product(*(range(d + 1) for d in degrees))
+    })
+
+
+def _sparse_poly(rng, spec, n, terms, degree):
+    """terms random terms below degree in every variable, one of them at
+    degree in every variable."""
+    exponents = [(degree,) * n] + [tuple(rng.randint(0, degree) for _ in range(n)) for _ in range(terms - 1)]
+    return MultiPoly(n, spec, {u: _random_coefficient(rng, spec) for u in exponents})
+
+
+def test_products_and_powers_match_schoolbook_oracle(monkeypatch):
+    packed_calls = []
+    real_packed = polynomials._mul_packed
+
+    def spy(spec, radix, a, b):
+        packed_calls.append(radix)
+        return real_packed(spec, radix, a, b)
+
+    monkeypatch.setattr(polynomials, "_mul_packed", spy)
+
+    def packed(a, b):
+        del packed_calls[:]
+        product = a * b
+        assert product == poly_product_oracle(a, b)
+        return bool(packed_calls)
+
+    rng = random.Random(2026)
+    side = math.isqrt(polynomials._KRONECKER_MIN_PAIRS) + 1  # side * side term pairs clear the floor
+    specs = [FieldSpec.prime(p) for p in (2, 13, 10007, 2**61 - 1)] + [Q]
+    for spec in specs:
+        for n in (1, 2, 3):
+            zero, one = MultiPoly.zero(n, spec), MultiPoly.constant(n, spec, _random_coefficient(rng, spec))
+            for _ in range(6):
+                f = rand_poly(rng, spec, n, max_deg=4, max_terms=10)
+                assert f * zero == zero * f == zero and f * one == poly_product_oracle(f, one)
+                assert f * f == poly_product_oracle(f, f)
+            # dense: every exponent below (side, 2, ..., 2), far inside the packed region
+            degrees = [side - 1] + [1] * (n - 1)
+            a, b = _dense_poly(rng, spec, degrees), _dense_poly(rng, spec, degrees)
+            assert packed(a, b) and packed(b, a)
+            # tiny: fewer pairs than the floor
+            tiny = _dense_poly(rng, spec, [1] + [0] * (n - 1))
+            assert not packed(tiny, tiny)
+            # sparse: enough pairs, but the box holds far more slots than pairs
+            s1, s2 = _sparse_poly(rng, spec, n, side, 40 * side), _sparse_poly(rng, spec, n, side, 40 * side)
+            pairs = len(s1.terms) * len(s2.terms)
+            if pairs >= polynomials._KRONECKER_MIN_PAIRS:
+                assert (80 * side + 1) ** n > polynomials._KRONECKER_FACTOR * pairs
+                assert not packed(s1, s2)
+            # powers 0..12 of a linear form, and of a random polynomial
+            linear = MultiPoly(n, spec, {
+                tuple(int(i == j) for j in range(n)): _random_coefficient(rng, spec) for i in range(-1, n)
+            })
+            base = rand_poly(rng, spec, n, max_deg=2, max_terms=4)
+            expected_linear = expected_base = MultiPoly.constant(n, spec, 1)
+            for e in range(13):
+                assert linear**e == expected_linear
+                expected_linear = poly_product_oracle(expected_linear, linear)
+                if e <= (12 if n == 1 else 6):
+                    assert base**e == expected_base
+                    expected_base = poly_product_oracle(expected_base, base)
+    # over Q, wide numerators of both signs over unlike denominators: signed
+    # slots far wider than any F_p slot
+    a = MultiPoly(1, Q, {(k,): Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**9)) for k in range(20)})
+    b = MultiPoly(1, Q, {(k,): Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**9)) for k in range(20)})
+    assert packed(a, b) and packed(-a, b) and packed(a, -a)
 
 
 def test_eval_examples():
