@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec
 from .ideals import Multiset, MultisetGrid, _check_poly_grid
-from .polynomials import MultiPoly
+from .polynomials import _MAX_EXPONENT, MultiPoly
 
 
 @dataclass(frozen=True)
@@ -259,13 +259,11 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
                 row.append(reduce(row[-1] * e.value))
             rows.append(row)
         pow_tables.append(rows)
-    raw_terms = [(u, c.value) for u, c in f.terms.items()]
     best: Dict[object, int] = {}
     combos = itertools.product(*(range(len(s)) for s in supports))
     for combo, mults in zip(combos, grid.multiplicity_vectors()):
         acc = 0
-        for u, cv in raw_terms:
-            t = cv
+        for u, t in f.terms.items():
             for i, j in enumerate(combo):
                 e = u[i]
                 if e:
@@ -283,9 +281,10 @@ def sun_value_set_check(
 ) -> BoundCheck:
     """For f = a_1*x1^k + ... + a_n*xn^k + g with nonzero a_i and deg g < k,
     the value-set size is at least min(char, sum(floor((d_i - 1)/k)) + 1),
-    with characteristic 0 meaning no cap."""
-    if k < 1:
-        raise PreconditionError("exponent", f"k must be a positive integer, got {k}")
+    with characteristic 0 meaning no cap.  The value set tabulates k powers
+    of every support value, so k is capped like a parsed exponent."""
+    if not 1 <= k <= _MAX_EXPONENT:
+        raise PreconditionError("exponent", f"k must be an integer from 1 to {_MAX_EXPONENT}, got {k}")
     n = grid.arity
     spec = grid.spec
     a = [spec.element(c) for c in coeffs]

@@ -95,7 +95,7 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid, rng=None) -> 
         if all(len(row) == 1 for row in state):
             point = tuple(row[0][0] for row in state)
             u = tuple(row[0][1] - 1 for row in state)
-            val = shifts[point].coefficient(u).value
+            val = shifts[point].terms.get(u, 0)
         else:
             i, a, b = _pick_pivot(state, rng)
             left = state[:i] + (_drop_one(state[i], a),) + state[i + 1:]
@@ -199,9 +199,9 @@ def _weighted_sum(f: MultiPoly, grid: MultisetGrid, table: WeightTable):
     for point, _, shifted in grid_expansions(f, grid):
         if first is None and shifted.terms:
             u = min(shifted.terms)
-            first = (point, u, shifted.terms[u])
+            first = (point, u, shifted.coefficient(u))
         for u, c in shifted.terms.items():
-            acc += table.weight(point, u).value * c.value  # reduced once below
+            acc += table.weight(point, u).value * c  # reduced once below
     return f.spec._reduce(acc), first
 
 
@@ -220,4 +220,4 @@ def top_coefficient_identity_holds(
         )
     if table is None:
         table = weight_table(grid)
-    return f.coefficient(t).value == _weighted_sum(f, grid, table)[0]
+    return f.terms.get(t, 0) == _weighted_sum(f, grid, table)[0]

@@ -6,7 +6,9 @@ kept in canonical form -- an integer in [0, p) for prime fields; over the
 rationals a plain int when the value is integral and a reduced Fraction
 otherwise.  FieldSpec._reduce is the one place that rule is written: every
 kernel computes on raw values with native + - * and passes each result
-through it.  All values are immutable.
+through it, and polynomials store their coefficients in that raw form.  A
+FieldElement wraps one raw value where it crosses the API: as a coefficient,
+a value or a multiset element.  All values are immutable.
 """
 
 from __future__ import annotations

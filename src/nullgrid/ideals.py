@@ -232,7 +232,7 @@ def reduce_poly(f: MultiPoly, grid: MultisetGrid) -> ReductionResult:
     _check_poly_grid(f, grid)
     spec = f.spec
     n = grid.arity
-    work = {u: c.value for u, c in f.terms.items()}
+    work = f.terms
     cof = []
     for i, ms in enumerate(grid.sets):
         h, work = _divmod_raw(spec, work, i, ms._generator_raw())
@@ -258,7 +258,7 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     _check_poly_grid(f, grid)
     spec, n = f.spec, grid.arity
     # shifted[i] is f shifted in x_1..x_i at the current point's prefix
-    shifted = [{u: c.value for u, c in f.terms.items()}] + [None] * n
+    shifted = [f.terms] + [None] * n
     prev = (None,) * n
     for cells in itertools.product(*(tuple(ms.entries.items()) for ms in grid.sets)):
         # product changes a suffix of the cells: reshift from its first new cell
@@ -331,7 +331,7 @@ def coefficients_stay_integral(f: MultiPoly, grid: MultisetGrid) -> bool:
     _check_poly_grid(f, grid)
     if f.spec.is_prime_field:
         raise PreconditionError("field", "integrality is checked over the rationals")
-    if any(c.value.denominator != 1 for c in f.terms.values()):
+    if any(c.denominator != 1 for c in f.terms.values()):
         raise PreconditionError("integral-input", "polynomial has a non-integer coefficient")
     for ms in grid.sets:
         for elem in ms.support:
@@ -339,7 +339,7 @@ def coefficients_stay_integral(f: MultiPoly, grid: MultisetGrid) -> bool:
                 raise PreconditionError("integral-input", f"grid element {elem} is not an integer")
     res = reduce_poly(f, grid)
     polys = (res.remainder,) + res.cofactors
-    return all(c.value.denominator == 1 for q in polys for c in q.terms.values())
+    return all(c.denominator == 1 for q in polys for c in q.terms.values())
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -2,8 +2,12 @@
 
 A polynomial is a map from exponent tuples (one nonnegative integer per
 variable) to nonzero coefficients; the zero polynomial has an empty term map.
-Total degree of the zero polynomial is None, a real sentinel rather than -1,
-so degree-bound checks stay honest when a cofactor vanishes.
+Coefficients are stored as raw canonical values (fields.FieldSpec._reduce),
+the form every kernel reads and returns, so no operation unwraps or wraps
+them; a FieldElement is built only where a coefficient leaves the library,
+in coefficient() and evaluate().  Total degree of the zero polynomial is
+None, a real sentinel rather than -1, so degree-bound checks stay honest
+when a cofactor vanishes.  The parser caps every variable's degree.
 
 Coordinate shifts f(x) -> f(x + s) are the workhorse: the coefficient of x^u
 in the shifted polynomial is the expansion coefficient of f at s attached to
@@ -37,7 +41,7 @@ from .fields import FieldElement, FieldSpec
 
 ExponentVector = Tuple[int, ...]
 
-_MAX_EXPONENT = 10_000  # parser guard against accidental blow-ups
+_MAX_EXPONENT = 10_000  # parser guard on exponent literals and on each variable's degree
 _MAX_NESTING = 200  # parser guard: deeper '(' / unary '-' chains would exhaust the stack
 
 
@@ -76,31 +80,34 @@ class TermOrder:
 
 
 class MultiPoly:
-    """Sparse polynomial in variables x1..xn with FieldElement coefficients."""
+    """Sparse polynomial in variables x1..xn: terms maps exponent vectors to
+    nonzero raw canonical coefficients, which kernels read and never change."""
 
     __slots__ = ("arity", "spec", "terms")
 
     def __init__(self, arity: int, spec: FieldSpec, terms: Dict[ExponentVector, object] = None):
         self.arity = arity
         self.spec = spec
-        canon: Dict[ExponentVector, FieldElement] = {}
+        canon: Dict[ExponentVector, object] = {}
         for u, c in (terms or {}).items():
             u = tuple(u)
             if len(u) != arity or any(
                 isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in u
             ):
                 raise ArityMismatchError(f"bad exponent vector {u} for arity {arity}")
-            fe = spec.element(c)
-            if fe.value:
-                canon[u] = fe
+            v = spec.element(c).value
+            if v:
+                canon[u] = v
         self.terms = canon
 
     @classmethod
     def _from_raw(cls, arity: int, spec: FieldSpec, raw: Dict[ExponentVector, object]) -> "MultiPoly":
+        """A polynomial on a copy of raw canonical terms without their zeros,
+        so a result never shares an operand's dict (f ** 1 returns f's)."""
         p = cls.__new__(cls)
         p.arity = arity
         p.spec = spec
-        p.terms = {u: FieldElement(v, spec) for u, v in raw.items() if v}
+        p.terms = {u: v for u, v in raw.items() if v}
         return p
 
     @classmethod
@@ -137,7 +144,7 @@ class MultiPoly:
         return max(u[i] for u in self.terms) if self.terms else None
 
     def coefficient(self, u: Sequence[int]) -> FieldElement:
-        return self.terms.get(tuple(u), self.spec.zero)
+        return FieldElement(self.terms.get(tuple(u), 0), self.spec)
 
     def leading_monomial(self, order: TermOrder) -> ExponentVector:
         if order.permutation is not None and len(order.permutation) != self.arity:
@@ -159,34 +166,32 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         reduce = self.spec._reduce
-        out = {u: c.value for u, c in self.terms.items()}
+        out = dict(self.terms)
         for u, c in other.terms.items():
-            out[u] = reduce(out.get(u, 0) + c.value)
+            out[u] = reduce(out.get(u, 0) + c)
         return MultiPoly._from_raw(self.arity, self.spec, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         reduce = self.spec._reduce
-        out = {u: c.value for u, c in self.terms.items()}
+        out = dict(self.terms)
         for u, c in other.terms.items():
-            out[u] = reduce(out.get(u, 0) - c.value)
+            out[u] = reduce(out.get(u, 0) - c)
         return MultiPoly._from_raw(self.arity, self.spec, out)
 
     def __neg__(self) -> "MultiPoly":
         reduce = self.spec._reduce
-        return MultiPoly._from_raw(self.arity, self.spec, {u: reduce(-c.value) for u, c in self.terms.items()})
+        return MultiPoly._from_raw(self.arity, self.spec, {u: reduce(-c) for u, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check_compatible(other)
-            raw = _mul_raw(self.spec, {u: c.value for u, c in self.terms.items()},
-                           {u: c.value for u, c in other.terms.items()})
-            return MultiPoly._from_raw(self.arity, self.spec, raw)
+            return MultiPoly._from_raw(self.arity, self.spec, _mul_raw(self.spec, self.terms, other.terms))
         if not isinstance(other, (FieldElement, int, Fraction)):
             return NotImplemented
         reduce = self.spec._reduce
         s = self.spec.element(other).value
-        return MultiPoly._from_raw(self.arity, self.spec, {u: reduce(c.value * s) for u, c in self.terms.items()})
+        return MultiPoly._from_raw(self.arity, self.spec, {u: reduce(c * s) for u, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -197,7 +202,7 @@ class MultiPoly:
             raise ValueError("polynomial exponent must be nonnegative")
         spec, n = self.spec, self.arity
         result = {(0,) * n: 1} if e == 0 else None
-        base = {u: c.value for u, c in self.terms.items()}
+        base = self.terms
         while e:
             if e & 1:
                 result = base if result is None else _mul_raw(spec, result, base)
@@ -235,8 +240,7 @@ class MultiPoly:
                 row.append(reduce(row[-1] * s[i]))
             powers.append(row)
         acc = 0
-        for u, c in self.terms.items():
-            t = c.value
+        for u, t in self.terms.items():
             for i, e in enumerate(u):
                 if e:
                     t *= powers[i][e]
@@ -255,16 +259,10 @@ class MultiPoly:
             raise ArityMismatchError(f"box {tuple(box)} must be >= 1 in every component")
         spec = self.spec
         s = self._point_raw(point)
-        terms = {u: c.value for u, c in self.terms.items()}
+        terms = self.terms
         for i, si in enumerate(s):
             terms = _shift_raw(spec, terms, i, si, None if box is None else box[i])
         return MultiPoly._from_raw(self.arity, spec, terms)
-
-    def expansion_coefficients(self, point: Sequence, box: Sequence[int]) -> Dict[ExponentVector, FieldElement]:
-        """All expansion coefficients at the point for exponents strictly below
-        box in every component (zeros included, so the domain is the full box)."""
-        g = self.shift(point, box)
-        return {u: g.coefficient(u) for u in itertools.product(*(range(b) for b in box))}
 
     # -- division by a univariate ----------------------------------------------
 
@@ -281,8 +279,8 @@ class MultiPoly:
         spec = self.spec
         coeffs = [0] * (divisor.degree_in(var) + 1)
         for u, c in divisor.terms.items():
-            coeffs[u[var]] = c.value
-        quot, rem = _divmod_raw(spec, {u: c.value for u, c in self.terms.items()}, var, coeffs)
+            coeffs[u[var]] = c
+        quot, rem = _divmod_raw(spec, self.terms, var, coeffs)
         return MultiPoly._from_raw(self.arity, spec, quot), MultiPoly._from_raw(self.arity, spec, rem)
 
     # -- printing ----------------------------------------------------------------
@@ -294,8 +292,7 @@ class MultiPoly:
         if not self.terms:
             return "0"
         chunks = []
-        for u, c in self._sorted_terms():
-            value = c.value
+        for u, value in self._sorted_terms():
             negative = value < 0  # only over the rationals; prime reps are in [0, p)
             mag = -value if negative else value
             factors = []
@@ -529,7 +526,9 @@ class _Parser:
     atom := '-' atom | INT ['/' INT] | VAR | '(' expr ')'.
     Rational literals 'a/b' are accepted only over the rationals; there is no
     general division operator and no implicit multiplication.  Parentheses
-    and unary minus nest at most _MAX_NESTING deep."""
+    and unary minus nest at most _MAX_NESTING deep, and no product or power
+    may take a variable's degree above _MAX_EXPONENT: the degrees are read
+    off the operands before any multiplying is done."""
 
     def __init__(self, text: str, arity: int, spec: FieldSpec):
         self.tokens = _tokenize(text)
@@ -577,8 +576,10 @@ class _Parser:
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
-                self.next()
-                poly = poly * self.factor()
+                _, _, pos = self.next()
+                rhs = self.factor()
+                _check_degrees(map(add, _degrees(poly), _degrees(rhs)), pos)
+                poly = poly * rhs
             else:
                 return poly
 
@@ -593,6 +594,7 @@ class _Parser:
             e = int(val)
             if e > _MAX_EXPONENT:
                 raise PolyParseError(f"exponent {e} exceeds the limit {_MAX_EXPONENT}", pos)
+            _check_degrees((d * e for d in _degrees(poly)), pos)
             poly = poly**e
         return poly
 
@@ -630,6 +632,19 @@ class _Parser:
                 raise PolyParseError(f"unknown variable {val!r} (arity {self.arity})", pos)
             return MultiPoly.variable(self.arity, self.spec, index - 1)
         raise PolyParseError(f"unexpected {val or 'end of input'!r}", pos)
+
+
+def _degrees(poly: MultiPoly):
+    """The degree in each variable, by one C-level pass over the exponents
+    (degree_in per variable costs the small parses of the CLI several
+    percent); all zeros for the zero polynomial, whose products are zero."""
+    return map(max, zip(*poly.terms)) if poly.terms else itertools.repeat(0, poly.arity)
+
+
+def _check_degrees(degrees, pos: int):
+    for i, d in enumerate(degrees):
+        if d > _MAX_EXPONENT:
+            raise PolyParseError(f"degree {d} in x{i + 1} exceeds the limit {_MAX_EXPONENT}", pos)
 
 
 def parse_poly(text: str, arity: int, spec: FieldSpec) -> MultiPoly:

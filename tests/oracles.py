@@ -67,7 +67,7 @@ def expansion_coefficient_oracle(f, point, u):
     for e, c in f.terms.items():
         if any(ei < ui for ei, ui in zip(e, u)):
             continue
-        term = c
+        term = spec.element(c)
         for ei, ui, si in zip(e, u, point):
             term = term * math.comb(ei, ui) * spec.element(si) ** (ei - ui)
         total = total + term
@@ -198,7 +198,7 @@ def poly_product_oracle(a, b):
     for u, x in a.terms.items():
         for w, y in b.terms.items():
             e = tuple(i + j for i, j in zip(u, w))
-            out[e] = out.get(e, spec.zero) + x * y
+            out[e] = out.get(e, spec.zero) + spec.element(x) * spec.element(y)
     return MultiPoly(a.arity, spec, out)
 
 

@@ -280,8 +280,9 @@ def test_sun_preconditions():
         sun_value_set_check(["0"], 1, MultiPoly.zero(1, F5), grid)
     with pytest.raises(PreconditionError):
         sun_value_set_check(["1"], 1, parse_poly("x1", 1, F5), grid)
-    with pytest.raises(PreconditionError):
-        sun_value_set_check(["1"], 0, MultiPoly.zero(1, F5), grid)
+    for k in (0, 10_001, 10**9):
+        with pytest.raises(PreconditionError, match="exponent"):
+            sun_value_set_check(["1"], k, MultiPoly.zero(1, F5), grid)
 
 
 def test_sun_over_rationals_has_no_cap():

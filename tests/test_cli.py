@@ -380,6 +380,19 @@ def test_dash_led_poly_value_matches_equals_spelling():
     assert code == 2 and err.count("\n") == 1 and err.startswith("error:")
 
 
+def test_oversized_inputs_fail_fast():
+    grid_f7 = '{"field":{"kind":"prime","p":7},"sets":[[{"value":"1","mult":1},{"value":"2","mult":1}]]}'
+    for poly in ("(x1^10000)^1000", "*".join(["x1^10000"] * 100)):
+        code, out, err = run_cli(["reduce", "--poly", poly, "--grid-inline", grid_f7])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: degree ") and "exceeds the limit 10000" in err
+    sun = ["sun-check", "--grid-inline", grid_f7, "--coeffs", "1", "--k"]
+    for k in ("1000000000", "10001", "0"):
+        code, out, err = run_cli(sun + [k])
+        assert (code, out) == (1, "") and err == f"error: exponent: k must be an integer from 1 to 10000, got {k}\n"
+    assert run_cli(sun + ["10000"]) == (0, "lhs: 2\nrhs: 1\nholds: true\n", "")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "nullgrid", "hopf-stiefel", "--p", "3", "--r", "2", "--s", "2"],

@@ -8,13 +8,17 @@ from nullgrid import (
     FieldElement,
     FieldMismatchError,
     FieldSpec,
+    MultiPoly,
     Multiset,
+    find_witness,
+    grid_expansions,
     is_probable_prime,
+    parse_poly,
     reduce_poly,
     value_set,
     weight_table,
 )
-from nullgrid.randgen import rand_element, rand_grid, rand_poly
+from nullgrid.randgen import rand_element, rand_grid, rand_poly, rand_witness_instance
 
 
 def xgcd(a, b):
@@ -172,29 +176,59 @@ def _assert_canonical(spec, raw):
         assert type(raw) is int or (type(raw) is Fraction and raw.denominator != 1), raw
 
 
+def _assert_raw_terms(spec, poly):
+    """A polynomial stores raw canonical coefficients, never a zero."""
+    for c in poly.terms.values():
+        assert not isinstance(c, FieldElement) and c, (spec, c)
+        _assert_canonical(spec, c)
+
+
 def test_kernels_return_canonical_raw_values():
     """Over F_p a raw value is an int in [0, p); over the rationals an int,
-    or a Fraction whose denominator is not 1."""
+    or a Fraction whose denominator is not 1.  Every polynomial operation
+    leaves raw values in the result's terms and its operands' terms as they
+    were; a coefficient leaves the library as a FieldElement."""
     rng = random.Random(61)
     for trial in range(60):
         spec = FieldSpec.prime(rng.choice([2, 3, 7, 101])) if trial % 2 else FieldSpec.rationals()
         n = rng.randint(1, 3)
         grid = rand_grid(rng, spec, n, max_size=4, integer_elements=trial % 4 == 0)
         f = rand_poly(rng, spec, n, max_deg=6)
-        res = reduce_poly(f, grid)
-        raws = [c.value for q in (res.remainder,) + res.cofactors for c in q.terms.values()]
-        raws += [v for ms in grid.sets for v in ms._generator_raw()]
+        g = rand_poly(rng, spec, n, max_deg=3)
+        before = (dict(f.terms), dict(g.terms))
         point = [rand_element(rng, spec) for _ in range(n)]
-        raws += [c.value for c in f.shift(point, [3] * n).terms.values()]
-        raws += [c.value for c in f.shift(point).terms.values()]
-        raws += [f.evaluate(point).value]
+        a = rand_element(rng, spec)
+        scalars = [a, 3, -2] + ([Fraction(-3, 4)] if not spec.is_prime_field else [])
+        res = reduce_poly(f, grid)
+        gen = grid.sets[0].generator_poly(0, n)
+        polys = [f, g, f + g, f - g, -f, f * g, f**0, f**1, f**3, f.shift(point, [3] * n), f.shift(point)]
+        polys += [f * c for c in scalars] + [c * f for c in scalars]
+        polys += list(f.divmod_univariate(gen, 0)) + [res.remainder, *res.cofactors]
+        polys += [shifted for _, _, shifted in grid_expansions(f, grid)] + list(grid.generators())
+        polys += [parse_poly(str(f), n, spec), MultiPoly(n, spec, {(0,) * n: a, (1,) * n: "2"})]
+        for poly in polys:
+            _assert_raw_terms(spec, poly)
+        assert (f**1).terms is not f.terms and (f**1).terms == f.terms
+        assert (dict(f.terms), dict(g.terms)) == before
+        out = [f.coefficient(u) for u in f.terms] + [f.coefficient((9,) * n), f.evaluate(point)]
+        raws = [v for ms in grid.sets for v in ms._generator_raw()]
         raws += [w.value for w in weight_table(grid).weights.values()]
         raws += [e.value for e in value_set(f, grid).support]
-        a, b = rand_element(rng, spec), rand_element(rng, spec)
+        b = rand_element(rng, spec)
         values = [a + b, a - b, a * b, -a, a**3, a + 1, 1 - a, a * 2]
-        raws += [x.value for x in values] + ([(a / b).value, b.inv().value] if b else [])
+        out += values + ([a / b, b.inv()] if b else [])
+        for x in out:
+            assert type(x) is FieldElement and x.spec == spec
+            _assert_canonical(spec, x.value)
         for raw in raws:
             _assert_canonical(spec, raw)
+    for trial in range(20):
+        spec = FieldSpec.prime(rng.choice([3, 7, 101])) if trial % 2 else FieldSpec.rationals()
+        f, grid, t = rand_witness_instance(rng, spec, rng.randint(1, 2))
+        for method in ("exhaustive", "divided_difference"):
+            w = find_witness(f, grid, t, method)
+            assert type(w.value) is FieldElement and not w.value.is_zero()
+            _assert_canonical(spec, w.value.value)
     # the integral values that Fraction arithmetic produces come back as ints
     q = FieldSpec.rationals()
     assert Multiset(q, [("1/2", 2)])._generator_raw() == [Fraction(1, 4), -1, 1]
