@@ -11,9 +11,13 @@ express the bracket as a linear combination of pointwise expansion
 coefficients.  The grid ideal is a tensor product of univariate ideals, so
 the bracket is a tensor product of one-coordinate brackets and every weight
 is a product of one-coordinate weights: the confluent divided-difference
-coefficients of each coordinate multiset, found by expanding the recursion
-symbolically on that multiset alone.  The weights attached to the maximal
-exponents are never zero, which is what powers the witness search.
+coefficients of each coordinate multiset.  They are read off in residue
+form, the partial-fraction expansion of 1 / g_i at each element s, as the
+low coefficients of a product of truncated power series in x - s; the
+recursion is not used, so the weight table and the recursive bracket stay
+independent routes.  The weights attached to the maximal exponents are the
+closed form prod (s - s')^(-m(s')), never zero, which is what powers the
+witness search.
 
 Both the recursion's single-point expansions and the weighted sum read
 expansion coefficients from ideals.grid_expansions, so points that share a
@@ -24,7 +28,9 @@ divided-difference witness search, which takes the walk's first witness.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Optional, Tuple
 
 from .errors import PreconditionError
@@ -128,32 +134,38 @@ class WeightTable:
 
 def _coordinate_weights(spec, row) -> dict:
     """Weights of the one-coordinate grid with the given row, as raw
-    {(element, exponent): weight}: the two-point recursion expanded
-    symbolically over sub-multisets of the row, splitting at its two smallest
-    elements, each weight reduced once per sub-multiset.  Missing keys have
-    weight zero."""
+    {(element, exponent): weight}, in residue form.  For each (s, m) in the
+    row, with y = x - s, the truncated power series of the product over the
+    other entries (t, M) of (y + s - t)^(-M) is multiplied out below y^m;
+    with c = (s - t)^(-1), one factor is the sum over k of
+    C(M + k - 1, k) * (-c)^k * c^M * y^k.  The weight of (s, e) is the
+    coefficient of y^(m - 1 - e).  C(M + k - 1, k) is an integer reduced like
+    any other coefficient, so no factorial is inverted and the weights are
+    right over F_p for every multiplicity.  Missing keys have weight zero."""
     reduce = spec._reduce
-    memo: Dict[tuple, dict] = {}
-
-    def go(row) -> dict:
-        cached = memo.get(row)
-        if cached is not None:
-            return cached
-        if len(row) == 1:
-            (s, m), = row
-            res = {(s, m - 1): 1}
-        else:
-            a, b = row[0][0], row[1][0]
-            inv = spec._inv(b - a)
-            res = {k: v * inv for k, v in go(_drop_one(row, a)).items()}
-            for k, v in go(_drop_one(row, b)).items():
-                res[k] = res.get(k, 0) - v * inv
-            # reduce each weight once and drop the ones that cancel
-            res = {k: w for k, v in res.items() if (w := reduce(v))}
-        memo[row] = res
-        return res
-
-    return go(row)
+    p = spec.p
+    weights = {}
+    for s, m in row:
+        series = [1] + [0] * (m - 1)
+        for t, big_m in row:
+            if t == s:
+                continue
+            c = spec._inv(s - t)
+            neg_c = reduce(-c)
+            scale = pow(c, big_m, p) if p else c**big_m
+            factor, neg_power = [], 1
+            for k in range(m):
+                factor.append(reduce(math.comb(big_m + k - 1, k) * neg_power * scale))
+                neg_power = reduce(neg_power * neg_c)
+            series = [
+                reduce(sum(map(mul, series[: k + 1], reversed(factor[: k + 1]))))
+                for k in range(m)
+            ]
+        for e in range(m):
+            w = series[m - 1 - e]
+            if w:
+                weights[(s, e)] = w
+    return weights
 
 
 def weight_table(grid: MultisetGrid) -> WeightTable:

@@ -260,8 +260,13 @@ class MultiPoly:
         spec = self.spec
         s = self._point_raw(point)
         terms = self.terms
-        for i, si in enumerate(s):
-            terms = _shift_raw(spec, terms, i, si, None if box is None else box[i])
+        # the zero polynomial has no degrees, and no shift to run
+        for i, (si, top) in enumerate(zip(s, map(max, zip(*terms)))):
+            cols = None
+            if si and terms:
+                width = top + 1 if box is None else min(box[i], top + 1)
+                cols = _taylor_columns(spec, si, top, width)
+            terms = _shift_raw(spec, terms, i, None if box is None else box[i], cols)
         return MultiPoly._from_raw(self.arity, spec, terms)
 
     # -- division by a univariate ----------------------------------------------
@@ -461,43 +466,53 @@ def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, 
     return quot, rem
 
 
-def _shift_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, point, box=None):
-    """Substitute x_{var+1} -> x_{var+1} + point in raw terms, keeping only
-    exponents below box in that variable (all of them when box is None).
-
-    Terms that share their exponents in the other variables form one row
-    (a_e) in x_{var+1}; its shifted coefficient at j is the sum over e >= j
-    of C(e, j) * point^(e - j) * a_e, read from one table built per call.
-    Returns a new raw term map without zero coefficients."""
-    if not point:
-        return {u: c for u, c in terms.items() if box is None or u[var] < box}
-    rows: Dict[ExponentVector, Dict[int, object]] = {}
-    top = 0
-    for u, c in terms.items():
-        e = u[var]
-        rows.setdefault(u[:var] + u[var + 1:], {})[e] = c
-        if e > top:
-            top = e
-    width = top + 1 if box is None else min(box, top + 1)
+def _taylor_columns(spec: FieldSpec, point, top: int, width: int) -> list:
+    """The Taylor columns of the shift x -> x + point, for rows of degree at
+    most top: cols[j][k] = C(j + k, j) * point^k, reduced, for j < width and
+    j + k <= top.  The shifted coefficient at j of a row (a_e) is then the
+    sum over k of cols[j][k] * a_(j + k).  C(j + k, j) is an integer reduced
+    like any other coefficient, so the columns are right over F_p even when
+    the degree reaches p."""
     reduce = spec._reduce
     powers = [1]
     for _ in range(top):
         powers.append(reduce(powers[-1] * point))
-    # table[e][j] = C(e, j) * point^(e - j) for j < min(e + 1, width)
-    table = [
-        [reduce(math.comb(e, j) * powers[e - j]) for j in range(min(e + 1, width))]
-        for e in range(top + 1)
+    return [
+        [reduce(math.comb(j + k, j) * powers[k]) for k in range(top - j + 1)]
+        for j in range(width)
     ]
+
+
+def _shift_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, box, cols):
+    """Substitute x_{var+1} -> x_{var+1} + s in raw terms, keeping only
+    exponents below box in that variable (all of them when box is None).
+
+    cols is None when s = 0, and the shift is only the cut at box.
+    Otherwise it is _taylor_columns(spec, s, top, width) for a top at least
+    the terms' degree in x_{var+1} and width = min(box, top + 1), so callers
+    that shift many polynomials by one value build it once.  Terms that
+    share their exponents in the other variables form one dense row a of
+    length top + 1 in x_{var+1}; its shifted coefficient at j is
+    sum(cols[j][k] * a[j + k]), reduced once.  Returns a new raw term map
+    without zero coefficients."""
+    if cols is None:
+        return {u: c for u, c in terms.items() if box is None or u[var] < box}
+    size = len(cols[0])
+    rows: Dict[ExponentVector, list] = {}
+    for u, c in terms.items():
+        rest = u[:var] + u[var + 1:]
+        row = rows.get(rest)
+        if row is None:
+            row = rows[rest] = [0] * size
+        row[u[var]] = c
+    reduce = spec._reduce
     out: Dict[ExponentVector, object] = {}
-    for rest, sparse in rows.items():
-        acc = [0] * width
-        for e, c in sparse.items():
-            for j, w in enumerate(table[e]):
-                acc[j] += c * w  # reduced once per coefficient below
-        for j, v in enumerate(acc):
-            v = reduce(v)
+    for rest, row in rows.items():
+        head, tail = rest[:var], rest[var:]
+        for j, col in enumerate(cols):
+            v = reduce(sum(map(mul, col, row[j:])))
             if v:
-                out[rest[:var] + (j,) + rest[var:]] = v
+                out[head + (j,) + tail] = v
     return out
 
 
@@ -522,8 +537,9 @@ def _tokenize(text: str):
 
 class _Parser:
     """Recursive descent over: expr := term (('+'|'-') term)*;
-    term := factor ('*' factor)*; factor := atom ['^' INT];
-    atom := '-' atom | INT ['/' INT] | VAR | '(' expr ')'.
+    term := factor ('*' factor)*; factor := '-' factor | atom ['^' INT];
+    atom := INT ['/' INT] | VAR | '(' expr ')'.  '^' binds tighter than
+    unary minus, so -x1^2 is -(x1^2), and a factor takes one '^' at most.
     Rational literals 'a/b' are accepted only over the rationals; there is no
     general division operator and no implicit multiplication.  Parentheses
     and unary minus nest at most _MAX_NESTING deep, and no product or power
@@ -549,6 +565,11 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "op" or val != op:
             raise PolyParseError(f"expected {op!r}, found {val or 'end of input'!r}", pos)
+
+    def descend(self, pos: int):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise PolyParseError("expression nested too deeply", pos)
 
     def parse(self) -> MultiPoly:
         kind, val, pos = self.peek()
@@ -584,6 +605,13 @@ class _Parser:
                 return poly
 
     def factor(self) -> MultiPoly:
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            self.descend(pos)
+            poly = -self.factor()
+            self.depth -= 1
+            return poly
         poly = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -600,15 +628,10 @@ class _Parser:
 
     def atom(self) -> MultiPoly:
         kind, val, pos = self.next()
-        if kind == "op" and val in "-(":
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
-                raise PolyParseError("expression nested too deeply", pos)
-            if val == "-":
-                poly = -self.atom()
-            else:
-                poly = self.expr()
-                self.expect_op(")")
+        if kind == "op" and val == "(":
+            self.descend(pos)
+            poly = self.expr()
+            self.expect_op(")")
             self.depth -= 1
             return poly
         if kind == "int":

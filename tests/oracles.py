@@ -2,7 +2,8 @@
 
 Each function computes an expected value by a route different from the
 implementation it checks: textbook long division on coefficient lists, the
-classical Newton table, the residue form of the weights, big-integer
+classical Newton table, the residue form of the weights, the two-point
+recursion for the weights expanded symbolically, big-integer
 binomials, term-by-term binomial expansion, Hermite interpolation through
 confluent Vandermonde systems, products of linear factors on coefficient
 lists, schoolbook products in field arithmetic, plane-by-plane evaluation,
@@ -241,6 +242,41 @@ def residue_weight_oracle(grid, point, u):
                     for k in range(m)
                 ]
         weight = weight * series[m - 1 - e]
+    return weight
+
+
+def two_point_weight_oracle(grid, point, u):
+    """Weight-table entry from the two-point recursion expanded symbolically.
+    Per coordinate, the bracket of a multiset is (bracket without a -
+    bracket without b) / (b - a) for two distinct elements a and b of it,
+    down to single elements s of multiplicity m, whose bracket is the
+    coefficient of (x - s)^(m - 1); the weights of a multiset are collected
+    as a {(s, e): FieldElement} map over the sub-multisets the recursion
+    visits, splitting at the two smallest elements.  The full weight is the
+    product over the coordinates.  Uses field operations only."""
+    spec = grid.spec
+
+    def drop(row, value):
+        return tuple((s, m - (s == value)) for s, m in row if s != value or m > 1)
+
+    def weights(row, memo):
+        if row not in memo:
+            if len(row) == 1:
+                (s, m), = row
+                memo[row] = {(s, m - 1): spec.one}
+            else:
+                a, b = row[0][0], row[1][0]
+                inv = (b - a).inv()
+                res = {k: w * inv for k, w in weights(drop(row, a), memo).items()}
+                for k, w in weights(drop(row, b), memo).items():
+                    res[k] = res.get(k, spec.zero) - w * inv
+                memo[row] = res
+        return memo[row]
+
+    weight = spec.one
+    for ms, s, e in zip(grid.sets, point, u):
+        table = weights(tuple(ms.entries.items()), {})
+        weight = weight * table.get((spec.element(s), e), spec.zero)
     return weight
 
 

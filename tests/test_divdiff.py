@@ -26,6 +26,7 @@ from oracles import (
     gauss_jordan_inverse,
     newton_table_oracle,
     residue_weight_oracle,
+    two_point_weight_oracle,
 )
 
 F2 = FieldSpec.prime(2)
@@ -153,6 +154,9 @@ def test_top_weights_match_closed_form_and_are_nonzero():
 
 
 def test_every_weight_matches_residue_oracle():
+    """The library computes the weights in residue form too, so this checks
+    the implementation -- binomial series against repeated geometric series
+    -- not the method; the Hermite and two-point oracles check the method."""
     rng = random.Random(29)
     for trial in range(36):
         spec = Q if trial % 3 == 0 else rand_spec(rng)
@@ -163,10 +167,10 @@ def test_every_weight_matches_residue_oracle():
 
 
 def test_every_weight_matches_hermite_oracle():
-    """The last row of the inverse confluent Vandermonde matrix of S_i maps
-    expansion coefficients on S_i to the top coefficient of the interpolant,
-    so each weight is the product over axes of that row's entry at
-    (s_i, u_i)."""
+    """A method-independent check, with the two-point one.  The last row of
+    the inverse confluent Vandermonde matrix of S_i maps expansion
+    coefficients on S_i to the top coefficient of the interpolant, so each
+    weight is the product over axes of that row's entry at (s_i, u_i)."""
     rng = random.Random(37)
     for trial in range(36):
         spec = Q if trial % 3 == 0 else rand_spec(rng)
@@ -182,6 +186,29 @@ def test_every_weight_matches_hermite_oracle():
             for row, s, e in zip(last_rows, point, u):
                 expected = expected * row[(s, e)]
             assert w == expected, (grid, point, u)
+
+
+def test_every_weight_matches_two_point_oracle():
+    """A method-independent check, with the Hermite one: the oracle expands
+    the two-point recursion symbolically over sub-multisets, where the
+    library multiplies truncated residue series.  Multiplicities reach past
+    p over F_2, F_3 and F_5, where C(M + k - 1, k) vanishes mod p for some
+    k."""
+    rng = random.Random(43)
+    past_p = set()
+    for trial in range(32):
+        spec = [FieldSpec.prime(2), FieldSpec.prime(3), F5, Q][trial % 4]
+        pool = list(range(spec.p)) if spec.p else [Fraction(k, 2) for k in range(-6, 7)]
+        sets = []
+        for _ in range(rng.randint(1, 2)):
+            support = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            sets.append(Multiset(spec, [(s, rng.randint(1, (spec.p or 3) + 2)) for s in support]))
+        grid = MultisetGrid(sets)
+        past_p.update(spec.p for ms in sets if spec.p and max(ms.entries.values()) >= spec.p)
+        table = weight_table(grid)
+        for (point, u), w in table.weights.items():
+            assert w == two_point_weight_oracle(grid, point, u), (grid, point, u)
+    assert past_p == {2, 3, 5}
 
 
 def test_identity_examples():

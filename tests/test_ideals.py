@@ -250,9 +250,9 @@ def _count_shifts(monkeypatch):
     calls = []
     inner = ideals._shift_raw
 
-    def counting(spec, terms, var, point, box=None):
+    def counting(spec, terms, var, *rest):
         calls.append(var)
-        return inner(spec, terms, var, point, box)
+        return inner(spec, terms, var, *rest)
 
     monkeypatch.setattr(ideals, "_shift_raw", counting)
     return calls
@@ -292,6 +292,32 @@ def test_grid_expansions_shift_each_prefix_once(monkeypatch):
         calls.clear()
         points = sum(1 for _ in grid_expansions(f, grid))
         assert points == grid.point_count()
+        prefixes = 1
+        for i, ms in enumerate(grid.sets):
+            prefixes *= len(ms.support)
+            assert calls.count(i) == prefixes
+
+
+def test_grid_expansions_build_taylor_columns_once_per_value(monkeypatch):
+    calls = _count_shifts(monkeypatch)
+    builds = []
+    inner = ideals._taylor_columns
+
+    def counting(spec, point, top, width):
+        builds.append(point)
+        return inner(spec, point, top, width)
+
+    monkeypatch.setattr(ideals, "_taylor_columns", counting)
+    rng = random.Random(67)
+    for _ in range(40):
+        spec = rng.choice([FieldSpec.prime(3), FieldSpec.prime(101), Q])
+        n = rng.randint(1, 4)
+        grid, f = _walk_instance(rng, spec, n)
+        calls.clear()
+        builds.clear()
+        assert sum(1 for _ in grid_expansions(f, grid)) == grid.point_count()
+        assert len(builds) == sum(1 for ms in grid.sets for s in ms.support if s.value)
+        assert 0 not in builds
         prefixes = 1
         for i, ms in enumerate(grid.sets):
             prefixes *= len(ms.support)

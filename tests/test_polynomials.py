@@ -376,6 +376,26 @@ def test_print_parse_round_trip_random():
     assert parse_poly(str(MultiPoly.zero(2, Q)), 2, Q) == MultiPoly.zero(2, Q)
 
 
+def test_unary_minus_binds_looser_than_power():
+    assert parse_poly("-x1^2", 1, Q) == MultiPoly(1, Q, {(2,): -1})
+    assert parse_poly("-2^2", 1, Q) == MultiPoly.constant(1, Q, -4)
+    assert parse_poly("-(x1 + 2)^2", 1, Q) == parse_poly("-x1^2 - 4*x1 - 4", 1, Q)
+    assert parse_poly("--x1^2", 1, F5) == parse_poly("x1^2", 1, F5)
+    assert parse_poly("x1 - -x1^3", 1, Q) == parse_poly("x1^3 + x1", 1, Q)
+    assert parse_poly("-x1^4*x2^2 + 3*x2", 2, F5).terms == {(4, 2): 4, (0, 1): 3}
+    with pytest.raises(PolyParseError, match="unexpected '\\^'"):
+        parse_poly("-x1^2^3", 1, Q)  # a factor takes one '^', with or without '-'
+    # printed polynomials led by -x^(even) read back as themselves
+    rng = random.Random(71)
+    for trial in range(60):
+        spec = Q if trial % 2 else rand_spec(rng)
+        n = rng.randint(1, 3)
+        f = -rand_poly(rng, spec, n, max_deg=6)
+        lead = (2 * rng.randint(1, 3),) + (0,) * (n - 1)
+        f = f - MultiPoly.monomial(n, spec, lead) * rng.randint(1, 3)
+        assert parse_poly(str(f), n, spec) == f, str(f)
+
+
 def test_divmod_univariate():
     f = parse_poly("x1^3*x2 + x1*x2 + x2^2", 2, Q)
     d = parse_poly("x1^2 - 1", 2, Q)
