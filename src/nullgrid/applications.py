@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -204,21 +206,27 @@ def extremal_cover(grid: MultisetGrid) -> List[Hyperplane]:
 # -- sumsets and Cauchy-Davenport -------------------------------------------------
 
 
+def _max_sum(a: dict, b: dict, add) -> dict:
+    """The multiset sum of two {element: mult} maps: support is every
+    add(x, y), and each sum carries the largest mult(x) + mult(y) - 1 over
+    its representations."""
+    best = {}
+    for x, mx in a.items():
+        for y, my in b.items():
+            s = add(x, y)
+            m = mx + my - 1
+            if best.get(s, 0) < m:
+                best[s] = m
+    return best
+
+
 def sumset(a: Multiset, b: Multiset) -> Multiset:
-    """Multiset sum over (F_p, +): support is all pairwise sums, and each sum
-    carries the largest mult(a) + mult(b) - 1 over its representations."""
+    """Multiset sum over (F_p, +)."""
     if a.spec != b.spec:
         raise FieldMismatchError("sumset operands over different fields")
     if not a.spec.is_prime_field:
         raise PreconditionError("field", "sumsets are taken in a prime field group")
-    best: Dict[FieldElement, int] = {}
-    for x, mx in a.entries.items():
-        for y, my in b.entries.items():
-            s = x + y
-            m = mx + my - 1
-            if best.get(s, 0) < m:
-                best[s] = m
-    return Multiset(a.spec, best.items())
+    return Multiset(a.spec, _max_sum(a.entries, b.entries, operator.add).items())
 
 
 def multiset_deg(ms: Multiset) -> int:
@@ -386,17 +394,15 @@ class VectorMultiset:
 
 
 def vector_sumset(a: VectorMultiset, b: VectorMultiset) -> VectorMultiset:
+    """Multiset sum over (F_p^dim, +), added componentwise mod p."""
     if (a.p, a.dim) != (b.p, b.dim):
         raise FieldMismatchError("vector multisets live in different spaces")
-    p, dim = a.p, a.dim
-    best: Dict[Tuple[int, ...], int] = {}
-    for x, mx in a.entries.items():
-        for y, my in b.entries.items():
-            s = tuple((u + v) % p for u, v in zip(x, y))
-            m = mx + my - 1
-            if best.get(s, 0) < m:
-                best[s] = m
-    return VectorMultiset(p, dim, best.items())
+    p = a.p
+
+    def add(x, y):
+        return tuple((u + v) % p for u, v in zip(x, y))
+
+    return VectorMultiset(p, a.dim, _max_sum(a.entries, b.entries, add).items())
 
 
 def eliahou_kervaire_check(a: VectorMultiset, b: VectorMultiset) -> BoundCheck:
@@ -416,20 +422,14 @@ def iter_multisets(spec: FieldSpec, max_size: int) -> Iterable[Multiset]:
     elements = [spec.element(v) for v in range(spec.p)]
     for size in range(1, max_size + 1):
         for combo in itertools.combinations_with_replacement(elements, size):
-            entries: Dict[FieldElement, int] = {}
-            for e in combo:
-                entries[e] = entries.get(e, 0) + 1
-            yield Multiset(spec, entries.items())
+            yield Multiset(spec, Counter(combo).items())
 
 
 def iter_vector_multisets(p: int, dim: int, max_size: int) -> Iterable[VectorMultiset]:
     vectors = list(itertools.product(range(p), repeat=dim))
     for size in range(1, max_size + 1):
         for combo in itertools.combinations_with_replacement(vectors, size):
-            entries: Dict[Tuple[int, ...], int] = {}
-            for v in combo:
-                entries[v] = entries.get(v, 0) + 1
-            yield VectorMultiset(p, dim, entries.items())
+            yield VectorMultiset(p, dim, Counter(combo).items())
 
 
 # -- JSON wire formats -----------------------------------------------------------------

@@ -19,6 +19,8 @@ which forces the degree of f to be at least the total size difference.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -69,24 +71,16 @@ def _check_witness_preconditions(f: MultiPoly, grid: MultisetGrid, t: Sequence[i
 
 
 def trim_grid(grid: MultisetGrid, t: Sequence[int]) -> MultisetGrid:
-    """Shrink each coordinate multiset to size t_i + 1 by lowering the
-    multiplicity of the canonically largest element first."""
+    """Shrink each coordinate multiset to its t_i + 1 canonically smallest
+    elements, counted with multiplicity.  A negative t_i keeps nothing, which
+    Multiset refuses."""
     sets = []
     for i, ms in enumerate(grid.sets):
-        excess = ms.size - (t[i] + 1)
-        if excess < 0:
+        keep = t[i] + 1
+        if ms.size < keep:
             raise PreconditionError("sizes", f"coordinate {i + 1} is already below t+1")
-        entries = dict(ms.entries)
-        for elem in reversed(ms.support):
-            if excess == 0:
-                break
-            take = min(excess, entries[elem])
-            if take == entries[elem]:
-                del entries[elem]
-            else:
-                entries[elem] -= take
-            excess -= take
-        sets.append(Multiset(ms.spec, entries.items()))
+        repeated = itertools.chain.from_iterable(map(itertools.repeat, ms.support, ms.entries.values()))
+        sets.append(Multiset(ms.spec, Counter(itertools.islice(repeated, max(keep, 0))).items()))
     return MultisetGrid(sets)
 
 

@@ -41,13 +41,7 @@ from .divdiff import (
     top_coefficient_identity_holds,
     weight_table,
 )
-from .errors import (
-    ArityMismatchError,
-    FieldMismatchError,
-    InvariantViolation,
-    PolyParseError,
-    PreconditionError,
-)
+from .errors import InvariantViolation, PreconditionError
 from .fields import FieldSpec
 from .ideals import (
     MultisetGrid,
@@ -104,14 +98,23 @@ def _load_json(text_or_path: str, inline: bool):
         raise _InputError(f"cannot read {text_or_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise _InputError("invalid JSON: nested too deeply") from exc
+
+
+def _json_arg(args, name: str, required: str):
+    """The JSON given by --NAME PATH or, failing that, --NAME-inline JSON."""
+    path, inline = getattr(args, name), getattr(args, name + "_inline")
+    if path:
+        return _load_json(path, inline=False)
+    if inline:
+        return _load_json(inline, inline=True)
+    flag = "--" + name.replace("_", "-")
+    raise _InputError(f"{required} ({flag} PATH or {flag}-inline JSON)")
 
 
 def _load_grid(args) -> MultisetGrid:
-    if getattr(args, "grid", None):
-        return grid_from_dict(_load_json(args.grid, inline=False))
-    if getattr(args, "grid_inline", None):
-        return grid_from_dict(_load_json(args.grid_inline, inline=True))
-    raise _InputError("a grid is required (--grid PATH or --grid-inline JSON)")
+    return grid_from_dict(_json_arg(args, "grid", "a grid is required"))
 
 
 def _load_poly(args, grid: MultisetGrid) -> MultiPoly:
@@ -179,12 +182,7 @@ def _cmd_witness(args):
 
 def _cmd_punctured(args):
     s_grid = _load_grid(args)
-    if args.sub_grid:
-        d_grid = grid_from_dict(_load_json(args.sub_grid, inline=False))
-    elif args.sub_grid_inline:
-        d_grid = grid_from_dict(_load_json(args.sub_grid_inline, inline=True))
-    else:
-        raise _InputError("a sub-grid is required (--sub-grid PATH or --sub-grid-inline JSON)")
+    d_grid = grid_from_dict(_json_arg(args, "sub_grid", "a sub-grid is required"))
     f = _load_poly(args, s_grid)
     res = punctured_decompose(f, s_grid, d_grid)
     deg_f = f.total_degree()
@@ -238,12 +236,7 @@ def _cmd_check_relation(args):
 
 def _cmd_cover_check(args):
     grid = _load_grid(args)
-    if args.hyperplanes:
-        rows = _load_json(args.hyperplanes, inline=False)
-    elif args.hyperplanes_inline:
-        rows = _load_json(args.hyperplanes_inline, inline=True)
-    else:
-        raise _InputError("hyperplanes are required (--hyperplanes PATH or --hyperplanes-inline JSON)")
+    rows = _json_arg(args, "hyperplanes", "hyperplanes are required")
     planes = hyperplanes_from_lists(grid.spec, rows)
     rep = verify_cover(planes, grid)
     lines = [
@@ -443,19 +436,13 @@ def main(argv=None) -> int:
         if args.command is None:
             raise _InputError("the following arguments are required: command")
         text, obj, code = globals()["_cmd_" + args.command.replace("-", "_")](args)
-    except PolyParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
+    except PreconditionError as exc:  # a ValueError, so caught before input errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"error: invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (ArityMismatchError, FieldMismatchError, ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:  # input errors, parse errors among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an unmapped failure is a bug, reported without a traceback

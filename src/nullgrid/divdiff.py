@@ -38,6 +38,11 @@ from .fields import FieldElement
 from .ideals import MultisetGrid, _check_poly_grid, grid_expansions, reduce_poly
 from .polynomials import MultiPoly
 
+# deepest recursion divided_difference_recursive will enter: one level per
+# dropped element, so at most the sum of (d_i - 1) over the coordinates with
+# two or more distinct elements
+_MAX_RECURSION_DEPTH = 256
+
 # a grid state is one row per coordinate, each row a tuple of
 # (canonical representative, multiplicity) pairs sorted by representative
 _State = Tuple[Tuple[Tuple[object, int], ...], ...]
@@ -87,9 +92,16 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid, rng=None) -> 
     legal, and single-point states reduce to one expansion coefficient.  Every
     point is expanded once, by one grid_expansions walk, in the box of its
     multiplicities in the grid, which holds every exponent its sub-states ask
-    for.
+    for.  A grid whose recursion would go deeper than _MAX_RECURSION_DEPTH
+    levels is refused before any work.
     """
     _check_poly_grid(f, grid)
+    depth = sum(ms.size - 1 for ms in grid.sets if len(ms.support) >= 2)
+    if depth > _MAX_RECURSION_DEPTH:
+        raise PreconditionError(
+            "budget",
+            f"the recursive bracket would recurse {depth} levels deep, above the limit {_MAX_RECURSION_DEPTH}",
+        )
     spec = f.spec
     shifts = {tuple(s.value for s in point): g for point, _, g in grid_expansions(f, grid)}
     memo: Dict[_State, object] = {}
@@ -123,7 +135,10 @@ class WeightTable:
     weights: Dict[Tuple[Tuple[FieldElement, ...], Tuple[int, ...]], FieldElement]
 
     def weight(self, point, exponent) -> FieldElement:
-        return self.weights[(tuple(point), tuple(exponent))]
+        """The weight of (point, exponent); point coordinates are coerced
+        into the grid's field, like top_weight_closed_form's."""
+        point = tuple(self.grid.spec.element(x) for x in point)
+        return self.weights[(point, tuple(exponent))]
 
     def sorted_items(self):
         return sorted(
@@ -208,12 +223,13 @@ def _weighted_sum(f: MultiPoly, grid: MultisetGrid, table: WeightTable):
     read only where f has one."""
     acc = 0
     first = None
+    weights = table.weights
     for point, _, shifted in grid_expansions(f, grid):
         if first is None and shifted.terms:
             u = min(shifted.terms)
             first = (point, u, shifted.coefficient(u))
         for u, c in shifted.terms.items():
-            acc += table.weight(point, u).value * c  # reduced once below
+            acc += weights[(point, u)].value * c  # reduced once below
     return f.spec._reduce(acc), first
 
 

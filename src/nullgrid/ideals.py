@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec
-from .polynomials import MultiPoly, TermOrder, _divmod_raw, _mul_raw, _shift_raw, _taylor_columns
+from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _divmod_raw, _mul_raw, _shift_raw, _taylor_columns
 
 
 class Multiset:
@@ -361,6 +361,8 @@ def multiset_to_list(ms: Multiset) -> list:
 
 
 def multiset_from_list(spec: FieldSpec, items: list) -> Multiset:
+    """Read a multiset from its JSON list.  Its size is the degree of its
+    generator, so it is capped like a parsed polynomial's degree."""
     if not isinstance(items, list):
         raise ValueError(f"multiset must be a list of {{'value': ..., 'mult': ...}} entries, got {items!r}")
     pairs = []
@@ -368,7 +370,10 @@ def multiset_from_list(spec: FieldSpec, items: list) -> Multiset:
         if not isinstance(item, dict) or "value" not in item or "mult" not in item:
             raise ValueError(f"multiset entry must be {{'value': ..., 'mult': ...}}, got {item!r}")
         pairs.append((str(item["value"]), item["mult"]))
-    return Multiset(spec, pairs)
+    ms = Multiset(spec, pairs)
+    if ms.size > _MAX_EXPONENT:
+        raise ValueError(f"multiset size {ms.size} exceeds the limit {_MAX_EXPONENT}")
+    return ms
 
 
 def grid_to_dict(grid: MultisetGrid) -> dict:

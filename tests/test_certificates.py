@@ -76,6 +76,13 @@ def test_trim_grid_drops_largest_first():
     trimmed2 = trim_grid(grid, (2,))
     assert trimmed2.sets[0] == Multiset.of(F5, {0: 1, 1: 2})
     assert trim_grid(grid, (3,)) == grid
+    # a multiplicity far too large to expand is cut to its first t + 1 copies
+    huge = MultisetGrid.of(F5, [{0: 10**12, 1: 1}, {2: 1, 3: 10**12}])
+    assert trim_grid(huge, (2, 1)) == MultisetGrid.of(F5, [{0: 3}, {2: 1, 3: 1}])
+    with pytest.raises(PreconditionError, match="coordinate 2 is already below t"):
+        trim_grid(huge, (0, 10**12 + 1))
+    with pytest.raises(ValueError, match="multiset must be nonempty"):
+        trim_grid(huge, (-1, 0))
 
 
 def test_witness_methods_agree_after_identical_trimming():

@@ -355,6 +355,20 @@ def test_usage_errors_are_one_error_line():
     assert err == "error: the following arguments are required: --poly\n"
 
 
+def test_missing_json_arguments_are_named():
+    sub_grid = "a sub-grid is required (--sub-grid PATH or --sub-grid-inline JSON)"
+    planes = "hyperplanes are required (--hyperplanes PATH or --hyperplanes-inline JSON)"
+    for argv, message in (
+        (["reduce", "--poly", "x1"], "a grid is required (--grid PATH or --grid-inline JSON)"),
+        (["alpha", "--grid-inline", ""], "a grid is required (--grid PATH or --grid-inline JSON)"),
+        (["punctured", "--poly", "x1", "--grid-inline", GRID_F5_01], sub_grid),
+        (["punctured", "--poly", "x1", "--grid-inline", GRID_F5_01, "--sub-grid", ""], sub_grid),
+        (["cover-check", "--grid-inline", GRID_F5_01], planes),
+        (["cover-check", "--grid-inline", GRID_F5_01, "--hyperplanes-inline", ""], planes),
+    ):
+        assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_option_before_the_subcommand_is_named():
     assert run_cli(["--bogus"]) == (2, "", "error: unrecognized arguments: --bogus\n")
     assert run_cli([]) == (2, "", "error: the following arguments are required: command\n")
@@ -391,6 +405,36 @@ def test_oversized_inputs_fail_fast():
         code, out, err = run_cli(sun + [k])
         assert (code, out) == (1, "") and err == f"error: exponent: k must be an integer from 1 to 10000, got {k}\n"
     assert run_cli(sun + ["10000"]) == (0, "lhs: 2\nrhs: 1\nholds: true\n", "")
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    deep = "[" * 100000
+    message = (2, "", "error: invalid JSON: nested too deeply\n")
+    assert run_cli(["sumset", "--field", "prime:7", "--a", deep, "--b", "[]"]) == message
+    assert run_cli(["ek-check", "--p", "3", "--dim", "2", "--a", deep, "--b", "[]"]) == message
+    assert run_cli(["cover-check", "--grid-inline", GRID_F5_01, "--hyperplanes-inline", deep]) == message
+    deep_file = tmp_path / "deep.json"
+    deep_file.write_text(deep)
+    assert run_cli(["reduce", "--poly", "x1", "--grid", str(deep_file)]) == message
+    sub = ["--sub-grid", str(deep_file)]
+    assert run_cli(["punctured", "--poly", "x1", "--grid-inline", GRID_F5_01] + sub) == message
+
+
+def test_oversized_multisets_are_input_errors():
+    big = '[{"value":"1","mult":10000},{"value":"2","mult":1}]'
+    message = (2, "", "error: multiset size 10001 exceeds the limit 10000\n")
+    grid = f'{{"field":{{"kind":"prime","p":7}},"sets":[{big}]}}'
+    assert run_cli(["reduce", "--poly", "x1", "--grid-inline", grid]) == message
+    assert run_cli(["sumset", "--field", "prime:7", "--a", big, "--b", '[{"value":"0","mult":1}]']) == message
+
+
+def test_recursive_bracket_refuses_a_grid_too_deep_to_recurse():
+    values = [{"value": str(v), "mult": 1} for v in range(1100)]
+    grid = json.dumps({"field": {"kind": "prime", "p": 10007}, "sets": [values]})
+    message = "error: budget: the recursive bracket would recurse 1099 levels deep, above the limit 256\n"
+    for method in ("rec", "both"):
+        assert run_cli(["divdiff", "--poly", "x1", "--method", method, "--grid-inline", grid]) == (1, "", message)
+    assert run_cli(["divdiff", "--poly", "x1", "--method", "def", "--grid-inline", grid]) == (0, "value: 0\nmethod: def\n", "")
 
 
 def test_console_entry_point():

@@ -100,6 +100,19 @@ def test_randomized_pivots_agree_with_canonical():
         assert divided_difference_recursive(f, grid, rng=pivot_rng) == canonical
 
 
+def test_recursive_bracket_refuses_grids_too_deep_to_recurse():
+    spec = FieldSpec.prime(10007)
+    f = parse_poly("x1^3 + x2", 2, spec)
+    # one level per dropped element: 256 in x1, none in x2 (one distinct value)
+    at_limit = MultisetGrid.of(spec, [{0: 1, 1: 256}, {3: 300}])
+    assert divided_difference_recursive(f, at_limit) == divided_difference(f, at_limit)
+    for sets in ([{0: 1, 1: 257}, {3: 1}], [{0: 1, 1: 128}, {2: 1, 3: 129}]):
+        with pytest.raises(PreconditionError) as err:
+            divided_difference_recursive(f, MultisetGrid.of(spec, sets))
+        assert err.value.condition == "budget"
+        assert str(err.value) == "budget: the recursive bracket would recurse 257 levels deep, above the limit 256"
+
+
 def test_weight_table_examples():
     t01 = weight_table(MultisetGrid.of(Q, [{0: 1, 1: 1}]))
     vals = {pt[0].value: w.value for (pt, u), w in t01.weights.items()}
@@ -151,6 +164,14 @@ def test_top_weights_match_closed_form_and_are_nonzero():
             assert w == top_weight_closed_form(grid, point)
     with pytest.raises(ValueError):
         top_weight_closed_form(grid, [2])
+
+
+def test_weight_accepts_plain_point_values():
+    grid = MultisetGrid.of(F5, [{0: 1, 1: 2}, {2: 1, 3: 1}])
+    table = weight_table(grid)
+    w = table.weight((1, 2), (1, 0))
+    assert w == table.weight((F5.element(1), F5.element(2)), (1, 0)) == top_weight_closed_form(grid, (1, 2))
+    assert table.weight(["1", 7], [0, 0]) == table.weight((1, 2), (0, 0))
 
 
 def test_every_weight_matches_residue_oracle():

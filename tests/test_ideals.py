@@ -429,6 +429,17 @@ def test_integral_closure_random():
         assert coefficients_stay_integral(f, grid)
 
 
+def test_multiset_size_is_capped_like_a_parsed_degree():
+    at_limit = [{"value": "1", "mult": 9999}, {"value": "2", "mult": 1}]
+    assert multiset_from_list(F5, at_limit).size == 10000
+    assert grid_from_dict({"field": {"kind": "prime", "p": 5}, "sets": [at_limit]}).sizes == (10000,)
+    over = [{"value": "1", "mult": 10000}, {"value": "2", "mult": 1}]
+    with pytest.raises(ValueError, match="^multiset size 10001 exceeds the limit 10000$"):
+        multiset_from_list(F5, over)
+    with pytest.raises(ValueError, match="^multiset size 10001 exceeds the limit 10000$"):
+        grid_from_dict({"field": {"kind": "prime", "p": 5}, "sets": [[{"value": "0", "mult": 1}], over]})
+
+
 def test_grid_json_round_trip():
     grid = MultisetGrid.of(F5, [{0: 1, 1: 2}, {3: 1}])
     assert grid_from_dict(grid_to_dict(grid)) == grid

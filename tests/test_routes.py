@@ -161,8 +161,31 @@ def test_recursive_bracket_stays_off_the_remainder_and_the_weights():
 
 
 def test_sumset_and_value_set_stay_apart():
-    _assert_apart(["applications.sumset"], ["applications.value_set"])
-    _assert_apart(["applications.value_set"], ["applications.sumset"])
+    assert "applications._max_sum" in _reach("applications.sumset")
+    assert "applications._max_sum" in _reach("applications.vector_sumset")
+    _assert_apart(["applications.sumset", "applications._max_sum"], ["applications.value_set"])
+    _assert_apart(["applications.value_set"], ["applications.sumset", "applications._max_sum"])
+
+
+def test_only_the_two_sumsets_reach_the_max_sum_rule():
+    callers = {qual for qual in GRAPH if "applications._max_sum" in GRAPH[qual]}
+    assert callers == {"applications.sumset", "applications.vector_sumset"}
+
+
+def test_oracles_import_only_the_allowed_library_names():
+    """Data types and random inputs only: an oracle that called a library
+    route would stop being an independent check of it."""
+    tree = ast.parse(ORACLES.read_text(), str(ORACLES))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nullgrid"):
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "nullgrid" for a in node.names), node.lineno
+    assert imported == {
+        "nullgrid": {"CoverReport", "MultiPoly", "Multiset", "MultisetGrid"},
+        "nullgrid.randgen": {"rand_grid", "rand_poly"},
+    }
 
 
 def test_oracles_use_no_private_library_name():
