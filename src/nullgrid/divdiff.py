@@ -161,7 +161,7 @@ def _coordinate_weights(spec, row) -> dict:
     p = spec.p
     weights = {}
     for s, m in row:
-        series = [1] + [0] * (m - 1)
+        series = None  # the product so far; the first factor is taken as it is
         for t, big_m in row:
             if t == s:
                 continue
@@ -172,10 +172,11 @@ def _coordinate_weights(spec, row) -> dict:
             for k in range(m):
                 factor.append(reduce(math.comb(big_m + k - 1, k) * neg_power * scale))
                 neg_power = reduce(neg_power * neg_c)
-            series = [
+            series = factor if series is None else [
                 reduce(sum(map(mul, series[: k + 1], reversed(factor[: k + 1]))))
                 for k in range(m)
             ]
+        series = series or [1] + [0] * (m - 1)
         for e in range(m):
             w = series[m - 1 - e]
             if w:

@@ -276,6 +276,8 @@ class MultiPoly:
         leading coefficient; returns (quotient, remainder) with the remainder's
         degree in that variable below the divisor's."""
         self._check_compatible(divisor)
+        if not 0 <= var < self.arity:
+            raise ArityMismatchError(f"variable index {var} out of range for arity {self.arity}")
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         for u in divisor.terms:
@@ -431,22 +433,28 @@ def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, 
     """Long division of raw terms by a polynomial in x_{var+1} alone, given as
     its raw coefficient list, lowest degree first, with a nonzero last entry.
 
-    Terms that share their exponents in the other variables form one dense
-    row in x_{var+1}, and each row is divided textbook-style from the top
-    down.  Entries accumulate unreduced and each is reduced once, when the
-    elimination reaches it or it is read into the remainder.  Returns raw
-    (quotient, remainder) term maps; every remainder term has degree in
-    x_{var+1} below the divisor's."""
+    A term of degree below d = deg(divisor) in x_{var+1} is already reduced
+    and passes into the remainder as it is.  High terms, of degree d or more,
+    that share their exponents in the other variables form one dense row,
+    divided textbook-style from the top down; entries accumulate unreduced
+    and each is reduced once, when the elimination reaches it.  Each row's
+    corrections below x_{var+1}^d are then folded into the remainder, one
+    reduced sum per touched term, and a term that cancels is dropped.
+    Returns raw (quotient, remainder) term maps; every remainder term has
+    degree in x_{var+1} below d."""
     d = len(divisor) - 1
     lead_inv = spec._inv(divisor[d])
     tail = [(e, b) for e, b in enumerate(divisor[:d]) if b]
     reduce = spec._reduce
-    # rows are keyed by the exponents before and after x_{var+1}
+    rem: Dict[ExponentVector, object] = {}
+    # rows of high terms are keyed by the exponents before and after x_{var+1}
     rows: Dict[Tuple[ExponentVector, ExponentVector], Dict[int, object]] = {}
     for u, c in terms.items():
-        rows.setdefault((u[:var], u[var + 1:]), {})[u[var]] = c
+        if u[var] < d:
+            rem[u] = c
+        else:
+            rows.setdefault((u[:var], u[var + 1:]), {})[u[var]] = c
     quot: Dict[ExponentVector, object] = {}
-    rem: Dict[ExponentVector, object] = {}
     for (head, rest), sparse in rows.items():
         row = [0] * (max(sparse) + 1)
         for e, c in sparse.items():
@@ -459,10 +467,14 @@ def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, 
             quot[head + (base,) + rest] = c
             for e, b in tail:
                 row[base + e] -= c * b
-        for e in range(min(d, len(row))):
-            v = reduce(row[e])
-            if v:
-                rem[head + (e,) + rest] = v
+        for e in range(d):
+            if row[e]:
+                u = head + (e,) + rest
+                v = reduce(rem.get(u, 0) + row[e])
+                if v:
+                    rem[u] = v
+                else:
+                    rem.pop(u, None)
     return quot, rem
 
 

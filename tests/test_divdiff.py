@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,19 @@ def test_weight_table_examples():
         (7, (1,)): 0,
         (7, (2,)): 1,
     }
+
+
+def test_weight_table_of_a_long_multiplicity():
+    """The partial fractions of 1/((x - 1)^9999 (x - 2)): every weight at 1 is
+    -1 and the weight at 2 is 1.  Starting each element's residue series
+    from its first factor keeps this to milliseconds; a first convolution
+    with 1 + 0*y + ... costs O(m^2), seconds at m = 9999."""
+    spec = FieldSpec.prime(10007)
+    start = time.process_time()
+    table = weight_table(MultisetGrid.of(spec, [{1: 9999, 2: 1}]))
+    assert time.process_time() - start < 1.0
+    weights = {(pt[0].value, u): w.value for (pt, u), w in table.weights.items()}
+    assert weights == {**{(1, (e,)): 10006 for e in range(9999)}, (2, (0,)): 1}
 
 
 def test_weight_table_domain_cardinality():

@@ -15,10 +15,11 @@ from nullgrid import (
 )
 from nullgrid import polynomials
 from nullgrid.randgen import rand_element, rand_poly, rand_spec
-from oracles import expansion_coefficient_oracle, poly_product_oracle
+from oracles import expansion_coefficient_oracle, poly_product_oracle, univariate_divmod_oracle
 
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
+F7 = FieldSpec.prime(7)
 Q = FieldSpec.rationals()
 
 
@@ -411,19 +412,70 @@ def test_divmod_univariate():
 
 def test_divmod_univariate_random_variable_and_leading_coefficient():
     rng = random.Random(41)
-    for spec in (FieldSpec.prime(7), Q):
+    for spec in (F7, FieldSpec.prime(10007), Q):
         for _ in range(30):
-            f = rand_poly(rng, spec, 3, max_deg=6, max_terms=10)
-            var = rng.randrange(3)
+            n = rng.choice((2, 3))
+            f = rand_poly(rng, spec, n, max_deg=6, max_terms=10)
+            var = rng.randrange(n)
             coeffs = {}
             deg = rng.randint(0, 3)
             for e in range(deg):
-                coeffs[tuple(e if i == var else 0 for i in range(3))] = rand_element(rng, spec)
+                coeffs[tuple(e if i == var else 0 for i in range(n))] = rand_element(rng, spec)
             lead = rand_element(rng, spec)
             while lead.is_zero():
                 lead = rand_element(rng, spec)
-            coeffs[tuple(deg if i == var else 0 for i in range(3))] = lead
-            d = MultiPoly(3, spec, coeffs)
+            coeffs[tuple(deg if i == var else 0 for i in range(n))] = lead
+            d = MultiPoly(n, spec, coeffs)
             q, r = f.divmod_univariate(d, var)
             assert q * d + r == f
             assert r.is_zero() or r.degree_in(var) < deg
+            assert all(q.terms.values()) and all(r.terms.values())
+
+
+def test_divmod_univariate_checks_the_variable_index():
+    f = parse_poly("x1*x2 + 3", 2, F7)
+    for var, divisor in ((-1, MultiPoly.constant(2, F7, 2)), (5, MultiPoly.constant(2, F7, 2)),
+                         (2, parse_poly("x1", 2, F7))):
+        with pytest.raises(ArityMismatchError, match=f"variable index {var} out of range for arity 2"):
+            f.divmod_univariate(divisor, var)
+
+
+@pytest.mark.parametrize("spec", [F7, FieldSpec.prime(10007), Q], ids=str)
+def test_divmod_kernel_matches_row_oracle(spec):
+    """Every row of the kernel's output is the textbook division of that row
+    of f; dense f mixes terms below and above the divisor's degree, so low
+    terms meet the corrections of the high ones."""
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.choice((2, 3))
+        var = rng.randrange(n)
+        f = rand_poly(rng, spec, n, max_deg=7, max_terms=30)
+        deg = rng.randint(0, 4)
+        monic = [rand_element(rng, spec) for _ in range(deg)] + [spec.one]
+        quot, rem = polynomials._divmod_raw(spec, f.terms, var, [c.value for c in monic])
+        rows = {}
+        for u, c in f.terms.items():
+            rows.setdefault((u[:var], u[var + 1:]), {})[u[var]] = c
+        want_q, want_r = {}, {}
+        for (head, rest), sparse in rows.items():
+            row = [spec.element(sparse.get(e, 0)) for e in range(max(sparse) + 1)]
+            for want, part in zip((want_q, want_r), univariate_divmod_oracle(row, monic, spec)):
+                want.update({head + (e,) + rest: c.value for e, c in enumerate(part) if not c.is_zero()})
+        assert quot == want_q and rem == want_r
+        assert all(quot.values()) and all(rem.values())
+
+
+def test_divmod_kernel_drops_low_terms_that_cancel():
+    f = parse_poly("(x1^2 - 1)*x2", 2, F7)
+    quot, rem = polynomials._divmod_raw(F7, f.terms, 0, [F7.element(-1).value, 0, 1])
+    assert rem == {} and quot == {(0, 1): 1}
+    q, r = f.divmod_univariate(parse_poly("x1^2 - 1", 2, F7), 0)
+    assert r.terms == {} and q == parse_poly("x2", 2, F7)
+
+
+def test_divmod_kernel_by_a_constant_leaves_no_remainder():
+    for spec in (F7, Q):
+        f = parse_poly("3*x1^2*x2 + x1 + 5", 2, spec)
+        quot, rem = polynomials._divmod_raw(spec, f.terms, 1, [2])
+        assert rem == {}
+        assert MultiPoly(2, spec, quot) * MultiPoly.constant(2, spec, 2) == f
