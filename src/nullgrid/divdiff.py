@@ -2,41 +2,45 @@
 
 The bracket of a polynomial against a grid is the coefficient of the largest
 standard monomial in its reduced form.  It can be computed two independent
-ways: definitionally (reduce, then read the coefficient) or by a recursion
-that splits one coordinate multiset at two distinct elements and divides by
-their difference, bottoming out in expansion coefficients at single points.
+ways: definitionally, or by a recursion that splits one coordinate multiset
+at two distinct elements and divides by their difference, bottoming out in
+expansion coefficients at single points.  The grid ideal is a tensor product
+of univariate ideals, so the remainder of x^u is the product of the
+remainders of x_i^(u_i) modulo g_i: the definitional bracket sums f's
+coefficients against one-coordinate top coefficients, read off each g_i by a
+linear recurrence, and never divides.
 
 A weight table holds field constants, depending only on the grid, that
 express the bracket as a linear combination of pointwise expansion
-coefficients.  The grid ideal is a tensor product of univariate ideals, so
-the bracket is a tensor product of one-coordinate brackets and every weight
-is a product of one-coordinate weights: the confluent divided-difference
-coefficients of each coordinate multiset.  They are read off in residue
-form, the partial-fraction expansion of 1 / g_i at each element s, as the
-low coefficients of a product of truncated power series in x - s; the
-recursion is not used, so the weight table and the recursive bracket stay
-independent routes.  The weights attached to the maximal exponents are the
-closed form prod (s - s')^(-m(s')), never zero, which is what powers the
+coefficients.  Every weight is a product of one-coordinate weights, the
+confluent divided-difference coefficients of each coordinate multiset, and
+the table is their outer product.  They are read off in residue form, the
+partial-fraction expansion of 1 / g_i at each element s: the inverse of the
+head prod (s - s')^m(s'), times one closed-form binomial series in x - s per
+other element s', truncated.  Neither the recursion nor the generator is
+used, so the three routes stay independent.  The weights at the maximal
+exponents are the inverted heads, never zero, which is what powers the
 witness search.
 
-Both the recursion's single-point expansions and the weighted sum read
-expansion coefficients from ideals.grid_expansions, so points that share a
-prefix share its shifts.  The weighted sum is one loop, shared with the
-divided-difference witness search, which takes the walk's first witness.
+The top-coefficient identity checks the bracket against the weighted sum of
+expansion coefficients.  Without a given table it contracts that sum one
+coordinate at a time; a given table is summed entry by entry in one
+ideals.grid_expansions walk, the loop shared with the divided-difference
+witness search, which takes the walk's first witness.  The recursion's
+single-point expansions come from such a walk too, so points that share a
+prefix share its shifts.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Dict, Optional, Tuple
 
 from .errors import PreconditionError
 from .fields import FieldElement
-from .ideals import MultisetGrid, _check_poly_grid, grid_expansions, reduce_poly
-from .polynomials import MultiPoly
+from .ideals import MultisetGrid, _check_poly_grid, grid_expansions
+from .polynomials import MultiPoly, _shift_raw, _taylor_columns
 
 # deepest recursion divided_difference_recursive will enter: one level per
 # dropped element, so at most the sum of (d_i - 1) over the coordinates with
@@ -75,11 +79,41 @@ def _pick_pivot(state: _State, rng=None):
     return i, a, b
 
 
+def _bracket_row(ms, top: int) -> list:
+    """h[e] for e <= top: the coefficient of x^(d - 1) in x^e mod g, for the
+    generator g of the multiset, of degree d.  It is 0 below d - 1 and 1 at
+    d - 1; above, x^d = -sum_j g_j x^j mod g gives the recurrence
+    h[e] = -sum_{j < d} g_j * h[e - d + j], one reduced sum per entry."""
+    gen = ms._generator_raw()
+    d = len(gen) - 1
+    low = gen[:d]
+    reduce = ms.spec._reduce
+    h = [0] * (d - 1) + [1]
+    for e in range(d, top + 1):
+        h.append(reduce(-sum(map(mul, low, h[e - d:e]))))
+    return h
+
+
 def divided_difference(f: MultiPoly, grid: MultisetGrid) -> FieldElement:
     """Definitional bracket: the coefficient of the largest standard monomial
-    in the remainder of f modulo the grid generators."""
+    in the remainder of f modulo the grid generators.
+
+    The generators are univariate, so the remainder of x^u is the product
+    over i of x_i^(u_i) mod g_i, and the coefficient of x^t in it is the
+    product of the one-coordinate coefficients _bracket_row reads off g_i.
+    The bracket is then the sum over the terms c x^u of f of c times that
+    product, reduced once: O(sum_i deg_i f * d_i + |f| * n) work, and no
+    division."""
     _check_poly_grid(f, grid)
-    return reduce_poly(f, grid).remainder.coefficient(grid.top_exponent)
+    rows = [_bracket_row(ms, top) for ms, top in zip(grid.sets, map(max, zip(*f.terms)))]
+    acc = 0
+    for u, c in f.terms.items():
+        for row, e in zip(rows, u):
+            c *= row[e]
+            if not c:
+                break
+        acc += c  # reduced once below
+    return FieldElement(f.spec._reduce(acc), f.spec)
 
 
 def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid, rng=None) -> FieldElement:
@@ -149,56 +183,65 @@ class WeightTable:
 
 def _coordinate_weights(spec, row) -> dict:
     """Weights of the one-coordinate grid with the given row, as raw
-    {(element, exponent): weight}, in residue form.  For each (s, m) in the
-    row, with y = x - s, the truncated power series of the product over the
-    other entries (t, M) of (y + s - t)^(-M) is multiplied out below y^m;
-    with c = (s - t)^(-1), one factor is the sum over k of
-    C(M + k - 1, k) * (-c)^k * c^M * y^k.  The weight of (s, e) is the
-    coefficient of y^(m - 1 - e).  C(M + k - 1, k) is an integer reduced like
-    any other coefficient, so no factorial is inverted and the weights are
-    right over F_p for every multiplicity.  Missing keys have weight zero."""
-    reduce = spec._reduce
-    p = spec.p
+    {element: [w_0, ..., w_(m-1)]}, zeros included, in residue form.  For
+    each (s, m) in the row, with y = x - s, w_e is the coefficient of
+    y^(m - 1 - e) in the product over the other entries (t, M) of
+    (y + s - t)^(-M), truncated below y^m.  That product is the inverse of
+    the head prod (s - t)^M, one inversion per element, times one
+    closed-form factor per other element: the sum over k of
+    C(M + k - 1, k) * (-c)^k * y^k with c = (s - t)^(-1).  C(M + k - 1, k) is carried from k - 1 to k as an
+    exact integer and reduced like any other coefficient, so no factorial is
+    inverted and the weights are right over F_p for every multiplicity.  An
+    element of multiplicity 1 needs only the head."""
+    reduce, inv, p = spec._reduce, spec._inv, spec.p
     weights = {}
     for s, m in row:
+        others = [(reduce(s - t), big_m) for t, big_m in row if t != s]
+        head = 1
+        for diff, big_m in others:
+            head = reduce(head * (pow(diff, big_m, p) if p else diff**big_m))
+        scale = inv(head)
+        if m == 1:
+            weights[s] = [scale]
+            continue
         series = None  # the product so far; the first factor is taken as it is
-        for t, big_m in row:
-            if t == s:
-                continue
-            c = spec._inv(s - t)
-            neg_c = reduce(-c)
-            scale = pow(c, big_m, p) if p else c**big_m
-            factor, neg_power = [], 1
+        for diff, big_m in others:
+            neg_c = reduce(-inv(diff))
+            factor, binom, power = [], 1, 1  # C(M + k - 1, k) and (-c)^k
             for k in range(m):
-                factor.append(reduce(math.comb(big_m + k - 1, k) * neg_power * scale))
-                neg_power = reduce(neg_power * neg_c)
+                factor.append(reduce(binom * power))
+                binom = binom * (big_m + k) // (k + 1)
+                power = reduce(power * neg_c)
             series = factor if series is None else [
                 reduce(sum(map(mul, series[: k + 1], reversed(factor[: k + 1]))))
                 for k in range(m)
             ]
         series = series or [1] + [0] * (m - 1)
-        for e in range(m):
-            w = series[m - 1 - e]
-            if w:
-                weights[(s, e)] = w
+        weights[s] = [reduce(scale * w) for w in reversed(series)]
     return weights
 
 
 def weight_table(grid: MultisetGrid) -> WeightTable:
     """The bracket is the tensor product of one-coordinate brackets, so the
     weight of (s, u) is the product over coordinates i of the weight of
-    (s_i, u_i) in the table of the one-coordinate grid S_i, multiplied out
-    and reduced once per entry."""
+    (s_i, u_i) in the table of the one-coordinate grid S_i.  The table is
+    built as an outer product, one coordinate at a time: each point prefix
+    keeps its box of (exponent prefix, raw weight) pairs, and extending it by
+    an element s of S_i multiplies each weight by s's own and reduces once.
+    The entries come out in grid.points() order, each point's box in
+    lexicographic order, and each is wrapped in a FieldElement at the end."""
     spec = grid.spec
     reduce = spec._reduce
-    tables = [_coordinate_weights(spec, row) for row in _state_of(grid)]
-    weights = {}
-    for point, mv in zip(grid.points(), grid.multiplicity_vectors()):
-        for u in itertools.product(*(range(m) for m in mv)):
-            w = 1
-            for table, s, e in zip(tables, point, u):
-                w *= table.get((s.value, e), 0)
-            weights[(point, u)] = FieldElement(reduce(w), spec)
+    groups = [((), [((), 1)])]  # (point prefix, [(exponent prefix, raw weight)])
+    for ms, row in zip(grid.sets, _state_of(grid)):
+        table = _coordinate_weights(spec, row)
+        own = [(elem, table[elem.value]) for elem in ms.support]
+        groups = [
+            (prefix + (elem,), [(u + (e,), reduce(w * we)) for u, w in box for e, we in enumerate(ws)])
+            for prefix, box in groups
+            for elem, ws in own
+        ]
+    weights = {(point, u): FieldElement(w, spec) for point, box in groups for u, w in box}
     return WeightTable(grid, weights)
 
 
@@ -234,12 +277,43 @@ def _weighted_sum(f: MultiPoly, grid: MultisetGrid, table: WeightTable):
     return f.spec._reduce(acc), first
 
 
+def _contracted_sum(f: MultiPoly, grid: MultisetGrid):
+    """The raw weighted sum of f's expansion coefficients over the grid,
+    contracted one coordinate at a time instead of read from a weight table:
+    every weight is a product of one-coordinate weights, so for each s in
+    S_i the terms are shifted at s in x_i inside its box, each is multiplied
+    by the weight of (s, u_i), u_i is set to 0, and the results are summed.
+    That takes sum_i |supp S_i| shifts instead of a walk over prod_i
+    |supp S_i| points, and the constant term left at the end is the sum."""
+    spec = f.spec
+    reduce = spec._reduce
+    terms = f.terms
+    for i, row in enumerate(_state_of(grid)):
+        if not terms:
+            break
+        weights = _coordinate_weights(spec, row)
+        top = max(u[i] for u in terms)
+        acc = {}
+        for s, m in row:
+            cols = _taylor_columns(spec, s, top, min(m, top + 1)) if s else None
+            w = weights[s]
+            for u, c in _shift_raw(spec, terms, i, m, cols).items():
+                if w[u[i]]:
+                    v = u[:i] + (0,) + u[i + 1:]
+                    acc[v] = acc.get(v, 0) + w[u[i]] * c  # reduced once below
+        terms = {u: r for u, c in acc.items() if (r := reduce(c))}
+    return terms.get((0,) * grid.arity, 0)
+
+
 def top_coefficient_identity_holds(
     f: MultiPoly, grid: MultisetGrid, table: Optional[WeightTable] = None
 ) -> bool:
     """For deg f at most the sum of (d_i - 1), the coefficient of the largest
     standard monomial must equal the weighted sum of f's expansion
-    coefficients over the grid.  Exposed so tests can falsify broken tables."""
+    coefficients over the grid.  Without a table the sum is contracted one
+    coordinate at a time (_contracted_sum); an explicit table, which need not
+    factor over the coordinates, is summed entry by entry (_weighted_sum).
+    Exposed so tests can falsify broken tables."""
     _check_poly_grid(f, grid)
     t = grid.top_exponent
     deg = f.total_degree()
@@ -248,5 +322,5 @@ def top_coefficient_identity_holds(
             "degree", f"deg f = {deg} exceeds the admissible total {sum(t)}"
         )
     if table is None:
-        table = weight_table(grid)
+        return f.terms.get(t, 0) == _contracted_sum(f, grid)
     return f.terms.get(t, 0) == _weighted_sum(f, grid, table)[0]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -14,17 +15,19 @@ from nullgrid import (
     divided_difference,
     divided_difference_recursive,
     parse_poly,
+    reduce_poly,
     top_coefficient_identity_holds,
     top_weight_closed_form,
     weight_table,
 )
-from nullgrid.divdiff import WeightTable
+from nullgrid.divdiff import WeightTable, _contracted_sum, _weighted_sum
 from nullgrid.randgen import rand_grid, rand_poly, rand_spec
 from oracles import (
     confluent_vandermonde,
     dual_basis_poly,
     expansion_coefficient_oracle,
     gauss_jordan_inverse,
+    hermite_remainder_oracle,
     newton_table_oracle,
     residue_weight_oracle,
     two_point_weight_oracle,
@@ -32,6 +35,8 @@ from oracles import (
 
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
+F7 = FieldSpec.prime(7)
+F10007 = FieldSpec.prime(10007)
 Q = FieldSpec.rationals()
 
 
@@ -77,6 +82,43 @@ def test_singleton_multiplicity_is_expansion_coefficient():
     expected = expansion_coefficient_oracle(f, [Q.element(3)], (3,))
     assert divided_difference(f, grid) == expected
     assert divided_difference_recursive(f, grid) == expected
+
+
+@pytest.mark.parametrize("spec", [F2, F7, F10007, Q], ids=str)
+def test_bracket_matches_remainder_and_hermite_oracle(spec):
+    """The bracket reads one-coordinate top coefficients off the generators
+    without dividing; the remainder's top coefficient and the top
+    coefficient of the division-free Hermite interpolant are the
+    references.  Multiplicities reach past p over F_2 and F_7, degrees run
+    to several times d_i, and the zero polynomial and one-element
+    coordinates are among the cases."""
+    rng = random.Random(47 + (spec.p or 0))
+    pool = list(range(spec.p)) if spec.p else [Fraction(k, 2) for k in range(-6, 7)]
+    max_mult = spec.p + 1 if spec.p and spec.p < 10 else 3
+    seen = set()
+    for trial in range(14):
+        n = rng.randint(1, 2)
+        sets = []
+        for _ in range(n):
+            support = rng.sample(pool, 1 if trial == 1 else rng.randint(1, min(3, len(pool))))
+            sets.append(Multiset(spec, [(s, rng.randint(1, max_mult)) for s in support]))
+        grid = MultisetGrid(sets)
+        if trial == 0:
+            f = MultiPoly.zero(n, spec)
+        else:
+            f = rand_poly(rng, spec, n, max_deg=4 * max(grid.sizes))
+            if any(f.degree_in(i) >= 2 * d for i, d in enumerate(grid.sizes)):
+                seen.add("deg far above d")
+        if any(len(ms.support) == 1 for ms in sets):
+            seen.add("one-element coordinate")
+        if spec.p and any(m >= spec.p for ms in sets for m in ms.entries.values()):
+            seen.add("multiplicity past p")
+        top = grid.top_exponent
+        expected = reduce_poly(f, grid).remainder.coefficient(top)
+        assert divided_difference(f, grid) == expected, (grid, f)
+        assert hermite_remainder_oracle(f, grid).coefficient(top) == expected, (grid, f)
+    wanted = {"deg far above d", "one-element coordinate"}
+    assert seen >= (wanted | {"multiplicity past p"} if spec.p in (2, 7) else wanted)
 
 
 def test_definitional_equals_recursive_random():
@@ -144,11 +186,33 @@ def test_weight_table_of_a_long_multiplicity():
     assert weights == {**{(1, (e,)): 10006 for e in range(9999)}, (2, (0,)): 1}
 
 
+def test_weight_table_of_two_long_multiplicities():
+    """The partial fractions of 1/((x - 1)^5000 (x - 2)^5000): the weight of
+    (1, e) is C(4999 + k, k) and that of (2, e) is (-1)^k C(4999 + k, k),
+    with k = 4999 - e.  Each element's weights are one closed-form binomial
+    series carried as a running integer, so this takes milliseconds; a
+    math.comb per coefficient took over ten seconds."""
+    spec = F10007
+    grid = MultisetGrid.of(spec, [{1: 5000, 2: 5000}])
+    start = time.process_time()
+    table = weight_table(grid)
+    assert time.process_time() - start < 1.0
+    assert len(table.weights) == 10000
+    for point in grid.points():
+        assert table.weight(point, (4999,)) == top_weight_closed_form(grid, point)
+    for e in (0, 1, 2500, 4998):
+        k = 4999 - e
+        binom = math.comb(4999 + k, k)
+        assert table.weight((1,), (e,)) == spec.element(binom)
+        assert table.weight((2,), (e,)) == spec.element((-1) ** k * binom)
+
+
 def test_weight_table_domain_cardinality():
     rng = random.Random(17)
-    for _ in range(20):
-        spec = rand_spec(rng)
-        grid = rand_grid(rng, spec, rng.randint(1, 2), max_size=4)
+    grids = [rand_grid(rng, rand_spec(rng), rng.randint(1, 2), max_size=4) for _ in range(20)]
+    grids.append(MultisetGrid.of(F5, [{0: 1, 1: 2}, {2: 2, 3: 1, 4: 1}]))
+    grids.append(MultisetGrid.of(Q, [{0: 2, 1: 1}, {5: 1, 6: 1}, {2: 1, 3: 2}]))
+    for grid in grids:
         table = weight_table(grid)
         expected = 1
         for d in grid.sizes:
@@ -157,6 +221,12 @@ def test_weight_table_domain_cardinality():
         for (point, u) in table.weights:
             mv = grid.multiplicity_vector(point)
             assert all(e < m for e, m in zip(u, mv))
+        # entries come in grid.points() order, each point's box in lexicographic order
+        assert list(table.weights) == [
+            (point, u)
+            for point, mv in zip(grid.points(), grid.multiplicity_vectors())
+            for u in itertools.product(*(range(m) for m in mv))
+        ]
 
 
 def test_top_weights_match_closed_form_and_are_nonzero():
@@ -265,6 +335,25 @@ def test_identity_random():
         budget = sum(grid.top_exponent)
         f = rand_poly(rng, spec, n, max_deg=budget) if budget else MultiPoly.constant(n, spec, 1)
         assert top_coefficient_identity_holds(f, grid)
+
+
+def test_contraction_matches_the_table_sum():
+    """The identity without a table contracts the weighted sum one
+    coordinate at a time; the entry-by-entry sum over the materialized table
+    is the reference.  Both equal the bracket for every f, so degrees run
+    past the identity's admissible total too."""
+    rng = random.Random(53)
+    for trial in range(40):
+        spec = Q if trial % 4 == 0 else rand_spec(rng, primes=(2, 3, 7, 101, 10007))
+        n = rng.randint(1, 3)
+        grid = rand_grid(rng, spec, n, max_size=5)
+        if trial == 1:
+            f = MultiPoly.zero(n, spec)
+        else:
+            f = rand_poly(rng, spec, n, max_deg=rng.randint(0, 2 * sum(grid.sizes)))
+        expected = _weighted_sum(f, grid, weight_table(grid))[0]
+        assert _contracted_sum(f, grid) == expected, (grid, f)
+        assert spec.element(expected) == divided_difference(f, grid)
 
 
 def test_single_entry_perturbation_is_detected():

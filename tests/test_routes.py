@@ -2,8 +2,9 @@
 
 The library's correctness rests on pairs of routes that agree without
 sharing code: remainder vs pointwise membership, the definitional vs the
-recursive bracket, the exhaustive vs the weight-table witness search, and
-the library vs tests/oracles.py.  These tests build a static call graph of
+recursive bracket, the exhaustive vs the weight-table witness search, the
+contracted vs the table-entry weighted sum, and the library vs
+tests/oracles.py.  These tests build a static call graph of
 src/nullgrid with ast and check that no route reaches the other.
 
 A call is resolved by name alone, which over-approximates what can run: a
@@ -135,7 +136,9 @@ def test_graph_sees_the_calls_it_should():
     assert "ideals.Multiset._generator_raw" in _reach("ideals.reduce_poly")
     assert "divdiff._coordinate_weights" in _reach("divdiff.weight_table")
     assert "ideals.grid_expansions" in _reach("divdiff.divided_difference_recursive")
-    assert "ideals.reduce_poly" in _reach("divdiff.divided_difference")
+    assert "ideals.Multiset._generator_raw" in _reach("divdiff.divided_difference")
+    assert "polynomials._shift_raw" in _reach("divdiff._contracted_sum")
+    assert "divdiff._coordinate_weights" in _reach("divdiff._contracted_sum")
     assert "polynomials.MultiPoly.__mul__" in _reach("polynomials._Parser.term")
 
 
@@ -144,6 +147,37 @@ def test_weight_table_stays_off_the_recursion_and_the_remainder():
         ["divdiff._coordinate_weights", "divdiff.weight_table"],
         ["divdiff.divided_difference_recursive", "ideals.reduce_poly"],
     )
+
+
+def test_definitional_bracket_stays_off_the_expansions_and_the_weights():
+    _assert_apart(
+        ["divdiff.divided_difference"],
+        [
+            "ideals.grid_expansions",
+            "polynomials._shift_raw",
+            "divdiff.weight_table",
+            "divdiff._coordinate_weights",
+            "divdiff.divided_difference_recursive",
+        ],
+    )
+
+
+def test_contraction_stays_off_the_remainder_the_recursion_and_the_table():
+    _assert_apart(
+        ["divdiff._contracted_sum"],
+        [
+            "ideals.reduce_poly",
+            "ideals.Multiset._generator_raw",
+            "polynomials._divmod_raw",
+            "divdiff.divided_difference_recursive",
+            "divdiff.weight_table",
+        ],
+    )
+
+
+def test_contraction_and_table_sum_stay_apart():
+    _assert_apart(["divdiff._contracted_sum"], ["divdiff._weighted_sum"])
+    _assert_apart(["divdiff._weighted_sum"], ["divdiff._contracted_sum"])
 
 
 def test_expansions_and_reduction_stay_apart():
