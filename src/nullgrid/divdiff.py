@@ -4,11 +4,13 @@ The bracket of a polynomial against a grid is the coefficient of the largest
 standard monomial in its reduced form.  It can be computed two independent
 ways: definitionally, or by a recursion that splits one coordinate multiset
 at two distinct elements and divides by their difference, bottoming out in
-expansion coefficients at single points.  The grid ideal is a tensor product
-of univariate ideals, so the remainder of x^u is the product of the
-remainders of x_i^(u_i) modulo g_i: the definitional bracket sums f's
-coefficients against one-coordinate top coefficients, read off each g_i by a
-linear recurrence, and never divides.
+expansion coefficients at single points.  Written out in order with
+repetition, a coordinate's sub-multisets that the recursion visits are index
+intervals, and on one coordinate it is the Newton divided-difference table.
+The grid ideal is a tensor product of univariate ideals, so the remainder of
+x^u is the product of the remainders of x_i^(u_i) modulo g_i: the
+definitional bracket sums f's coefficients against one-coordinate top
+coefficients, read off each g_i by a linear recurrence, and never divides.
 
 A weight table holds field constants, depending only on the grid, that
 express the bracket as a linear combination of pointwise expansion
@@ -47,38 +49,6 @@ from .polynomials import MultiPoly, _shift_raw, _taylor_columns
 # two or more distinct elements
 _MAX_RECURSION_DEPTH = 256
 
-# a grid state is one row per coordinate, each row a tuple of
-# (canonical representative, multiplicity) pairs sorted by representative
-_State = Tuple[Tuple[Tuple[object, int], ...], ...]
-
-
-def _state_of(grid: MultisetGrid) -> _State:
-    return tuple(
-        tuple((e.value, m) for e, m in ms.entries.items()) for ms in grid.sets
-    )
-
-
-def _drop_one(row, value):
-    out = []
-    for v, m in row:
-        if v == value:
-            if m > 1:
-                out.append((v, m - 1))
-        else:
-            out.append((v, m))
-    return tuple(out)
-
-
-def _pick_pivot(state: _State, rng=None):
-    eligible = [i for i, row in enumerate(state) if len(row) >= 2]
-    if rng is None:
-        i = eligible[0]
-        return i, state[i][0][0], state[i][1][0]
-    i = rng.choice(eligible)
-    a, b = rng.sample([v for v, _ in state[i]], 2)
-    return i, a, b
-
-
 def _bracket_row(ms, top: int) -> list:
     """h[e] for e <= top: the coefficient of x^(d - 1) in x^e mod g, for the
     generator g of the multiset, of degree d.  It is 0 below d - 1 and 1 at
@@ -116,16 +86,21 @@ def divided_difference(f: MultiPoly, grid: MultisetGrid) -> FieldElement:
     return FieldElement(f.spec._reduce(acc), f.spec)
 
 
-def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid, rng=None) -> FieldElement:
+def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid) -> FieldElement:
     """Recursive bracket; agrees with divided_difference on every input.
 
-    The canonical pivot (first coordinate with two distinct elements, its two
-    smallest elements) makes traces reproducible; pass an rng to randomize the
-    pivots instead, which must not change the value.  Sub-brackets are
-    memoized, the two pivot elements are distinct so the division is always
-    legal, and single-point states reduce to one expansion coefficient.  Every
-    point is expanded once, by one grid_expansions walk, in the box of its
-    multiplicities in the grid, which holds every exponent its sub-states ask
+    Coordinate i is written out as seq_i, its elements in entry order, each
+    repeated by its multiplicity, and a sub-grid is one index interval
+    [lo, hi] of seq_i per coordinate, kept as one flat tuple of ints.  The
+    first coordinate whose interval holds two distinct elements a = seq_i[lo]
+    and b = seq_i[hi] is split by the two-point recursion: the bracket is the
+    bracket without a minus the bracket without b, divided by b - a, which is
+    never zero.  On one coordinate that is the Newton divided-difference
+    table.  When every interval is constant the sub-grid is one point with
+    multiplicities hi - lo + 1, and its bracket is the expansion coefficient
+    at exponents hi - lo.  Sub-brackets are memoized, and every point is
+    expanded once, by one grid_expansions walk, in the box of its
+    multiplicities in the grid, which holds every exponent its sub-grids ask
     for.  A grid whose recursion would go deeper than _MAX_RECURSION_DEPTH
     levels is refused before any work.
     """
@@ -137,26 +112,28 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid, rng=None) -> 
             f"the recursive bracket would recurse {depth} levels deep, above the limit {_MAX_RECURSION_DEPTH}",
         )
     spec = f.spec
-    shifts = {tuple(s.value for s in point): g for point, _, g in grid_expansions(f, grid)}
-    memo: Dict[_State, object] = {}
+    shifts = {tuple(s.value for s in point): g.terms for point, _, g in grid_expansions(f, grid)}
+    seqs = [[e.value for e, m in ms.entries.items() for _ in range(m)] for ms in grid.sets]
+    memo: Dict[Tuple[int, ...], object] = {}
 
-    def go(state: _State):
+    def go(state):
         cached = memo.get(state)
         if cached is not None:
             return cached
-        if all(len(row) == 1 for row in state):
-            point = tuple(row[0][0] for row in state)
-            u = tuple(row[0][1] - 1 for row in state)
-            val = shifts[point].terms.get(u, 0)
+        for k, seq in zip(range(0, len(state), 2), seqs):
+            lo, hi = state[k], state[k + 1]
+            if seq[lo] != seq[hi]:
+                head, tail = state[:k], state[k + 2:]
+                diff = go(head + (lo + 1, hi) + tail) - go(head + (lo, hi - 1) + tail)
+                val = spec._reduce(diff * spec._inv(seq[hi] - seq[lo]))
+                break
         else:
-            i, a, b = _pick_pivot(state, rng)
-            left = state[:i] + (_drop_one(state[i], a),) + state[i + 1:]
-            right = state[:i] + (_drop_one(state[i], b),) + state[i + 1:]
-            val = spec._reduce((go(left) - go(right)) * spec._inv(b - a))
+            point = tuple(seq[lo] for seq, lo in zip(seqs, state[::2]))
+            val = shifts[point].get(tuple(hi - lo for lo, hi in zip(state[::2], state[1::2])), 0)
         memo[state] = val
         return val
 
-    return FieldElement(go(_state_of(grid)), spec)
+    return FieldElement(go(tuple(k for seq in seqs for k in (0, len(seq) - 1))), spec)
 
 
 @dataclass
@@ -181,10 +158,10 @@ class WeightTable:
         )
 
 
-def _coordinate_weights(spec, row) -> dict:
-    """Weights of the one-coordinate grid with the given row, as raw
-    {element: [w_0, ..., w_(m-1)]}, zeros included, in residue form.  For
-    each (s, m) in the row, with y = x - s, w_e is the coefficient of
+def _coordinate_weights(ms) -> dict:
+    """Weights of the one-coordinate grid of the multiset, as raw
+    {element: [w_0, ..., w_(m-1)]} in entry order, zeros included, in residue
+    form.  For each entry (s, m), with y = x - s, w_e is the coefficient of
     y^(m - 1 - e) in the product over the other entries (t, M) of
     (y + s - t)^(-M), truncated below y^m.  That product is the inverse of
     the head prod (s - t)^M, one inversion per element, times one
@@ -193,7 +170,8 @@ def _coordinate_weights(spec, row) -> dict:
     exact integer and reduced like any other coefficient, so no factorial is
     inverted and the weights are right over F_p for every multiplicity.  An
     element of multiplicity 1 needs only the head."""
-    reduce, inv, p = spec._reduce, spec._inv, spec.p
+    reduce, inv, p = ms.spec._reduce, ms.spec._inv, ms.spec.p
+    row = [(e.value, m) for e, m in ms.entries.items()]
     weights = {}
     for s, m in row:
         others = [(reduce(s - t), big_m) for t, big_m in row if t != s]
@@ -233,8 +211,8 @@ def weight_table(grid: MultisetGrid) -> WeightTable:
     spec = grid.spec
     reduce = spec._reduce
     groups = [((), [((), 1)])]  # (point prefix, [(exponent prefix, raw weight)])
-    for ms, row in zip(grid.sets, _state_of(grid)):
-        table = _coordinate_weights(spec, row)
+    for ms in grid.sets:
+        table = _coordinate_weights(ms)
         own = [(elem, table[elem.value]) for elem in ms.support]
         groups = [
             (prefix + (elem,), [(u + (e,), reduce(w * we)) for u, w in box for e, we in enumerate(ws)])
@@ -288,15 +266,14 @@ def _contracted_sum(f: MultiPoly, grid: MultisetGrid):
     spec = f.spec
     reduce = spec._reduce
     terms = f.terms
-    for i, row in enumerate(_state_of(grid)):
+    for i, ms in enumerate(grid.sets):
         if not terms:
             break
-        weights = _coordinate_weights(spec, row)
         top = max(u[i] for u in terms)
         acc = {}
-        for s, m in row:
+        for s, w in _coordinate_weights(ms).items():
+            m = len(w)
             cols = _taylor_columns(spec, s, top, min(m, top + 1)) if s else None
-            w = weights[s]
             for u, c in _shift_raw(spec, terms, i, m, cols).items():
                 if w[u[i]]:
                     v = u[:i] + (0,) + u[i + 1:]

@@ -3,11 +3,12 @@
 Each function computes an expected value by a route different from the
 implementation it checks: textbook long division on coefficient lists, the
 classical Newton table, the residue form of the weights, the two-point
-recursion for the weights expanded symbolically, big-integer
-binomials, term-by-term binomial expansion, Hermite interpolation through
-confluent Vandermonde systems, products of linear factors on coefficient
-lists, schoolbook products in field arithmetic, plane-by-plane evaluation,
-and direct enumeration.  No product or generator here goes through
+recursion for the weights expanded symbolically, the two-point recursion
+for the bracket with random pivots, big-integer binomials, term-by-term
+binomial expansion, Hermite interpolation through confluent Vandermonde
+systems, products of linear factors on coefficient lists, schoolbook
+products in field arithmetic, plane-by-plane evaluation, and direct
+enumeration.  No product or generator here goes through
 MultiPoly's * or ** or through Multiset's generator.
 """
 
@@ -245,6 +246,11 @@ def residue_weight_oracle(grid, point, u):
     return weight
 
 
+def _drop_one(row, value):
+    """A row of (element, multiplicity) pairs with one copy of value taken out."""
+    return tuple((s, m - (s == value)) for s, m in row if s != value or m > 1)
+
+
 def two_point_weight_oracle(grid, point, u):
     """Weight-table entry from the two-point recursion expanded symbolically.
     Per coordinate, the bracket of a multiset is (bracket without a -
@@ -256,9 +262,6 @@ def two_point_weight_oracle(grid, point, u):
     product over the coordinates.  Uses field operations only."""
     spec = grid.spec
 
-    def drop(row, value):
-        return tuple((s, m - (s == value)) for s, m in row if s != value or m > 1)
-
     def weights(row, memo):
         if row not in memo:
             if len(row) == 1:
@@ -267,8 +270,8 @@ def two_point_weight_oracle(grid, point, u):
             else:
                 a, b = row[0][0], row[1][0]
                 inv = (b - a).inv()
-                res = {k: w * inv for k, w in weights(drop(row, a), memo).items()}
-                for k, w in weights(drop(row, b), memo).items():
+                res = {k: w * inv for k, w in weights(_drop_one(row, a), memo).items()}
+                for k, w in weights(_drop_one(row, b), memo).items():
                     res[k] = res.get(k, spec.zero) - w * inv
                 memo[row] = res
         return memo[row]
@@ -278,6 +281,33 @@ def two_point_weight_oracle(grid, point, u):
         table = weights(tuple(ms.entries.items()), {})
         weight = weight * table.get((spec.element(s), e), spec.zero)
     return weight
+
+
+def two_point_bracket_oracle(f, grid, rng):
+    """The bracket by the two-point recursion with random pivots: for a
+    random coordinate holding two distinct elements and a random pair a, b
+    of them, the bracket is (bracket without a - bracket without b) / (b - a),
+    down to single points, whose bracket is the expansion coefficient one
+    below the multiplicities, read term by term with
+    expansion_coefficient_oracle.  Sub-grids are memoized as tuples of rows
+    of (element, multiplicity) pairs.  Uses field operations only."""
+    memo = {}
+
+    def go(state):
+        if state not in memo:
+            eligible = [i for i, row in enumerate(state) if len(row) >= 2]
+            if eligible:
+                i = rng.choice(eligible)
+                a, b = rng.sample([s for s, _ in state[i]], 2)
+                left = state[:i] + (_drop_one(state[i], a),) + state[i + 1:]
+                right = state[:i] + (_drop_one(state[i], b),) + state[i + 1:]
+                memo[state] = (go(left) - go(right)) * (b - a).inv()
+            else:
+                point = [row[0][0] for row in state]
+                memo[state] = expansion_coefficient_oracle(f, point, [row[0][1] - 1 for row in state])
+        return memo[state]
+
+    return go(tuple(tuple(ms.entries.items()) for ms in grid.sets))
 
 
 def generator_oracle(ms, var, arity):

@@ -30,6 +30,7 @@ from oracles import (
     hermite_remainder_oracle,
     newton_table_oracle,
     residue_weight_oracle,
+    two_point_bracket_oracle,
     two_point_weight_oracle,
 )
 
@@ -140,7 +141,7 @@ def test_randomized_pivots_agree_with_canonical():
         f = rand_poly(rng, spec, n, max_deg=5)
         canonical = divided_difference_recursive(f, grid)
         pivot_rng = random.Random(1000 + trial)
-        assert divided_difference_recursive(f, grid, rng=pivot_rng) == canonical
+        assert two_point_bracket_oracle(f, grid, pivot_rng) == canonical
 
 
 def test_recursive_bracket_refuses_grids_too_deep_to_recurse():
@@ -154,6 +155,16 @@ def test_recursive_bracket_refuses_grids_too_deep_to_recurse():
             divided_difference_recursive(f, MultisetGrid.of(spec, sets))
         assert err.value.condition == "budget"
         assert str(err.value) == "budget: the recursive bracket would recurse 257 levels deep, above the limit 256"
+    # the deepest one-coordinate grid allowed: 257 distinct values, 256 levels,
+    # and about 33 000 index-interval states of constant work each; states
+    # that copy and hash whole rows cost about d^3, seconds here
+    f = parse_poly("x1^256 + x1^3", 1, spec)
+    deepest = MultisetGrid.of(spec, [{v: 1 for v in range(257)}])
+    start = time.process_time()
+    bracket = divided_difference_recursive(f, deepest)
+    assert time.process_time() - start < 0.75
+    assert bracket.value == 1
+    assert bracket == divided_difference(f, deepest)
 
 
 def test_weight_table_examples():

@@ -190,7 +190,17 @@ def test_expansions_and_reduction_stay_apart():
 def test_recursive_bracket_stays_off_the_remainder_and_the_weights():
     _assert_apart(
         ["divdiff.divided_difference_recursive"],
-        ["ideals.reduce_poly", "divdiff.weight_table", "divdiff._coordinate_weights"],
+        [
+            "ideals.reduce_poly",
+            "ideals.Multiset._generator_raw",
+            "polynomials._divmod_raw",
+            "divdiff.divided_difference",
+            "divdiff._bracket_row",
+            "divdiff.weight_table",
+            "divdiff._coordinate_weights",
+            "divdiff._contracted_sum",
+            "divdiff._weighted_sum",
+        ],
     )
 
 
