@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec
 from .ideals import Multiset, MultisetGrid, _check_poly_grid
-from .polynomials import _MAX_EXPONENT, MultiPoly
+from .polynomials import _MAX_EXPONENT, MultiPoly, _degrees
 
 
 @dataclass(frozen=True)
@@ -257,13 +257,12 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
     reduce = spec._reduce
     n = grid.arity
     supports = [ms.support for ms in grid.sets]
-    max_exp = [max((u[i] for u in f.terms), default=0) for i in range(n)]
     pow_tables = []
-    for i in range(n):
+    for support, top in zip(supports, _degrees(f.terms, n)):
         rows = []
-        for e in supports[i]:
+        for e in support:
             row = [1]
-            for _ in range(max_exp[i]):
+            for _ in range(top):
                 row.append(reduce(row[-1] * e.value))
             rows.append(row)
         pow_tables.append(rows)
@@ -303,11 +302,11 @@ def sun_value_set_check(
     gdeg = g.total_degree()
     if gdeg is not None and gdeg >= k:
         raise PreconditionError("perturbation-degree", f"deg g = {gdeg} must be below k = {k}")
-    f = g
+    _check_poly_grid(g, grid)
+    terms = dict(g.terms)  # deg g < k, so no term of g sits at an x_i^k
     for i, c in enumerate(a):
-        exps = tuple(k if j == i else 0 for j in range(n))
-        f = f + MultiPoly.monomial(n, spec, exps, c)
-    lhs = value_set(f, grid).size
+        terms[(0,) * i + (k,) + (0,) * (n - i - 1)] = c.value
+    lhs = value_set(MultiPoly._from_raw(n, spec, terms), grid).size
     total = sum((d - 1) // k for d in grid.sizes) + 1
     char = spec.characteristic
     rhs = min(char, total) if char else total

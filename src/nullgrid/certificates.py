@@ -74,6 +74,9 @@ def trim_grid(grid: MultisetGrid, t: Sequence[int]) -> MultisetGrid:
     """Shrink each coordinate multiset to its t_i + 1 canonically smallest
     elements, counted with multiplicity.  A negative t_i keeps nothing, which
     Multiset refuses."""
+    t = tuple(t)
+    if len(t) != grid.arity:
+        raise PreconditionError("target", f"bad target exponent {t} for arity {grid.arity}")
     sets = []
     for i, ms in enumerate(grid.sets):
         keep = t[i] + 1

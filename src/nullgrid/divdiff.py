@@ -42,7 +42,7 @@ from typing import Dict, Optional, Tuple
 from .errors import PreconditionError
 from .fields import FieldElement
 from .ideals import MultisetGrid, _check_poly_grid, grid_expansions
-from .polynomials import MultiPoly, _shift_raw, _taylor_columns
+from .polynomials import MultiPoly, _degrees, _shift_raw, _taylor_columns
 
 # deepest recursion divided_difference_recursive will enter: one level per
 # dropped element, so at most the sum of (d_i - 1) over the coordinates with
@@ -75,7 +75,7 @@ def divided_difference(f: MultiPoly, grid: MultisetGrid) -> FieldElement:
     product, reduced once: O(sum_i deg_i f * d_i + |f| * n) work, and no
     division."""
     _check_poly_grid(f, grid)
-    rows = [_bracket_row(ms, top) for ms, top in zip(grid.sets, map(max, zip(*f.terms)))]
+    rows = [_bracket_row(ms, top) for ms, top in zip(grid.sets, _degrees(f.terms, grid.arity))]
     acc = 0
     for u, c in f.terms.items():
         for row, e in zip(rows, u):

@@ -47,6 +47,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 _FRACTION_ONE = Fraction(1)
+_FIELDS = {}  # p (None for the rationals) -> the one FieldSpec of that field
 
 
 class FieldSpec:
@@ -54,12 +55,15 @@ class FieldSpec:
 
     kind is "prime" (with modulus p) or "rational"; the characteristic is p,
     or 0 for the rationals (0 doubles as "unbounded" where a characteristic
-    cap is consumed, e.g. in value-set bounds).
+    cap is consumed, e.g. in value-set bounds).  There is one object per
+    field: the constructor validates its arguments and then returns the
+    interned instance, and copies and unpickling go back through it, so two
+    specs describe the same field exactly when they are the same object.
     """
 
     __slots__ = ("kind", "p")
 
-    def __init__(self, kind: str, p: int = None):
+    def __new__(cls, kind: str, p: int = None):
         if kind == "prime":
             if not isinstance(p, int) or isinstance(p, bool) or not is_probable_prime(p):
                 raise ValueError(f"modulus must be a prime integer, got {p!r}")
@@ -68,8 +72,15 @@ class FieldSpec:
                 raise ValueError("the rational field takes no modulus")
         else:
             raise ValueError(f"unknown field kind {kind!r}")
-        self.kind = kind
-        self.p = p
+        spec = _FIELDS.get(p)
+        if spec is None:
+            spec = object.__new__(cls)
+            spec.kind, spec.p = kind, p
+            spec = _FIELDS.setdefault(p, spec)  # of two racing threads, the first insert wins
+        return spec
+
+    def __reduce__(self):
+        return (FieldSpec, (self.kind, self.p))
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
@@ -87,14 +98,6 @@ class FieldSpec:
     def is_prime_field(self) -> bool:
         return self.p is not None
 
-    def __eq__(self, other):
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return self.kind == other.kind and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
-
     def __repr__(self):
         return f"FieldSpec.prime({self.p})" if self.p else "FieldSpec.rationals()"
 
@@ -107,7 +110,7 @@ class FieldSpec:
         """Coerce an int, Fraction, decimal string ("a/b" over the rationals),
         or FieldElement into canonical form in this field."""
         if isinstance(value, FieldElement):
-            if value.spec != self:
+            if value.spec is not self:
                 raise FieldMismatchError(f"element of {value.spec} used in {self}")
             return value
         if isinstance(value, bool):
@@ -177,7 +180,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.spec is self.spec or other.spec == self.spec:
+            if other.spec is self.spec:
                 return other
             raise FieldMismatchError(f"mixed fields {self.spec} and {other.spec}")
         if isinstance(other, int) and not isinstance(other, bool):
@@ -242,13 +245,13 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.value == other.value
+            return self.spec is other.spec and self.value == other.value
         if isinstance(other, int) and not isinstance(other, bool):
             return self.value == self.spec._reduce(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.spec))
+        return hash(self.value)  # equal elements share a field, so equal values
 
     def sort_key(self):
         """Canonical total order on one field's elements (by representative)."""

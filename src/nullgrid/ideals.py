@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec
-from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _divmod_raw, _mul_raw, _shift_raw, _taylor_columns
+from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _degrees, _divmod_raw, _mul_raw, _shift_raw, _taylor_columns
 
 
 class Multiset:
@@ -259,7 +259,6 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     the arity is not bounded by the interpreter's recursion limit."""
     _check_poly_grid(f, grid)
     spec, n = f.spec, grid.arity
-    tops = list(map(max, zip(*f.terms))) if f.terms else [0] * n
     # one cell (elem, m, Taylor columns of elem, or None for zero) per
     # support value, so every prefix that shifts at a value reads one table
     cells_per_set = [
@@ -267,7 +266,7 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
             (elem, m, _taylor_columns(spec, elem.value, top, min(m, top + 1)) if elem.value else None)
             for elem, m in ms.entries.items()
         )
-        for ms, top in zip(grid.sets, tops)
+        for ms, top in zip(grid.sets, _degrees(f.terms, n))
     ]
     # shifted[i] is f shifted in x_1..x_i at the current point's prefix
     shifted = [f.terms] + [None] * n

@@ -228,16 +228,11 @@ class MultiPoly:
         reduce = spec._reduce
         s = self._point_raw(point)
         # per-variable power tables; exponents at desk scale are small
-        maxes = [0] * self.arity
-        for u in self.terms:
-            for i, e in enumerate(u):
-                if e > maxes[i]:
-                    maxes[i] = e
         powers = []
-        for i in range(self.arity):
+        for x, top in zip(s, _degrees(self.terms, self.arity)):
             row = [1]
-            for _ in range(maxes[i]):
-                row.append(reduce(row[-1] * s[i]))
+            for _ in range(top):
+                row.append(reduce(row[-1] * x))
             powers.append(row)
         acc = 0
         for u, t in self.terms.items():
@@ -611,7 +606,7 @@ class _Parser:
             if kind == "op" and val == "*":
                 _, _, pos = self.next()
                 rhs = self.factor()
-                _check_degrees(map(add, _degrees(poly), _degrees(rhs)), pos)
+                _check_degrees(map(add, _degrees(poly.terms, self.arity), _degrees(rhs.terms, self.arity)), pos)
                 poly = poly * rhs
             else:
                 return poly
@@ -634,7 +629,7 @@ class _Parser:
             e = int(val)
             if e > _MAX_EXPONENT:
                 raise PolyParseError(f"exponent {e} exceeds the limit {_MAX_EXPONENT}", pos)
-            _check_degrees((d * e for d in _degrees(poly)), pos)
+            _check_degrees((d * e for d in _degrees(poly.terms, self.arity)), pos)
             poly = poly**e
         return poly
 
@@ -669,11 +664,11 @@ class _Parser:
         raise PolyParseError(f"unexpected {val or 'end of input'!r}", pos)
 
 
-def _degrees(poly: MultiPoly):
-    """The degree in each variable, by one C-level pass over the exponents
-    (degree_in per variable costs the small parses of the CLI several
-    percent); all zeros for the zero polynomial, whose products are zero."""
-    return map(max, zip(*poly.terms)) if poly.terms else itertools.repeat(0, poly.arity)
+def _degrees(terms, arity: int) -> list:
+    """The degree in each variable of a term map, by one C-level pass over
+    the exponents (degree_in per variable costs the small parses of the CLI
+    several percent); all zeros for the zero polynomial."""
+    return list(map(max, zip(*terms))) if terms else [0] * arity
 
 
 def _check_degrees(degrees, pos: int):

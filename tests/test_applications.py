@@ -5,6 +5,8 @@ import random
 import pytest
 
 from nullgrid import (
+    ArityMismatchError,
+    FieldMismatchError,
     FieldSpec,
     Hyperplane,
     MultiPoly,
@@ -283,6 +285,11 @@ def test_sun_preconditions():
     for k in (0, 10_001, 10**9):
         with pytest.raises(PreconditionError, match="exponent"):
             sun_value_set_check(["1"], k, MultiPoly.zero(1, F5), grid)
+    # g must live on the grid: its arity and its field are checked before f is built
+    with pytest.raises(ArityMismatchError):
+        sun_value_set_check(["1"], 2, parse_poly("x2", 2, F5), grid)
+    with pytest.raises(FieldMismatchError):
+        sun_value_set_check(["1"], 2, parse_poly("x1", 1, F7), grid)
 
 
 def test_sun_over_rationals_has_no_cap():

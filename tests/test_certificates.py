@@ -83,6 +83,10 @@ def test_trim_grid_drops_largest_first():
         trim_grid(huge, (0, 10**12 + 1))
     with pytest.raises(ValueError, match="multiset must be nonempty"):
         trim_grid(huge, (-1, 0))
+    # a target of the wrong length is refused, neither cut short nor read past
+    for t in ((1,), (1, 1, 5)):
+        with pytest.raises(PreconditionError, match="bad target exponent"):
+            trim_grid(huge, t)
 
 
 def test_witness_methods_agree_after_identical_trimming():

@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +22,8 @@ from nullgrid import (
     value_set,
     weight_table,
 )
+from nullgrid import fields
+from nullgrid.fields import field_from_dict
 from nullgrid.randgen import rand_element, rand_grid, rand_poly, rand_witness_instance
 
 
@@ -47,7 +53,7 @@ def spec_and_elements(draw, count=3):
     return spec, elems
 
 
-def test_spec_construction():
+def test_spec_construction(monkeypatch):
     assert FieldSpec.prime(2).characteristic == 2
     assert FieldSpec.prime(101).characteristic == 101
     assert FieldSpec.rationals().characteristic == 0
@@ -59,6 +65,62 @@ def test_spec_construction():
         FieldSpec("prime", None)
     with pytest.raises(ValueError):
         FieldSpec("weird")
+
+    # one object per field, however it is built
+    f7, q = FieldSpec.prime(7), FieldSpec.rationals()
+    assert FieldSpec("prime", 7) is f7 is field_from_dict({"kind": "prime", "p": 7})
+    assert FieldSpec("rational") is q is field_from_dict({"kind": "rational"})
+    assert f7 is not FieldSpec.prime(5)
+    # every bad modulus is refused on every call: validation precedes the
+    # lookup, so 7.0 and True never reach the entries for 7 and 1
+    for bad in (4, 1, 7.0, True, "7", None, 0, -7):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                FieldSpec("prime", bad)
+    with pytest.raises(ValueError):
+        FieldSpec("rational", 7)
+    for spec in (f7, q):
+        assert copy.copy(spec) is spec
+        assert copy.deepcopy(spec) is spec
+        assert pickle.loads(pickle.dumps(spec)) is spec
+    # values built over a field keep that very field through copies
+    for spec in (f7, q):
+        elem = spec.element(3)
+        poly = parse_poly("3*x1^2 + x2 + 1", 2, spec)
+        ms = Multiset.of(spec, {1: 2, 3: 1})
+        for obj in (elem, poly, ms):
+            for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert clone == obj and clone.spec is spec
+    # equality stays per field, and equal elements hash equal
+    assert f7.element(3) != FieldSpec.prime(5).element(3)
+    assert f7.element(10) == f7.element(3) and hash(f7.element(10)) == hash(f7.element(3))
+    assert hash(q.element(Fraction(4, 2))) == hash(q.element(2))
+    # threads that build one fresh field at once all get a single object; a
+    # lookup that yields before returning lets every thread miss the table,
+    # so a check-then-store in place of setdefault would hand out several
+    class YieldingTable(dict):
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            time.sleep(0.001)
+            return value
+
+    monkeypatch.setattr(fields, "_FIELDS", YieldingTable(fields._FIELDS))
+    fresh = 2**89 - 1  # a Mersenne prime no other test builds
+    barrier = threading.Barrier(8)
+    built = []
+
+    def build():
+        barrier.wait(timeout=10)
+        built.append(FieldSpec.prime(fresh))
+
+    threads = [threading.Thread(target=build) for _ in range(8)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=10)
+    assert not any(th.is_alive() for th in threads)
+    assert len(built) == 8 and all(spec is built[0] for spec in built)
+    assert FieldSpec("prime", fresh) is built[0]
 
 
 def test_primality_check():
