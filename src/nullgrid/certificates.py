@@ -14,12 +14,17 @@ its shifts, and return the smallest exponent of its first nonempty box.
 The punctured decomposition handles polynomials vanishing everywhere on a
 grid except at points of a tight sub-grid: the reduced form is then exactly
 divisible by the product of the generator quotients, with a nonzero cofactor,
-which forces the degree of f to be at least the total size difference.
+which forces the degree of f to be at least the total size difference.  The
+grid ideal is a tensor product of univariate ideals, so that divisibility is
+also the whole hypothesis: dividing the reduced form decides whether f
+vanishes off the sub-grid, and the pointwise test is left only to name a
+failing point and to confirm one punctured point.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -32,6 +37,7 @@ from .ideals import (
     MultisetGrid,
     _check_poly_grid,
     grid_expansions,
+    grid_to_dict,
     in_local_ideal,
     reduce_poly,
 )
@@ -174,28 +180,43 @@ def _check_tight_subgrid(s_grid: MultisetGrid, d_grid: MultisetGrid):
                 )
 
 
+def _reproduction(f: MultiPoly, s_grid: MultisetGrid, d_grid: MultisetGrid) -> str:
+    return (
+        f"f = {f}, S = {json.dumps(grid_to_dict(s_grid))}, "
+        f"D = {json.dumps(grid_to_dict(d_grid))}"
+    )
+
+
 def punctured_decompose(
     f: MultiPoly, s_grid: MultisetGrid, d_grid: MultisetGrid
 ) -> PuncturedResult:
     """Decompose a polynomial that vanishes with full multiplicity at every
-    grid point except at one or more points of the tight sub-grid."""
+    grid point except at one or more points of the tight sub-grid.
+
+    Write g_i for the generator of S_i, l_i for that of D_i, q_i = g_i / l_i,
+    A_i = F[x_i]/(g_i) and A for the tensor product of the A_i, the
+    quotient of F[x_1, ..., x_n] by the grid ideal.  By the Chinese remainder
+    theorem A_i is the direct sum of the F[x_i]/(x_i - s)^m(s) over s in S_i,
+    and q_i * A_i is the sum of the components at s in D_i.  Tensoring, f
+    vanishes with full multiplicity at every point outside D exactly when
+    its remainder r lies in the tensor product of the q_i * A_i, which is
+    prod(q_i) * A.  Such an r is prod(q_i) * h modulo the grid ideal for an
+    h with deg_i h < deg l_i, and then deg_i(q_i * h) < d_i, so
+    r = prod(q_i) * h holds as polynomials.  Hence the divisions of r by q_1
+    in x_1, then by q_2 in x_2, and so on, all leave zero remainders exactly
+    when the hypothesis holds.  A nonzero remainder is a precondition
+    failure; only then is S walked by grid_expansions, in points() order,
+    to name the first point outside D where f does not vanish.  r = 0 means f
+    vanishes everywhere.  Otherwise the cofactor h is nonzero, and walking
+    D until its first punctured point cross-checks the division against
+    the pointwise test.
+    """
     _check_poly_grid(f, s_grid)
     _check_tight_subgrid(s_grid, d_grid)
-
-    punctured = []
-    for point, mv in zip(s_grid.points(), s_grid.multiplicity_vectors()):
-        if not in_local_ideal(f, point, mv):
-            if not d_grid.contains_point(point):
-                raise PreconditionError(
-                    "vanishing",
-                    f"f does not vanish fully at {tuple(str(x) for x in point)}, "
-                    "which lies outside the sub-grid",
-                )
-            punctured.append(point)
-    if not punctured:
+    r = reduce_poly(f, s_grid).remainder
+    if r.is_zero():
         raise PreconditionError("punctured", "f vanishes on the whole grid; no punctured point")
 
-    r = reduce_poly(f, s_grid).remainder
     spec = f.spec
     n = s_grid.arity
     h = r
@@ -207,10 +228,22 @@ def punctured_decompose(
         quotient_poly = Multiset(spec, outside).generator_poly(i, n)
         h, rem = h.divmod_univariate(quotient_poly, i)
         if not rem.is_zero():
+            for point, _, shifted in grid_expansions(f, s_grid):
+                if shifted.terms and not d_grid.contains_point(point):
+                    raise PreconditionError(
+                        "vanishing",
+                        f"f does not vanish fully at {tuple(str(x) for x in point)}, "
+                        "which lies outside the sub-grid",
+                    )
             raise InvariantViolation(
-                f"reduced form is not divisible by the coordinate-{i + 1} generator quotient"
+                f"reduced form is not divisible by the coordinate-{i + 1} generator quotient, "
+                f"yet f vanishes at every point outside the sub-grid; {_reproduction(f, s_grid, d_grid)}"
             )
-    if h.is_zero():
-        raise InvariantViolation("punctured decomposition produced a zero cofactor")
+    # D is tight, so its multiplicity vectors are those of S at its points
+    if all(in_local_ideal(f, point, mv) for point, mv in zip(d_grid.points(), d_grid.multiplicity_vectors())):
+        raise InvariantViolation(
+            "reduced form is a nonzero multiple of the generator quotients, "
+            f"yet f vanishes at every point of the sub-grid; {_reproduction(f, s_grid, d_grid)}"
+        )
     bound = sum(s_grid.sizes) - sum(d_grid.sizes)
     return PuncturedResult(remainder=r, quotient=h, degree_bound=bound)

@@ -133,7 +133,10 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid) -> FieldEleme
         memo[state] = val
         return val
 
-    return FieldElement(go(tuple(k for seq in seqs for k in (0, len(seq) - 1))), spec)
+    try:
+        return FieldElement(go(tuple(k for seq in seqs for k in (0, len(seq) - 1))), spec)
+    finally:
+        del go  # go holds itself through its closure cell; free the memo now
 
 
 @dataclass

@@ -169,7 +169,8 @@ class FieldElement:
     value is an int in [0, p) over a prime field.  Over the rationals it is
     an int when the value is integral and a reduced Fraction otherwise.
     Arithmetic with a mismatched FieldSpec raises; plain ints are coerced
-    for convenience.
+    for convenience.  An int equals an element only when it is the
+    element's canonical value, so equal objects hash equal.
     """
 
     __slots__ = ("value", "spec")
@@ -247,7 +248,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return self.spec is other.spec and self.value == other.value
         if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == self.spec._reduce(other)
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
@@ -257,17 +258,21 @@ class FieldElement:
         """Canonical total order on one field's elements (by representative)."""
         return self.value
 
-    def __lt__(self, other):
+    def _compared_value(self, other):
+        """The raw value that other is ordered by: an int is taken as it is,
+        unreduced, as __eq__ takes it, so that order agrees with equality."""
+        if isinstance(other, int) and not isinstance(other, bool):
+            return other
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.value < other.value
+        return other if other is NotImplemented else other.value
+
+    def __lt__(self, other):
+        v = self._compared_value(other)
+        return NotImplemented if v is NotImplemented else self.value < v
 
     def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.value <= other.value
+        v = self._compared_value(other)
+        return NotImplemented if v is NotImplemented else self.value <= v
 
     def __str__(self):
         return str(self.value)

@@ -1,4 +1,7 @@
+import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,14 +14,22 @@ from nullgrid import (
     PreconditionError,
     cofactor_obstruction_check,
     find_witness,
+    grid_to_dict,
     in_local_ideal,
     parse_poly,
     punctured_decompose,
     trim_grid,
 )
 from nullgrid import certificates
-from nullgrid.randgen import rand_spec, rand_witness_instance
-from oracles import brute_first_witness, build_punctured_instance
+from nullgrid.randgen import rand_poly, rand_spec, rand_witness_instance
+from oracles import (
+    brute_first_witness,
+    build_punctured_instance,
+    expansion_coefficient_oracle,
+    hermite_remainder_oracle,
+    ideal_member_oracle,
+    poly_product_oracle,
+)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -188,3 +199,109 @@ def test_punctured_random_instances():
         assert not res.quotient.is_zero()
         assert res.quotient * quotient == res.remainder  # exact reconstruction
         assert f.total_degree() >= res.degree_bound
+
+
+def _vanishes_oracle(f, point, mv):
+    return all(
+        expansion_coefficient_oracle(f, point, u).is_zero()
+        for u in itertools.product(*(range(m) for m in mv))
+    )
+
+
+def test_punctured_outcome_matches_a_pointwise_oracle():
+    # the library decides the hypothesis by dividing the remainder; the
+    # oracle reads every expansion coefficient at every point
+    fields = (F2, F3, FieldSpec.prime(7), FieldSpec.prime(10007), Q)
+    rng = random.Random(19)
+    outcomes = Counter()
+    for trial in range(150):
+        spec = fields[trial % len(fields)]
+        n = rng.randint(1, 2)
+        f, grid, d_grid, quotient = build_punctured_instance(rng, spec, n)
+        if trial % 3 == 1:
+            f = f + rand_poly(rng, spec, n, max_deg=2, max_terms=1)  # may not vanish off D
+        elif trial % 3 == 2:
+            f = ideal_member_oracle(rng, grid)  # vanishes everywhere
+        vanishing = [(point, _vanishes_oracle(f, point, grid.multiplicity_vector(point))) for point in grid.points()]
+        failing = [point for point, zero in vanishing if not zero and not d_grid.contains_point(point)]
+        if failing:
+            outcomes["vanishing"] += 1
+            with pytest.raises(PreconditionError) as err:
+                punctured_decompose(f, grid, d_grid)
+            assert err.value.condition == "vanishing"
+            assert str(err.value) == (
+                f"vanishing: f does not vanish fully at {tuple(str(x) for x in failing[0])}, "
+                "which lies outside the sub-grid"
+            )
+        elif all(zero for _, zero in vanishing):
+            outcomes["punctured"] += 1
+            with pytest.raises(PreconditionError) as err:
+                punctured_decompose(f, grid, d_grid)
+            assert err.value.condition == "punctured"
+        else:
+            outcomes["success"] += 1
+            res = punctured_decompose(f, grid, d_grid)
+            assert res.remainder == hermite_remainder_oracle(f, grid)
+            assert poly_product_oracle(res.quotient, quotient) == res.remainder
+            assert res.degree_bound == sum(grid.sizes) - sum(d_grid.sizes)
+    assert min(outcomes[k] for k in ("vanishing", "punctured", "success")) >= 10, outcomes
+
+
+def _count_local_tests(monkeypatch):
+    calls = []
+    true_in_local_ideal = certificates.in_local_ideal
+
+    def counted(f, point, box):
+        calls.append(tuple(point))
+        return true_in_local_ideal(f, point, box)
+
+    monkeypatch.setattr(certificates, "in_local_ideal", counted)
+    return calls
+
+
+def test_punctured_success_tests_points_of_d_up_to_the_first_punctured(monkeypatch):
+    # f = x1 (x1 - 2) vanishes at 0 and 2 and not at 1 or 3: the walk over
+    # D = {0, 1, 3} stops at 1
+    sg = MultisetGrid.of(F5, [{0: 1, 1: 1, 2: 1, 3: 1}])
+    dg = MultisetGrid.of(F5, [{0: 1, 1: 1, 3: 1}])
+    calls = _count_local_tests(monkeypatch)
+    punctured_decompose(parse_poly("x1*(x1 - 2)", 1, F5), sg, dg)
+    assert calls == [(F5.element(0),), (F5.element(1),)]
+
+    rng = random.Random(23)
+    checked = 0
+    while checked < 30:
+        spec = rand_spec(rng, rational_weight=0.25)
+        f, grid, d_grid, _ = build_punctured_instance(rng, spec, rng.randint(1, 2))
+        d_points = list(d_grid.points())
+        punctured = [not in_local_ideal(f, p, d_grid.multiplicity_vector(p)) for p in d_points]
+        if not any(punctured):
+            continue  # h*quotient happened to vanish on all of D as well
+        checked += 1
+        calls.clear()
+        punctured_decompose(f, grid, d_grid)
+        assert calls == d_points[: punctured.index(True) + 1]
+
+
+def test_punctured_route_disagreement_names_the_instance(monkeypatch):
+    # the pointwise routes are made to report vanishing everywhere
+    monkeypatch.setattr(certificates, "in_local_ideal", lambda f, point, box: True)
+    sg = MultisetGrid.of(Q, [{0: 1, 1: 1}])
+    dg = MultisetGrid.of(Q, [{0: 1}])
+    repro = f"S = {json.dumps(grid_to_dict(sg))}, D = {json.dumps(grid_to_dict(dg))}"
+    # divisible, yet no punctured point of D is found
+    f = parse_poly("x1 - 1", 1, Q)
+    with pytest.raises(InvariantViolation) as err:
+        punctured_decompose(f, sg, dg)
+    assert str(err.value) == (
+        "reduced form is a nonzero multiple of the generator quotients, yet f vanishes "
+        f"at every point of the sub-grid; f = x1 - 1, {repro}"
+    )
+    # not divisible, yet no failing point outside D is found
+    monkeypatch.setattr(certificates, "grid_expansions", lambda f, grid: iter(()))
+    with pytest.raises(InvariantViolation) as err:
+        punctured_decompose(parse_poly("x1 + 1", 1, Q), sg, dg)
+    assert str(err.value) == (
+        "reduced form is not divisible by the coordinate-1 generator quotient, yet f vanishes "
+        f"at every point outside the sub-grid; f = x1 + 1, {repro}"
+    )

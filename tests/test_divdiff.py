@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -165,6 +166,16 @@ def test_recursive_bracket_refuses_grids_too_deep_to_recurse():
     assert time.process_time() - start < 0.75
     assert bracket.value == 1
     assert bracket == divided_difference(f, deepest)
+
+
+def test_recursive_bracket_leaves_no_reference_cycle():
+    # the memoized recursion refers to itself; its memo must be freed on
+    # return, not left for the cyclic collector
+    grid = MultisetGrid.of(F7, [{0: 2, 1: 1, 3: 1}, {2: 1, 4: 2}])
+    f = parse_poly("x1^3*x2^2 + 3*x1*x2 + 2", 2, F7)
+    gc.collect()
+    divided_difference_recursive(f, grid)
+    assert gc.collect() == 0
 
 
 def test_weight_table_examples():

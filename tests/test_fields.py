@@ -306,6 +306,22 @@ def test_ordering_against_a_non_element_is_a_type_error():
     assert a < 2 and a <= 1
 
 
+def test_an_int_equals_only_the_canonical_value_so_hashes_agree():
+    f7 = FieldSpec.prime(7)
+    three = f7.element(3)
+    assert three == 3 and 3 == three and hash(three) == hash(3)
+    # 10 reduces to 3 in F_7 but is not its canonical value
+    assert three != 10 and f7.element(6) != -1
+    assert 3 in {three} and three in {3: "x"} and {three: "x"}[3] == "x"
+    assert 10 not in {three} and three not in {10: "x"}
+    # order agrees with equality: 10 is above 3, not level with it
+    assert three < 10 and 10 > three and three <= 3 and not three < 3
+    q = FieldSpec.rationals()
+    half, two = q.element(Fraction(1, 2)), q.element(2)
+    assert two == 2 and 2 in {two} and two in {2: "x"}
+    assert half != 0 and 0 not in {half}
+
+
 def test_coercions_rejected():
     f5 = FieldSpec.prime(5)
     with pytest.raises(TypeError):
