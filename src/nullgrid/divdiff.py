@@ -42,7 +42,7 @@ from typing import Dict, Optional, Tuple
 from .errors import PreconditionError
 from .fields import FieldElement
 from .ideals import MultisetGrid, _check_poly_grid, grid_expansions
-from .polynomials import MultiPoly, _degrees, _shift_raw, _taylor_columns
+from .polynomials import MultiPoly, _degrees, _rows, _shift_raw, _taylor_columns
 
 # deepest recursion divided_difference_recursive will enter: one level per
 # dropped element, so at most the sum of (d_i - 1) over the coordinates with
@@ -261,11 +261,12 @@ def _weighted_sum(f: MultiPoly, grid: MultisetGrid, table: WeightTable):
 def _contracted_sum(f: MultiPoly, grid: MultisetGrid):
     """The raw weighted sum of f's expansion coefficients over the grid,
     contracted one coordinate at a time instead of read from a weight table:
-    every weight is a product of one-coordinate weights, so for each s in
-    S_i the terms are shifted at s in x_i inside its box, each is multiplied
-    by the weight of (s, u_i), u_i is set to 0, and the results are summed.
-    That takes sum_i |supp S_i| shifts instead of a walk over prod_i
-    |supp S_i| points, and the constant term left at the end is the sum."""
+    every weight is a product of one-coordinate weights, so the terms are
+    grouped into rows in x_i once per coordinate, and for each s in S_i the
+    rows are shifted at s inside its box, each term is multiplied by the
+    weight of (s, u_i), u_i is set to 0, and the results are summed.  That
+    takes sum_i |supp S_i| shifts instead of a walk over prod_i |supp S_i|
+    points, and the constant term left at the end is the sum."""
     spec = f.spec
     reduce = spec._reduce
     terms = f.terms
@@ -273,11 +274,12 @@ def _contracted_sum(f: MultiPoly, grid: MultisetGrid):
         if not terms:
             break
         top = max(u[i] for u in terms)
+        rows = _rows(terms, i, top + 1)
         acc = {}
         for s, w in _coordinate_weights(ms).items():
             m = len(w)
             cols = _taylor_columns(spec, s, top, min(m, top + 1)) if s else None
-            for u, c in _shift_raw(spec, terms, i, m, cols).items():
+            for u, c in _shift_raw(spec, rows, i, m, cols).items():
                 if w[u[i]]:
                     v = u[:i] + (0,) + u[i + 1:]
                     acc[v] = acc.get(v, 0) + w[u[i]] * c  # reduced once below

@@ -274,6 +274,14 @@ class FieldElement:
         v = self._compared_value(other)
         return NotImplemented if v is NotImplemented else self.value <= v
 
+    def __gt__(self, other):
+        v = self._compared_value(other)
+        return NotImplemented if v is NotImplemented else self.value > v
+
+    def __ge__(self, other):
+        v = self._compared_value(other)
+        return NotImplemented if v is NotImplemented else self.value >= v
+
     def __str__(self):
         return str(self.value)
 

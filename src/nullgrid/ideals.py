@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec
-from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _degrees, _divmod_raw, _mul_raw, _shift_raw, _taylor_columns
+from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _degrees, _divmod_raw, _mul_raw, _rows, _shift_raw, _taylor_columns
 
 
 class Multiset:
@@ -251,14 +251,18 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
 
     The box bound m_i(s_i) depends on s_i alone, so the grid is walked as a
     tree: x_{i+1} is shifted and cut once per prefix (s_1, ..., s_{i+1}), and
-    every point below that prefix shares the result.  The Taylor columns of
-    each nonzero support value of S_i are built once per walk, up to
-    deg_{x_i} f and m_i(s) wide, and shared by every prefix that shifts at
-    that value.  The output is that of MultiPoly.shift at each point, term
-    for term and in the same order.  The walk is a loop, not a recursion, so
-    the arity is not bounded by the interpreter's recursion limit."""
+    every point below that prefix shares the result.  Each prefix's shifted
+    polynomial is grouped into rows in the next variable once, and those
+    rows are shifted at every value of the next coordinate.  The Taylor
+    columns of each nonzero support value of S_i are built once per walk,
+    up to deg_{x_i} f and m_i(s) wide, and shared by every prefix that
+    shifts at that value.  The output is that of MultiPoly.shift at each
+    point, term for term and in the same order.  The walk is a loop, not a
+    recursion, so the arity is not bounded by the interpreter's recursion
+    limit."""
     _check_poly_grid(f, grid)
     spec, n = f.spec, grid.arity
+    tops = _degrees(f.terms, n)
     # one cell (elem, m, Taylor columns of elem, or None for zero) per
     # support value, so every prefix that shifts at a value reads one table
     cells_per_set = [
@@ -266,22 +270,27 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
             (elem, m, _taylor_columns(spec, elem.value, top, min(m, top + 1)) if elem.value else None)
             for elem, m in ms.entries.items()
         )
-        for ms, top in zip(grid.sets, _degrees(f.terms, n))
+        for ms, top in zip(grid.sets, tops)
     ]
-    # shifted[i] is f shifted in x_1..x_i at the current point's prefix
-    shifted = [f.terms] + [None] * n
+    # rows[i] is f shifted in x_1..x_i at the current point's prefix,
+    # grouped into rows in x_{i+1}; shifting never raises a degree, so
+    # f's degrees size every row
+    rows = [_rows(f.terms, 0, tops[0] + 1)] + [None] * (n - 1)
     prev = (None,) * n
     for cells in itertools.product(*cells_per_set):
-        # product changes a suffix of the cells: reshift from its first new cell
+        # product changes a suffix of the cells, the last one at least:
+        # reshift from its first new cell
         depth = 0
         while cells[depth] is prev[depth]:
             depth += 1
         for i in range(depth, n):
             _, m, cols = cells[i]
-            shifted[i + 1] = _shift_raw(spec, shifted[i], i, m, cols)
+            terms = _shift_raw(spec, rows[i], i, m, cols)
+            if i + 1 < n:
+                rows[i + 1] = _rows(terms, i + 1, tops[i + 1] + 1)
         prev = cells
         point, mv, _ = zip(*cells)
-        yield point, mv, MultiPoly._from_raw(n, spec, shifted[n])
+        yield point, mv, MultiPoly._from_raw(n, spec, terms)
 
 
 def in_local_ideal(f: MultiPoly, point: Sequence, box: Sequence[int]) -> bool:

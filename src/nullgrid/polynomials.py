@@ -15,7 +15,10 @@ in the shifted polynomial is the expansion coefficient of f at s attached to
 characteristic, unlike the factorial-scaled derivative formula.  Callers
 usually need only the exponents below a box (a multiplicity vector), so
 shift takes an optional box and works one coordinate at a time, cutting
-each coordinate to its bound before the next is shifted.
+each coordinate to its bound before the next is shifted.  A coordinate's
+shift reads the terms grouped into dense rows in that variable (_rows);
+a caller that shifts one polynomial at several values, as the grid walk
+does at each prefix, groups it once and shifts the same rows at each.
 
 Products and powers go through one kernel, _mul_raw.  Sparse operands are
 multiplied term pair by term pair.  Dense ones -- at least
@@ -261,7 +264,7 @@ class MultiPoly:
             if si and terms:
                 width = top + 1 if box is None else min(box[i], top + 1)
                 cols = _taylor_columns(spec, si, top, width)
-            terms = _shift_raw(spec, terms, i, None if box is None else box[i], cols)
+            terms = _shift_raw(spec, _rows(terms, i, top + 1), i, None if box is None else box[i], cols)
         return MultiPoly._from_raw(self.arity, spec, terms)
 
     # -- division by a univariate ----------------------------------------------
@@ -479,32 +482,26 @@ def _taylor_columns(spec: FieldSpec, point, top: int, width: int) -> list:
     j + k <= top.  The shifted coefficient at j of a row (a_e) is then the
     sum over k of cols[j][k] * a_(j + k).  C(j + k, j) is an integer reduced
     like any other coefficient, so the columns are right over F_p even when
-    the degree reaches p."""
+    the degree reaches p.  Column 0 is the power row point^k itself, already
+    reduced, so a table one column wide costs only the powers."""
     reduce = spec._reduce
     powers = [1]
     for _ in range(top):
         powers.append(reduce(powers[-1] * point))
-    return [
+    return [powers] + [
         [reduce(math.comb(j + k, j) * powers[k]) for k in range(top - j + 1)]
-        for j in range(width)
+        for j in range(1, width)
     ]
 
 
-def _shift_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, box, cols):
-    """Substitute x_{var+1} -> x_{var+1} + s in raw terms, keeping only
-    exponents below box in that variable (all of them when box is None).
-
-    cols is None when s = 0, and the shift is only the cut at box.
-    Otherwise it is _taylor_columns(spec, s, top, width) for a top at least
-    the terms' degree in x_{var+1} and width = min(box, top + 1), so callers
-    that shift many polynomials by one value build it once.  Terms that
-    share their exponents in the other variables form one dense row a of
-    length top + 1 in x_{var+1}; its shifted coefficient at j is
-    sum(cols[j][k] * a[j + k]), reduced once.  Returns a new raw term map
-    without zero coefficients."""
-    if cols is None:
-        return {u: c for u, c in terms.items() if box is None or u[var] < box}
-    size = len(cols[0])
+def _rows(terms: Dict[ExponentVector, object], var: int, size: int) -> Dict[ExponentVector, list]:
+    """Raw terms grouped into dense rows in x_{var+1}: {rest: row}, where
+    rest is an exponent vector without its var entry, and row[e] is the
+    coefficient of the term with exponent e in x_{var+1} and rest in the
+    others, 0 where there is none.  Rows come in the order of their first
+    term, and each has length size, which must exceed the terms' degree in
+    x_{var+1}.  _shift_raw reads these rows, so a caller that shifts one
+    polynomial at several values groups it once."""
     rows: Dict[ExponentVector, list] = {}
     for u, c in terms.items():
         rest = u[:var] + u[var + 1:]
@@ -512,8 +509,30 @@ def _shift_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, b
         if row is None:
             row = rows[rest] = [0] * size
         row[u[var]] = c
-    reduce = spec._reduce
+    return rows
+
+
+def _shift_raw(spec: FieldSpec, rows: Dict[ExponentVector, list], var: int, box, cols):
+    """Substitute x_{var+1} -> x_{var+1} + s in raw terms given as their
+    _rows in x_{var+1}, keeping only exponents below box in that variable
+    (all of them when box is None).
+
+    cols is None when s = 0, and the shift is only each row cut at box.
+    Otherwise it is _taylor_columns(spec, s, top, width) for the rows' top
+    = size - 1 and width = min(box, top + 1), so callers that shift many
+    polynomials by one value build it once; a row's shifted coefficient at
+    j is sum(cols[j][k] * row[j + k]), reduced once.  The grid walk groups
+    each prefix once and shifts the rows at every value of the next
+    coordinate.  Returns a new raw term map without zero coefficients."""
     out: Dict[ExponentVector, object] = {}
+    if cols is None:
+        for rest, row in rows.items():
+            head, tail = rest[:var], rest[var:]
+            for j, c in enumerate(row[:box]):
+                if c:
+                    out[head + (j,) + tail] = c
+        return out
+    reduce = spec._reduce
     for rest, row in rows.items():
         head, tail = rest[:var], rest[var:]
         for j, col in enumerate(cols):

@@ -378,6 +378,45 @@ def test_contraction_matches_the_table_sum():
         assert spec.element(expected) == divided_difference(f, grid)
 
 
+def test_contraction_groups_once_per_coordinate(monkeypatch):
+    """_contracted_sum groups its terms into rows once per coordinate that
+    it reaches, and shifts those rows at every support value of it."""
+    from nullgrid import divdiff
+
+    groups, shifts = [], []
+    inner_rows, inner_shift = divdiff._rows, divdiff._shift_raw
+
+    def counting_rows(terms, var, size):
+        groups.append(var)
+        return inner_rows(terms, var, size)
+
+    def counting_shift(spec, rows, var, *rest):
+        shifts.append(var)
+        return inner_shift(spec, rows, var, *rest)
+
+    monkeypatch.setattr(divdiff, "_rows", counting_rows)
+    monkeypatch.setattr(divdiff, "_shift_raw", counting_shift)
+    rng = random.Random(79)
+    for trial in range(40):
+        spec = Q if trial % 4 == 0 else rand_spec(rng, primes=(2, 3, 7, 101))
+        n = rng.randint(1, 3)
+        grid = rand_grid(rng, spec, n, max_size=5)
+        f = rand_poly(rng, spec, n, max_deg=rng.randint(0, 2 * sum(grid.sizes)))
+        groups.clear()
+        shifts.clear()
+        _contracted_sum(f, grid)
+        reached = len(groups)
+        assert groups == list(range(reached))
+        assert shifts == [i for i, ms in enumerate(grid.sets[:reached]) for _ in ms.support]
+    # f = g_1 * x2 has no expansion coefficient inside any box of S_1, so
+    # the contraction stops after coordinate 0
+    grid = MultisetGrid.of(F7, [{1: 2, 3: 1}, {0: 1, 2: 1}])
+    g1, _ = grid.generators()
+    groups.clear()
+    assert _contracted_sum(g1 * parse_poly("x2", 2, F7), grid) == 0
+    assert groups == [0]
+
+
 def test_single_entry_perturbation_is_detected():
     rng = random.Random(29)
     for _ in range(25):

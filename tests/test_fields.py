@@ -306,6 +306,25 @@ def test_ordering_against_a_non_element_is_a_type_error():
     assert a < 2 and a <= 1
 
 
+def test_ordering_against_an_int_on_either_side():
+    f7 = FieldSpec.prime(7)
+    three, five = f7.element(3), f7.element(5)
+    # an int is ordered as it is, unreduced, whichever side it stands on
+    assert three > 1 and three >= 1 and three >= 3 and not three > 3
+    assert 1 < three and 1 <= three and 3 <= three and not 3 < three
+    assert three < 10 and three <= 10 and not three > 10 and not three >= 10
+    assert 10 > three and 10 >= three and not 10 < three and not 10 <= three
+    # element against element, both ways round
+    assert five > three and five >= three and three < five and three <= five
+    assert not three > five and not three >= five and not five < three and not five <= three
+    assert three >= f7.element(3) and three <= f7.element(10) and not three > f7.element(10)
+    q = FieldSpec.rationals()
+    half = q.element(Fraction(1, 2))
+    assert half > 0 and 0 < half and half >= q.element(Fraction(1, 2)) and 1 > half and 1 >= half
+    with pytest.raises(FieldMismatchError):
+        three > FieldSpec.prime(5).element(1)
+
+
 def test_an_int_equals_only_the_canonical_value_so_hashes_agree():
     f7 = FieldSpec.prime(7)
     three = f7.element(3)

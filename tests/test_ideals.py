@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -335,6 +336,71 @@ def test_grid_expansions_stop_when_partly_consumed(monkeypatch):
     assert second[1] == (1, 2, 2) and calls == [0, 1, 2, 2]
     walk.close()
     assert len(calls) == 4  # the full walk would shift 3 + 6 + 12 times
+
+
+def _count_groupings(monkeypatch):
+    calls = []
+    inner = ideals._rows
+
+    def counting(terms, var, size):
+        calls.append(var)
+        return inner(terms, var, size)
+
+    monkeypatch.setattr(ideals, "_rows", counting)
+    return calls
+
+
+def test_grid_expansions_group_each_prefix_once(monkeypatch):
+    calls = _count_groupings(monkeypatch)
+    rng = random.Random(71)
+    for _ in range(40):
+        spec = rng.choice([F2, FieldSpec.prime(3), FieldSpec.prime(101), Q])
+        n = rng.randint(1, 4)
+        grid, f = _walk_instance(rng, spec, n)
+        calls.clear()
+        assert sum(1 for _ in grid_expansions(f, grid)) == grid.point_count()
+        # coordinate i is grouped once per prefix (s_1, ..., s_i): once for
+        # the whole walk at i = 0, and never at a value of coordinate i
+        prefixes = 1
+        for i, ms in enumerate(grid.sets):
+            assert calls.count(i) == prefixes
+            prefixes *= len(ms.support)
+        assert len(calls) == sum(calls.count(i) for i in range(n))
+
+
+def test_grid_expansions_group_only_the_prefixes_reached(monkeypatch):
+    calls = _count_groupings(monkeypatch)
+    grid = MultisetGrid.of(F5, [{0: 1, 1: 1, 2: 1}, {0: 2, 3: 1}, {1: 1, 4: 2}])
+    f = parse_poly("(x1 + x2 + 2*x3 + 1)^4", 3, F5)
+    walk = grid_expansions(f, grid)
+    next(walk)
+    assert calls == [0, 1, 2]
+    next(walk)  # only the last value changed: its rows are the first point's
+    assert calls == [0, 1, 2]
+    next(walk)  # x2 moves to 3, so the prefix (0, 3) is grouped in x3
+    assert calls == [0, 1, 2, 2]
+    walk.close()
+    assert len(calls) == 4  # the full walk would group 1 + 3 + 6 times
+
+
+def test_taylor_columns_entry_by_entry():
+    """cols[j][k] = C(j + k, j) * s^k, reduced, for j < width and
+    j + k <= top, computed here through FieldElement arithmetic; tops at and
+    past p make some binomials vanish mod p."""
+    rng = random.Random(73)
+    for spec in [F2, FieldSpec.prime(3), FieldSpec.prime(101), Q]:
+        tops = [0, 1, 2, 5, 7] + ([100, 103] if spec.p == 101 else [])
+        for top in tops:
+            for s in [0, 1, rng.randint(2, 50), Fraction(-3, 7) if spec.p is None else rng.randint(0, 200)]:
+                point = spec.element(s)
+                for width in sorted({1, 2, top + 1, rng.randint(1, top + 1)}):
+                    cols = ideals._taylor_columns(spec, point.value, top, width)
+                    assert len(cols) == width
+                    for j, col in enumerate(cols):
+                        assert len(col) == top - j + 1
+                        for k, got in enumerate(col):
+                            want = spec.element(math.comb(j + k, j)) * point**k
+                            assert got == want.value, (spec, s, top, j, k)
 
 
 def test_multiplicity_vectors_follow_points():

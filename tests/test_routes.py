@@ -132,12 +132,14 @@ def _assert_apart(sources, targets):
 def test_graph_sees_the_calls_it_should():
     assert "polynomials._shift_raw" in _reach("ideals.grid_expansions")
     assert "polynomials._taylor_columns" in _reach("ideals.grid_expansions")
+    assert "polynomials._rows" in _reach("ideals.grid_expansions")
     assert "polynomials._divmod_raw" in _reach("ideals.reduce_poly")
     assert "ideals.Multiset._generator_raw" in _reach("ideals.reduce_poly")
     assert "divdiff._coordinate_weights" in _reach("divdiff.weight_table")
     assert "ideals.grid_expansions" in _reach("divdiff.divided_difference_recursive")
     assert "ideals.Multiset._generator_raw" in _reach("divdiff.divided_difference")
     assert "polynomials._shift_raw" in _reach("divdiff._contracted_sum")
+    assert "polynomials._rows" in _reach("divdiff._contracted_sum")
     assert "divdiff._coordinate_weights" in _reach("divdiff._contracted_sum")
     assert "polynomials.MultiPoly.__mul__" in _reach("polynomials._Parser.term")
 
@@ -155,6 +157,7 @@ def test_definitional_bracket_stays_off_the_expansions_and_the_weights():
         [
             "ideals.grid_expansions",
             "polynomials._shift_raw",
+            "polynomials._rows",
             "divdiff.weight_table",
             "divdiff._coordinate_weights",
             "divdiff.divided_difference_recursive",
@@ -181,9 +184,15 @@ def test_contraction_and_table_sum_stay_apart():
 
 
 def test_expansions_and_reduction_stay_apart():
-    expansions = ["ideals.grid_expansions", "polynomials._shift_raw", "polynomials._taylor_columns"]
+    expansions = [
+        "ideals.grid_expansions",
+        "polynomials._shift_raw",
+        "polynomials._rows",
+        "polynomials._taylor_columns",
+    ]
     reduction = ["polynomials._divmod_raw", "ideals.reduce_poly", "ideals.Multiset._generator_raw"]
     _assert_apart(expansions, reduction)
+    # division keeps its own grouping of high terms, apart from _rows
     _assert_apart(reduction, expansions)
 
 
