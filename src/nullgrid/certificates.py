@@ -180,11 +180,9 @@ def _check_tight_subgrid(s_grid: MultisetGrid, d_grid: MultisetGrid):
                 )
 
 
-def _reproduction(f: MultiPoly, s_grid: MultisetGrid, d_grid: MultisetGrid) -> str:
-    return (
-        f"f = {f}, S = {json.dumps(grid_to_dict(s_grid))}, "
-        f"D = {json.dumps(grid_to_dict(d_grid))}"
-    )
+def _reproduction(f: MultiPoly, **grids: MultisetGrid) -> str:
+    """f and the named grids as text that reruns a failed check."""
+    return ", ".join([f"f = {f}"] + [f"{name} = {json.dumps(grid_to_dict(g))}" for name, g in grids.items()])
 
 
 def punctured_decompose(
@@ -237,13 +235,13 @@ def punctured_decompose(
                     )
             raise InvariantViolation(
                 f"reduced form is not divisible by the coordinate-{i + 1} generator quotient, "
-                f"yet f vanishes at every point outside the sub-grid; {_reproduction(f, s_grid, d_grid)}"
+                f"yet f vanishes at every point outside the sub-grid; {_reproduction(f, S=s_grid, D=d_grid)}"
             )
     # D is tight, so its multiplicity vectors are those of S at its points
     if all(in_local_ideal(f, point, mv) for point, mv in zip(d_grid.points(), d_grid.multiplicity_vectors())):
         raise InvariantViolation(
             "reduced form is a nonzero multiple of the generator quotients, "
-            f"yet f vanishes at every point of the sub-grid; {_reproduction(f, s_grid, d_grid)}"
+            f"yet f vanishes at every point of the sub-grid; {_reproduction(f, S=s_grid, D=d_grid)}"
         )
     bound = sum(s_grid.sizes) - sum(d_grid.sizes)
     return PuncturedResult(remainder=r, quotient=h, degree_bound=bound)

@@ -34,7 +34,7 @@ from .applications import (
     vector_sumset,
     verify_cover,
 )
-from .certificates import find_witness, punctured_decompose
+from .certificates import _reproduction, find_witness, punctured_decompose
 from .divdiff import (
     divided_difference,
     divided_difference_recursive,
@@ -156,7 +156,7 @@ def _cmd_member(args):
         by_rem = in_grid_ideal(f, grid, "remainder")
         by_pts = in_grid_ideal(f, grid, "pointwise")
         if by_rem != by_pts:
-            raise InvariantViolation("membership methods disagree")
+            raise InvariantViolation(f"membership methods disagree; {_reproduction(f, grid=grid)}")
         member = by_rem
     else:
         member = in_grid_ideal(f, grid, args.method)
@@ -209,7 +209,7 @@ def _cmd_divdiff(args):
     else:
         value = divided_difference(f, grid)
         if value != divided_difference_recursive(f, grid):
-            raise InvariantViolation("divided-difference routes disagree")
+            raise InvariantViolation(f"divided-difference routes disagree; {_reproduction(f, grid=grid)}")
     text = f"value: {value}\nmethod: {args.method}"
     return text, {"value": str(value), "method": args.method}, 0
 

@@ -2,15 +2,14 @@
 
 The bracket of a polynomial against a grid is the coefficient of the largest
 standard monomial in its reduced form.  It can be computed two independent
-ways: definitionally, or by a recursion that splits one coordinate multiset
-at two distinct elements and divides by their difference, bottoming out in
-expansion coefficients at single points.  Written out in order with
-repetition, a coordinate's sub-multisets that the recursion visits are index
-intervals, and on one coordinate it is the Newton divided-difference table.
-The grid ideal is a tensor product of univariate ideals, so the remainder of
-x^u is the product of the remainders of x_i^(u_i) modulo g_i: the
-definitional bracket sums f's coefficients against one-coordinate top
-coefficients, read off each g_i by a linear recurrence, and never divides.
+ways: definitionally, or by the two-point recursion, which divides by the
+difference of two distinct elements of one coordinate and bottoms out in
+expansion coefficients at single points, filled in bottom-up as one
+confluent Newton table per coordinate.  The grid ideal is a tensor product
+of univariate ideals, so the remainder of x^u is the product of the
+remainders of x_i^(u_i) modulo g_i: the definitional bracket sums f's
+coefficients against one-coordinate top coefficients, read off each g_i by
+a linear recurrence, and never divides.
 
 A weight table holds field constants, depending only on the grid, that
 express the bracket as a linear combination of pointwise expansion
@@ -19,7 +18,7 @@ confluent divided-difference coefficients of each coordinate multiset, and
 the table is their outer product.  They are read off in residue form, the
 partial-fraction expansion of 1 / g_i at each element s: the inverse of the
 head prod (s - s')^m(s'), times one closed-form binomial series in x - s per
-other element s', truncated.  Neither the recursion nor the generator is
+other element s', truncated.  Neither the Newton tables nor the generator is
 used, so the three routes stay independent.  The weights at the maximal
 exponents are the inverted heads, never zero, which is what powers the
 witness search.
@@ -28,7 +27,7 @@ The top-coefficient identity checks the bracket against the weighted sum of
 expansion coefficients.  Without a given table it contracts that sum one
 coordinate at a time; a given table is summed entry by entry in one
 ideals.grid_expansions walk, the loop shared with the divided-difference
-witness search, which takes the walk's first witness.  The recursion's
+witness search, which takes the walk's first witness.  The Newton tables'
 single-point expansions come from such a walk too, so points that share a
 prefix share its shifts.
 """
@@ -44,10 +43,11 @@ from .fields import FieldElement
 from .ideals import MultisetGrid, _check_poly_grid, grid_expansions
 from .polynomials import MultiPoly, _degrees, _rows, _shift_raw, _taylor_columns
 
-# deepest recursion divided_difference_recursive will enter: one level per
-# dropped element, so at most the sum of (d_i - 1) over the coordinates with
-# two or more distinct elements
-_MAX_RECURSION_DEPTH = 256
+# most Newton-table entries divided_difference_recursive will fill: the sum
+# over the coordinates i of (prod_{j<i} d_j) * T_i, where T_i is
+# d_i(d_i + 1)/2 when S_i has two or more distinct elements and 1 otherwise
+_MAX_NEWTON_ENTRIES = 1_000_000
+
 
 def _bracket_row(ms, top: int) -> list:
     """h[e] for e <= top: the coefficient of x^(d - 1) in x^e mod g, for the
@@ -90,53 +90,51 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid) -> FieldEleme
     """Recursive bracket; agrees with divided_difference on every input.
 
     Coordinate i is written out as seq_i, its elements in entry order, each
-    repeated by its multiplicity, and a sub-grid is one index interval
-    [lo, hi] of seq_i per coordinate, kept as one flat tuple of ints.  The
-    first coordinate whose interval holds two distinct elements a = seq_i[lo]
-    and b = seq_i[hi] is split by the two-point recursion: the bracket is the
-    bracket without a minus the bracket without b, divided by b - a, which is
-    never zero.  On one coordinate that is the Newton divided-difference
-    table.  When every interval is constant the sub-grid is one point with
-    multiplicities hi - lo + 1, and its bracket is the expansion coefficient
-    at exponents hi - lo.  Sub-brackets are memoized, and every point is
-    expanded once, by one grid_expansions walk, in the box of its
-    multiplicities in the grid, which holds every exponent its sub-grids ask
-    for.  A grid whose recursion would go deeper than _MAX_RECURSION_DEPTH
-    levels is refused before any work.
+    repeated by its multiplicity.  The two-point recursion on it is its
+    Newton table: a non-constant index interval [lo, hi] holds
+    (D[lo + 1, hi] - D[lo, hi - 1]) / (seq_i[hi] - seq_i[lo]), and a constant
+    one, at an element s, the leaf at (s, hi - lo).  The last coordinate's
+    leaves are the expansion coefficients of one grid_expansions walk, keyed
+    by (point, exponent).  From the last coordinate to the first, the values
+    are grouped by (point prefix, exponent prefix) and each group's table is
+    filled by width, keeping one column and sharing each width's inverses;
+    its top entry D[0, d_i - 1] is a leaf of the coordinate before.  A grid
+    whose tables would exceed _MAX_NEWTON_ENTRIES entries is refused first.
     """
     _check_poly_grid(f, grid)
-    depth = sum(ms.size - 1 for ms in grid.sets if len(ms.support) >= 2)
-    if depth > _MAX_RECURSION_DEPTH:
+    entries, prefixes = 0, 1
+    for ms in grid.sets:
+        entries += prefixes * (ms.size * (ms.size + 1) // 2 if len(ms.support) >= 2 else 1)
+        prefixes *= ms.size
+    if entries > _MAX_NEWTON_ENTRIES:
         raise PreconditionError(
             "budget",
-            f"the recursive bracket would recurse {depth} levels deep, above the limit {_MAX_RECURSION_DEPTH}",
+            f"the recursive bracket would fill {entries} Newton-table entries, above the limit {_MAX_NEWTON_ENTRIES}",
         )
     spec = f.spec
-    shifts = {tuple(s.value for s in point): g.terms for point, _, g in grid_expansions(f, grid)}
-    seqs = [[e.value for e, m in ms.entries.items() for _ in range(m)] for ms in grid.sets]
-    memo: Dict[Tuple[int, ...], object] = {}
-
-    def go(state):
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        for k, seq in zip(range(0, len(state), 2), seqs):
-            lo, hi = state[k], state[k + 1]
-            if seq[lo] != seq[hi]:
-                head, tail = state[:k], state[k + 2:]
-                diff = go(head + (lo + 1, hi) + tail) - go(head + (lo, hi - 1) + tail)
-                val = spec._reduce(diff * spec._inv(seq[hi] - seq[lo]))
-                break
+    reduce, inv = spec._reduce, spec._inv
+    values = {}  # (point, exponent) -> nonzero leaf, on the last coordinate first
+    for point, _, g in grid_expansions(f, grid):
+        point = tuple(s.value for s in point)
+        values.update(((point, u), c) for u, c in g.terms.items())
+    for i in reversed(range(grid.arity)):
+        seq = [e.value for e, m in grid.sets[i].entries.items() for _ in range(m)]
+        groups = {}  # (point prefix, exponent prefix) -> {(s, e): leaf}
+        for (point, u), c in values.items():
+            groups.setdefault((point[:i], u[:i]), {})[point[i], u[i]] = c
+        if seq[0] == seq[-1]:  # one distinct element: its table is the top leaf
+            cols = [[leaves.get((seq[0], len(seq) - 1), 0)] for leaves in groups.values()]
         else:
-            point = tuple(seq[lo] for seq, lo in zip(seqs, state[::2]))
-            val = shifts[point].get(tuple(hi - lo for lo, hi in zip(state[::2], state[1::2])), 0)
-        memo[state] = val
-        return val
-
-    try:
-        return FieldElement(go(tuple(k for seq in seqs for k in (0, len(seq) - 1))), spec)
-    finally:
-        del go  # go holds itself through its closure cell; free the memo now
+            cols = [[leaves.get((s, 0), 0) for s in seq] for leaves in groups.values()]
+            for w in range(1, len(seq)):  # col[lo] = D[lo, lo + w - 1] becomes D[lo, lo + w]
+                invs = [inv(b - a) if a != b else None for a, b in zip(seq, seq[w:])]
+                cols = [
+                    [leaves.get((s, w), 0) if c is None else reduce((b - a) * c)
+                     for s, a, b, c in zip(seq, col, col[1:], invs)]
+                    for col, leaves in zip(cols, groups.values())
+                ]
+        values = {key: col[0] for key, col in zip(groups, cols) if col[0]}
+    return FieldElement(values.get(((), ()), 0), spec)
 
 
 @dataclass

@@ -168,9 +168,9 @@ class FieldElement:
 
     value is an int in [0, p) over a prime field.  Over the rationals it is
     an int when the value is integral and a reduced Fraction otherwise.
-    Arithmetic with a mismatched FieldSpec raises; plain ints are coerced
-    for convenience.  An int equals an element only when it is the
-    element's canonical value, so equal objects hash equal.
+    Arithmetic with a mismatched FieldSpec raises; plain ints and Fractions
+    are coerced for convenience.  An int or a Fraction equals an element
+    only at the element's canonical value, so equal objects hash equal.
     """
 
     __slots__ = ("value", "spec")
@@ -186,6 +186,8 @@ class FieldElement:
             raise FieldMismatchError(f"mixed fields {self.spec} and {other.spec}")
         if isinstance(other, int) and not isinstance(other, bool):
             return FieldElement(self.spec._reduce(other), self.spec)
+        if isinstance(other, Fraction):
+            return self.spec.element(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -247,7 +249,7 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.spec is other.spec and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.value == other
         return NotImplemented
 
@@ -259,9 +261,9 @@ class FieldElement:
         return self.value
 
     def _compared_value(self, other):
-        """The raw value that other is ordered by: an int is taken as it is,
+        """The raw value that other is ordered by: an int or Fraction is taken
         unreduced, as __eq__ takes it, so that order agrees with equality."""
-        if isinstance(other, int) and not isinstance(other, bool):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return other
         other = self._coerce(other)
         return other if other is NotImplemented else other.value

@@ -428,13 +428,42 @@ def test_oversized_multisets_are_input_errors():
     assert run_cli(["sumset", "--field", "prime:7", "--a", big, "--b", '[{"value":"0","mult":1}]']) == message
 
 
-def test_recursive_bracket_refuses_a_grid_too_deep_to_recurse():
-    values = [{"value": str(v), "mult": 1} for v in range(1100)]
-    grid = json.dumps({"field": {"kind": "prime", "p": 10007}, "sets": [values]})
-    message = "error: budget: the recursive bracket would recurse 1099 levels deep, above the limit 256\n"
+def test_recursive_bracket_refuses_a_grid_past_the_entry_budget():
+    def grid(k):
+        values = [{"value": str(v), "mult": 1} for v in range(k)]
+        return json.dumps({"field": {"kind": "prime", "p": 10007}, "sets": [values]})
+
+    # 1100 values, 1099 levels deep, were past the old depth limit
+    assert run_cli(["divdiff", "--poly", "x1", "--method", "rec", "--grid-inline", grid(1100)]) == (
+        0, "value: 0\nmethod: rec\n", ""
+    )
+    # 1414 * 1415 / 2 entries
+    message = (
+        "error: budget: the recursive bracket would fill 1000405 Newton-table entries, above the limit 1000000\n"
+    )
     for method in ("rec", "both"):
-        assert run_cli(["divdiff", "--poly", "x1", "--method", method, "--grid-inline", grid]) == (1, "", message)
-    assert run_cli(["divdiff", "--poly", "x1", "--method", "def", "--grid-inline", grid]) == (0, "value: 0\nmethod: def\n", "")
+        assert run_cli(["divdiff", "--poly", "x1", "--method", method, "--grid-inline", grid(1414)]) == (1, "", message)
+    assert run_cli(["divdiff", "--poly", "x1", "--method", "def", "--grid-inline", grid(1414)]) == (
+        0, "value: 0\nmethod: def\n", ""
+    )
+
+
+def test_divdiff_route_disagreement_names_the_instance(monkeypatch):
+    # the recursive bracket is made to answer 0 where the bracket is 1
+    monkeypatch.setattr(cli, "divided_difference_recursive", lambda f, grid: grid.spec.zero)
+    grid = '{"field": {"kind": "prime", "p": 5}, "sets": [[{"value": "0", "mult": 1}, {"value": "1", "mult": 1}]]}'
+    message = f"error: invariant violation: divided-difference routes disagree; f = 2*x1 + 1, grid = {grid}\n"
+    argv = ["divdiff", "--poly", "1 + 2*x1", "--method", "both", "--grid-inline", GRID_F5_01]
+    assert run_cli(argv) == (1, "", message)
+
+
+def test_membership_disagreement_names_the_instance(monkeypatch):
+    # the pointwise route is made to call every polynomial a member
+    monkeypatch.setattr(cli, "in_grid_ideal", lambda f, grid, method: method == "pointwise")
+    grid = '{"field": {"kind": "prime", "p": 5}, "sets": [[{"value": "0", "mult": 1}, {"value": "1", "mult": 1}]]}'
+    message = f"error: invariant violation: membership methods disagree; f = x1^2 + 4, grid = {grid}\n"
+    argv = ["member", "--poly", "x1^2 - 1", "--method", "both", "--grid-inline", GRID_F5_01]
+    assert run_cli(argv) == (1, "", message)
 
 
 def test_console_entry_point():

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from nullgrid import (
     top_weight_closed_form,
     weight_table,
 )
+from nullgrid import divdiff
 from nullgrid.divdiff import WeightTable, _contracted_sum, _weighted_sum
 from nullgrid.randgen import rand_grid, rand_poly, rand_spec
 from oracles import (
@@ -145,20 +147,24 @@ def test_randomized_pivots_agree_with_canonical():
         assert two_point_bracket_oracle(f, grid, pivot_rng) == canonical
 
 
-def test_recursive_bracket_refuses_grids_too_deep_to_recurse():
+def test_recursive_bracket_refuses_grids_past_the_entry_budget(monkeypatch):
     spec = FieldSpec.prime(10007)
     f = parse_poly("x1^3 + x2", 2, spec)
-    # one level per dropped element: 256 in x1, none in x2 (one distinct value)
+    # at the old depth limit, 256 levels: 257 * 258 / 2 = 33 153 table entries
+    # in x1, then one leaf for each of the 257 (point, exponent) pairs in x2,
+    # which has one distinct value: 33 410
     at_limit = MultisetGrid.of(spec, [{0: 1, 1: 256}, {3: 300}])
     assert divided_difference_recursive(f, at_limit) == divided_difference(f, at_limit)
-    for sets in ([{0: 1, 1: 257}, {3: 1}], [{0: 1, 1: 128}, {2: 1, 3: 129}]):
-        with pytest.raises(PreconditionError) as err:
-            divided_difference_recursive(f, MultisetGrid.of(spec, sets))
-        assert err.value.condition == "budget"
-        assert str(err.value) == "budget: the recursive bracket would recurse 257 levels deep, above the limit 256"
-    # the deepest one-coordinate grid allowed: 257 distinct values, 256 levels,
-    # and about 33 000 index-interval states of constant work each; states
-    # that copy and hash whole rows cost about d^3, seconds here
+    # 129 * 130 / 2 + 129 * (130 * 131 / 2) = 8385 + 1 098 435 entries
+    with pytest.raises(PreconditionError) as err:
+        divided_difference_recursive(f, MultisetGrid.of(spec, [{0: 1, 1: 128}, {2: 1, 3: 129}]))
+    assert err.value.condition == "budget"
+    assert str(err.value) == (
+        "budget: the recursive bracket would fill 1106820 Newton-table entries, above the limit 1000000"
+    )
+    # the deepest one-coordinate grid the depth limit allowed: 257 distinct
+    # values and 33 153 entries of constant work each; states that copy and
+    # hash whole rows cost about d^3, seconds here
     f = parse_poly("x1^256 + x1^3", 1, spec)
     deepest = MultisetGrid.of(spec, [{v: 1 for v in range(257)}])
     start = time.process_time()
@@ -166,11 +172,50 @@ def test_recursive_bracket_refuses_grids_too_deep_to_recurse():
     assert time.process_time() - start < 0.75
     assert bracket.value == 1
     assert bracket == divided_difference(f, deepest)
+    # {0..85}^3 is 255 elements deep, within the old depth limit, yet 27 993 903
+    # entries: refused from the sizes alone, before the walk
+    grid = MultisetGrid.of(spec, [{v: 1 for v in range(86)}] * 3)
+    start = time.process_time()
+    with pytest.raises(PreconditionError, match="would fill 27993903 Newton-table entries"):
+        divided_difference_recursive(parse_poly("x1", 3, spec), grid)
+    assert time.process_time() - start < 0.5
+    # the exact boundary, under small limits: 3 * 4 / 2 + 3 * (2 * 3 / 2) = 15
+    # entries, and 6 + 3 * 1 = 9 with a second coordinate of one distinct value
+    f = parse_poly("x1^2*x2 + 3*x2^3 + x1", 2, spec)
+    for sets, entries in (([{0: 1, 1: 2}, {5: 1, 6: 1}], 15), ([{0: 1, 1: 2}, {5: 4}], 9)):
+        grid = MultisetGrid.of(spec, sets)
+        monkeypatch.setattr(divdiff, "_MAX_NEWTON_ENTRIES", entries)
+        assert divided_difference_recursive(f, grid) == divided_difference(f, grid)
+        monkeypatch.setattr(divdiff, "_MAX_NEWTON_ENTRIES", entries - 1)
+        with pytest.raises(PreconditionError) as err:
+            divided_difference_recursive(f, grid)
+        assert str(err.value) == (
+            f"budget: the recursive bracket would fill {entries} Newton-table entries, above the limit {entries - 1}"
+        )
+
+
+def test_recursive_bracket_time_and_memory_on_a_wide_grid():
+    # {0..159} x {0..96}: 773 360 entries, the top one 1; the memoized
+    # recursion over index intervals took about 3 s and a 141 MB peak
+    spec = FieldSpec.prime(10007)
+    grid = MultisetGrid.of(spec, [{v: 1 for v in range(160)}, {v: 1 for v in range(97)}])
+    f = parse_poly("x1^159*x2^96 + x1^3", 2, spec)
+    start = time.process_time()
+    value = divided_difference_recursive(f, grid)
+    assert time.process_time() - start < 1.5
+    assert value == 1
+    tracemalloc.start()
+    try:
+        divided_difference_recursive(f, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 10**6
 
 
 def test_recursive_bracket_leaves_no_reference_cycle():
-    # the memoized recursion refers to itself; its memo must be freed on
-    # return, not left for the cyclic collector
+    # the Newton tables are plain lists and dicts, freed on return; nothing
+    # may be left for the cyclic collector
     grid = MultisetGrid.of(F7, [{0: 2, 1: 1, 3: 1}, {2: 1, 4: 2}])
     f = parse_poly("x1^3*x2^2 + 3*x1*x2 + 2", 2, F7)
     gc.collect()

@@ -341,6 +341,29 @@ def test_an_int_equals_only_the_canonical_value_so_hashes_agree():
     assert half != 0 and 0 not in {half}
 
 
+def test_a_fraction_is_taken_where_an_int_is():
+    q = FieldSpec.rationals()
+    half = q.element("1/2")
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half and hash(half) == hash(Fraction(1, 2))
+    assert half != Fraction(1, 3) and Fraction(1, 2) in {half}
+    assert half + Fraction(1, 2) == 1 and Fraction(1, 2) + half == 1
+    assert half * Fraction(2, 3) == Fraction(1, 3) and Fraction(4) * half == 2
+    assert half - Fraction(1, 2) == 0 and Fraction(1, 2) - half == 0 and half / Fraction(1, 4) == 2
+    assert half >= Fraction(1, 2) and not half >= Fraction(2, 3) and Fraction(1, 3) <= half < 1
+    f7 = FieldSpec.prime(7)
+    three = f7.element(3)
+    # an integral Fraction is an int: equal at the canonical value only, and
+    # ordered unreduced, as an int is
+    assert three == Fraction(3) and Fraction(3) == three and hash(three) == hash(Fraction(3))
+    assert three != Fraction(10) and three < Fraction(10) and three >= Fraction(3)
+    assert three + Fraction(5) == 1 and three * Fraction(3) == 2 and Fraction(3) * three == 2
+    # a non-integral one has no image in F_7: never equal, and refused in arithmetic
+    assert three != Fraction(1, 2) and three >= Fraction(1, 2)
+    for op in (lambda: three + Fraction(1, 2), lambda: three * Fraction(1, 2), lambda: Fraction(1, 2) + three):
+        with pytest.raises(TypeError, match="no canonical image in F_7"):
+            op()
+
+
 def test_coercions_rejected():
     f5 = FieldSpec.prime(5)
     with pytest.raises(TypeError):
