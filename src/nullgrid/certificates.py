@@ -115,14 +115,16 @@ def find_witness(
             if shifted.terms:
                 u = min(shifted.terms)
                 return Witness(point, u, shifted.coefficient(u))
-        raise InvariantViolation("no witness found on a valid instance")
+        raise InvariantViolation(f"no witness found on a valid instance; {_reproduction(f, grid=grid)}, t = {t}")
     if method == "divided_difference":
         trimmed = trim_grid(grid, t)
         acc, first = _weighted_sum(f, trimmed, weight_table(trimmed))
         # a sum equal to the nonzero coefficient of x^t has a nonzero term,
         # so a certified instance always has a first witness
         if acc != f.terms.get(t, 0):
-            raise InvariantViolation("weighted coefficient sum failed to certify the instance")
+            raise InvariantViolation(
+                f"weighted coefficient sum failed to certify the instance; {_reproduction(f, grid=grid)}, t = {t}"
+            )
         return Witness(*first)
     raise ValueError(f"unknown witness method {method!r}")
 

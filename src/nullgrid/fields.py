@@ -13,9 +13,10 @@ a value or a multiset element.  All values are immutable.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, PreconditionError
 
 # Miller-Rabin witness set, deterministic for all inputs below 3.3 * 10^24
 # (in particular for every 64-bit modulus); probabilistic-but-overwhelming
@@ -285,10 +286,23 @@ class FieldElement:
         return NotImplemented if v is NotImplemented else self.value >= v
 
     def __str__(self):
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError as exc:
+            raise _output_size_error() from exc
 
     def __repr__(self):
         return f"{self.value}:{self.spec}"
+
+
+def _output_size_error() -> PreconditionError:
+    """The error for a value whose decimal text is past Python's int/str
+    digit limit, which str() refuses with a bare ValueError: over the
+    rationals a parsed expression such as 10^4000*10^400 has such a value."""
+    return PreconditionError(
+        "output-size",
+        f"a value has more digits than Python's int/str digit limit of {sys.get_int_max_str_digits()}",
+    )
 
 
 def field_to_dict(spec: FieldSpec) -> dict:

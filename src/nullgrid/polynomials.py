@@ -7,7 +7,12 @@ the form every kernel reads and returns, so no operation unwraps or wraps
 them; a FieldElement is built only where a coefficient leaves the library,
 in coefficient() and evaluate().  Total degree of the zero polynomial is
 None, a real sentinel rather than -1, so degree-bound checks stay honest
-when a cofactor vanishes.  The parser caps every variable's degree.
+when a cofactor vanishes.
+
+The parser caps every variable's degree and works on raw term maps, too: a
+sum folds each summand into one accumulator, so a sum of T monomials parses
+in O(T), and the result is wrapped as a MultiPoly once.  Products go
+through _mul_raw and powers through MultiPoly.__pow__.
 
 Coordinate shifts f(x) -> f(x + s) are the workhorse: the coefficient of x^u
 in the shifted polynomial is the expansion coefficient of f at s attached to
@@ -21,8 +26,9 @@ a caller that shifts one polynomial at several values, as the grid walk
 does at each prefix, groups it once and shifts the same rows at each.
 
 Products and powers go through one kernel, _mul_raw.  Sparse operands are
-multiplied term pair by term pair.  Dense ones -- at least
-_KRONECKER_MIN_PAIRS term pairs, and a product box with at most
+multiplied term pair by term pair, and a monomial times f term by term of
+f; a power of a monomial is one power of its coefficient.  Dense ones -- at
+least _KRONECKER_MIN_PAIRS term pairs, and a product box with at most
 _KRONECKER_FACTOR slots per pair -- by Kronecker substitution: each operand
 is packed into one big integer, exponents as mixed-radix slot indices and
 coefficients as fixed-width slots, so the product is one big-integer
@@ -35,12 +41,13 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import add, mul
 from typing import Dict, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PolyParseError
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _output_size_error
 
 ExponentVector = Tuple[int, ...]
 
@@ -204,8 +211,13 @@ class MultiPoly:
         if e < 0:
             raise ValueError("polynomial exponent must be nonnegative")
         spec, n = self.spec, self.arity
-        result = {(0,) * n: 1} if e == 0 else None
         base = self.terms
+        if len(base) == 1 and e:
+            # (c x^u)^e = c^e x^(e u), and c^e is nonzero
+            ((u, c),) = base.items()
+            power = pow(c, e, spec.p) if spec.p else spec._reduce(c**e)
+            return MultiPoly._from_raw(n, spec, {tuple(k * e for k in u): power})
+        result = {(0,) * n: 1} if e == 0 else None
         while e:
             if e & 1:
                 result = base if result is None else _mul_raw(spec, result, base)
@@ -297,22 +309,25 @@ class MultiPoly:
         if not self.terms:
             return "0"
         chunks = []
-        for u, value in self._sorted_terms():
-            negative = value < 0  # only over the rationals; prime reps are in [0, p)
-            mag = -value if negative else value
-            factors = []
-            for i, e in enumerate(u):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
-            chunks.append(("-" if negative else "+", body))
+        try:
+            for u, value in self._sorted_terms():
+                negative = value < 0  # only over the rationals; prime reps are in [0, p)
+                mag = -value if negative else value
+                factors = []
+                for i, e in enumerate(u):
+                    if e == 1:
+                        factors.append(f"x{i + 1}")
+                    elif e > 1:
+                        factors.append(f"x{i + 1}^{e}")
+                if not factors:
+                    body = str(mag)
+                elif mag == 1:
+                    body = "*".join(factors)
+                else:
+                    body = str(mag) + "*" + "*".join(factors)
+                chunks.append(("-" if negative else "+", body))
+        except ValueError as exc:  # only str(mag) raises, past the digit limit
+            raise _output_size_error() from exc
         sign, body = chunks[0]
         text = ("-" if sign == "-" else "") + body
         for sign, body in chunks[1:]:
@@ -336,7 +351,9 @@ def _mul_raw(spec: FieldSpec, a: Dict[ExponentVector, object], b: Dict[ExponentV
     """Product of two raw term maps of one arity, as a raw term map without
     zeros.
 
-    Sparse operands are multiplied term pair by term pair.  Dense ones, whose
+    Sparse operands are multiplied term pair by term pair; when one of them
+    is a monomial, each product is a coefficient of the result as it stands,
+    with nothing to accumulate.  Dense ones, whose
     product box prod_i (deg_a,i + deg_b,i + 1) holds few slots per term pair,
     go through one big-integer product (_mul_packed).  The pair count is
     tested before the degree scan, so tiny products pay nothing for the
@@ -349,6 +366,13 @@ def _mul_raw(spec: FieldSpec, a: Dict[ExponentVector, object], b: Dict[ExponentV
         if math.prod(radix) <= _KRONECKER_FACTOR * pairs:
             return _mul_packed(spec, radix, a, b)
     reduce = spec._reduce
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # a monomial times b: the exponents stay distinct and in b's order,
+        # and a product of nonzero values is nonzero
+        ((u, c),) = a.items()
+        return {tuple(map(add, u, w)): reduce(c * bv) for w, bv in b.items()}
     out: Dict[ExponentVector, object] = {}
     for u, av in a.items():
         for w, bv in b.items():
@@ -544,21 +568,37 @@ def _shift_raw(spec: FieldSpec, rows: Dict[ExponentVector, list], var: int, box,
 
 # -- expression parser ------------------------------------------------------------
 
-_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*^()/])")
+# Digits are ASCII only: int() would read any Unicode decimal digit.  A var's
+# x followed by a non-ASCII digit is matched alone, so the refusal names the
+# digit; bad is the catch-all, one character that starts no token.
+_TOKEN = re.compile(
+    r"(?P<ws>\s+)|(?P<int>[0-9]+)|(?P<var>x(?=\d)[0-9]*)|(?P<op>[-+*^()/])|(?P<bad>.)", re.DOTALL
+)
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise PolyParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _int_literal(digits: str, pos: int) -> int:
+    """The value of a run of ASCII digits; a run longer than Python's int/str
+    digit limit is refused at its position, as a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError(
+            f"literal of {len(digits)} digits exceeds Python's int/str digit limit "
+            f"of {sys.get_int_max_str_digits()}",
+            pos,
+        ) from None
 
 
 class _Parser:
@@ -570,7 +610,12 @@ class _Parser:
     general division operator and no implicit multiplication.  Parentheses
     and unary minus nest at most _MAX_NESTING deep, and no product or power
     may take a variable's degree above _MAX_EXPONENT: the degrees are read
-    off the operands before any multiplying is done."""
+    off the operands before any multiplying is done.
+
+    Every rule returns a raw term map that it owns, and parse() wraps the
+    result once.  A sum folds each summand into one accumulator, dropping a
+    term the moment it cancels, so a sum of T terms costs O(T); products go
+    through _mul_raw, and powers through MultiPoly.__pow__."""
 
     def __init__(self, text: str, arity: int, spec: FieldSpec):
         self.tokens = _tokenize(text)
@@ -578,6 +623,7 @@ class _Parser:
         self.depth = 0
         self.arity = arity
         self.spec = spec
+        self.zero = (0,) * arity
 
     def peek(self):
         return self.tokens[self.idx]
@@ -601,85 +647,91 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "end":
             raise PolyParseError("empty expression", pos)
-        poly = self.expr()
+        terms = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise PolyParseError(f"unexpected {val!r}", pos)
-        return poly
+        return MultiPoly._from_raw(self.arity, self.spec, terms)
 
-    def expr(self) -> MultiPoly:
-        poly = self.term()
+    def expr(self) -> dict:
+        acc = self.term()
+        reduce = self.spec._reduce
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                poly = poly + rhs if val == "+" else poly - rhs
-            else:
-                return poly
+            if kind != "op" or val not in "+-":
+                return acc
+            self.next()
+            plus = val == "+"
+            for u, c in self.term().items():
+                v = reduce(acc.get(u, 0) + c if plus else acc.get(u, 0) - c)
+                if v:
+                    acc[u] = v
+                else:
+                    del acc[u]
 
-    def term(self) -> MultiPoly:
-        poly = self.factor()
+    def term(self) -> dict:
+        terms = self.factor()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                _, _, pos = self.next()
-                rhs = self.factor()
-                _check_degrees(map(add, _degrees(poly.terms, self.arity), _degrees(rhs.terms, self.arity)), pos)
-                poly = poly * rhs
-            else:
-                return poly
+            if kind != "op" or val != "*":
+                return terms
+            _, _, pos = self.next()
+            rhs = self.factor()
+            _check_degrees(map(add, _degrees(terms, self.arity), _degrees(rhs, self.arity)), pos)
+            terms = _mul_raw(self.spec, terms, rhs)
 
-    def factor(self) -> MultiPoly:
+    def factor(self) -> dict:
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.next()
             self.descend(pos)
-            poly = -self.factor()
+            reduce = self.spec._reduce
+            terms = {u: reduce(-c) for u, c in self.factor().items()}
             self.depth -= 1
-            return poly
-        poly = self.atom()
+            return terms
+        terms = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
             kind, val, pos = self.next()
             if kind != "int":
                 raise PolyParseError("exponent must be a nonnegative integer literal", pos)
-            e = int(val)
+            e = _int_literal(val, pos)
             if e > _MAX_EXPONENT:
                 raise PolyParseError(f"exponent {e} exceeds the limit {_MAX_EXPONENT}", pos)
-            _check_degrees((d * e for d in _degrees(poly.terms, self.arity)), pos)
-            poly = poly**e
-        return poly
+            _check_degrees((d * e for d in _degrees(terms, self.arity)), pos)
+            terms = (MultiPoly._from_raw(self.arity, self.spec, terms) ** e).terms
+        return terms
 
-    def atom(self) -> MultiPoly:
+    def atom(self) -> dict:
         kind, val, pos = self.next()
         if kind == "op" and val == "(":
             self.descend(pos)
-            poly = self.expr()
+            terms = self.expr()
             self.expect_op(")")
             self.depth -= 1
-            return poly
+            return terms
         if kind == "int":
-            num = int(val)
+            num = _int_literal(val, pos)
             kind2, val2, pos2 = self.peek()
             if kind2 == "op" and val2 == "/":
-                if not self.spec.is_prime_field:
-                    self.next()
-                    kind3, val3, pos3 = self.next()
-                    if kind3 != "int":
-                        raise PolyParseError("expected denominator after '/'", pos3)
-                    den = int(val3)
-                    if den == 0:
-                        raise PolyParseError("zero denominator", pos3)
-                    return MultiPoly.constant(self.arity, self.spec, Fraction(num, den))
-                raise PolyParseError("'/' literals are only valid over the rationals", pos2)
-            return MultiPoly.constant(self.arity, self.spec, num)
+                if self.spec.is_prime_field:
+                    raise PolyParseError("'/' literals are only valid over the rationals", pos2)
+                self.next()
+                kind3, val3, pos3 = self.next()
+                if kind3 != "int":
+                    raise PolyParseError("expected denominator after '/'", pos3)
+                den = _int_literal(val3, pos3)
+                if den == 0:
+                    raise PolyParseError("zero denominator", pos3)
+                num = Fraction(num, den)
+            v = self.spec._reduce(num)
+            return {self.zero: v} if v else {}
         if kind == "var":
-            index = int(val[1:])
+            index = _int_literal(val[1:], pos)
             if not 1 <= index <= self.arity:
                 raise PolyParseError(f"unknown variable {val!r} (arity {self.arity})", pos)
-            return MultiPoly.variable(self.arity, self.spec, index - 1)
+            return {self.zero[:index - 1] + (1,) + self.zero[index:]: 1}
         raise PolyParseError(f"unexpected {val or 'end of input'!r}", pos)
 
 

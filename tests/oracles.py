@@ -9,11 +9,13 @@ binomial expansion, Hermite interpolation through confluent Vandermonde
 systems, products of linear factors on coefficient lists, schoolbook
 products in field arithmetic, plane-by-plane evaluation, and direct
 enumeration.  No product or generator here goes through
-MultiPoly's * or ** or through Multiset's generator.
+MultiPoly's * or ** or through Multiset's generator, except in
+operator_route_oracle, which checks the parser against those operators.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 from nullgrid import CoverReport, MultiPoly, Multiset, MultisetGrid
 from nullgrid.randgen import rand_grid, rand_poly
@@ -355,3 +357,51 @@ def build_punctured_instance(rng, spec, n, max_size=3):
     h = rand_poly(rng, spec, n, max_deg=1, max_terms=2)
     f = poly_product_oracle(h, quotient) + ideal_member_oracle(rng, grid)
     return f, grid, d_grid, quotient
+
+
+def operator_route_oracle(rng, spec, arity, depth):
+    """A random expression tree as (text, polynomial).  The text renders the
+    tree with only the parentheses the grammar needs, and the polynomial is
+    the tree evaluated with MultiPoly's +, -, *, unary - and **, so
+    parse_poly(text) must equal it, term order included.  Nodes carry their
+    grammar level: 0 a sum, 1 a product, 2 a negation, 3 a power, 4 an atom;
+    an operand below the level its place needs is parenthesized, so a - (b - c)
+    and a*(b*c) keep their shape, and a power's base is always an atom."""
+
+    def at(node, level):
+        text, own, poly = node
+        return (text if own >= level else f"({text})"), poly
+
+    def draw(depth):
+        kind = rng.choice(("+", "-", "*", "+", "*", "neg", "^", "()")) if depth and rng.random() < 0.85 else "atom"
+        if kind == "atom":
+            r = rng.random()
+            if r < 0.55:
+                i = rng.randrange(arity)
+                return f"x{i + 1}", 4, MultiPoly.variable(arity, spec, i)
+            if not spec.is_prime_field and r < 0.7:
+                a, b = rng.randint(0, 9), rng.randint(1, 9)
+                return f"{a}/{b}", 4, MultiPoly.constant(arity, spec, Fraction(a, b))
+            c = rng.choice((0, 1, 2, 3, 5, 6, 7, 10006, 10**20 + 1))
+            return str(c), 4, MultiPoly.constant(arity, spec, c)
+        if kind == "neg":
+            text, poly = at(draw(depth - 1), 2)
+            return "-" + text, 2, -poly
+        if kind == "^":
+            text, poly = at(draw(depth - 1), 4)
+            e = rng.choice((0, 1, 2, 2, 3))
+            while e > 1 and len(poly.terms) ** e > 300:
+                e -= 1
+            return f"{text}^{e}", 3, poly**e
+        if kind == "()":
+            text, _, poly = draw(depth - 1)
+            return f"({text})", 4, poly
+        sep = rng.choice(("", " "))
+        if kind == "*":
+            (lt, lp), (rt, rp) = at(draw(depth - 1), 1), at(draw(depth - 1), 2)
+            return f"{lt}{sep}*{sep}{rt}", 1, lp * rp
+        (lt, lp), (rt, rp) = at(draw(depth - 1), 0), at(draw(depth - 1), 1)
+        return f"{lt}{sep}{kind}{sep}{rt}", 0, (lp + rp if kind == "+" else lp - rp)
+
+    text, _, poly = draw(depth)
+    return text, poly

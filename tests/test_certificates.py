@@ -305,3 +305,19 @@ def test_punctured_route_disagreement_names_the_instance(monkeypatch):
         "reduced form is not divisible by the coordinate-1 generator quotient, yet f vanishes "
         f"at every point outside the sub-grid; f = x1 + 1, {repro}"
     )
+
+
+def test_witness_search_failure_names_the_instance(monkeypatch):
+    grid = MultisetGrid.of(F5, [{0: 1, 1: 1}, {2: 2}])
+    f = parse_poly("x1*x2 + 3", 2, F5)
+    repro = f"f = x1*x2 + 3, grid = {json.dumps(grid_to_dict(grid))}, t = (1, 1)"
+    # the walk is made to find no nonzero expansion coefficient
+    monkeypatch.setattr(certificates, "grid_expansions", lambda f, grid: iter(()))
+    with pytest.raises(InvariantViolation) as err:
+        find_witness(f, grid, (1, 1))
+    assert str(err.value) == f"no witness found on a valid instance; {repro}"
+    # the weighted sum is made to miss the coefficient of x^t
+    monkeypatch.setattr(certificates, "_weighted_sum", lambda f, grid, table: (0, None))
+    with pytest.raises(InvariantViolation) as err:
+        find_witness(f, grid, (1, 1), method="divided_difference")
+    assert str(err.value) == f"weighted coefficient sum failed to certify the instance; {repro}"

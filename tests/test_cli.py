@@ -407,6 +407,20 @@ def test_oversized_inputs_fail_fast():
     assert run_cli(sun + ["10000"]) == (0, "lhs: 2\nrhs: 1\nholds: true\n", "")
 
 
+def test_values_past_the_int_digit_limit_are_refused():
+    limit = sys.get_int_max_str_digits()
+    grid_q = '{"field":{"kind":"rational"},"sets":[[{"value":"0","mult":1}]]}'
+    # a literal past the limit is a parse error at the literal
+    code, out, err = run_cli(["reduce", "--poly", "x1 + " + "9" * (limit + 1), "--grid-inline", grid_q])
+    assert (code, out) == (2, "")
+    assert err == f"error: literal of {limit + 1} digits exceeds Python's int/str digit limit of {limit} (position 5)\n"
+    # a computed value past it is an output-size failure, in both output modes
+    message = f"error: output-size: a value has more digits than Python's int/str digit limit of {limit}\n"
+    for subcommand in (["reduce"], ["reduce", "--json"], ["divdiff"], ["valueset", "--json"]):
+        argv = subcommand + ["--poly", f"10^{limit - 300}*10^400 + x1", "--grid-inline", grid_q]
+        assert run_cli(argv) == (1, "", message)
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path):
     deep = "[" * 100000
     message = (2, "", "error: invalid JSON: nested too deeply\n")

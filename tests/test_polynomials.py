@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,12 @@ from nullgrid import (
 )
 from nullgrid import polynomials
 from nullgrid.randgen import rand_element, rand_poly, rand_spec
-from oracles import expansion_coefficient_oracle, poly_product_oracle, univariate_divmod_oracle
+from oracles import (
+    expansion_coefficient_oracle,
+    operator_route_oracle,
+    poly_product_oracle,
+    univariate_divmod_oracle,
+)
 
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
@@ -336,6 +343,54 @@ def test_parse_errors_carry_positions():
         parse_poly("1/2*x1", 1, F5)  # rational literals need the rational field
     with pytest.raises(PolyParseError):
         parse_poly("x1/2", 1, Q)  # '/' only joins integer literals
+
+
+def test_parse_refuses_non_ascii_digits():
+    # int() reads any Unicode decimal digit; the grammar takes ASCII digits only
+    for text, pos, char in (("x\u0661 + \u0663", 1, "\u0661"), ("x1\u0663", 2, "\u0663"),
+                            ("x1 + \u0663", 5, "\u0663"), ("x1^\uff12", 3, "\uff12")):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, 1, F5)
+        assert str(err.value) == f"unexpected character {char!r} (position {pos})"
+    # Unicode whitespace is still whitespace, and a lone x is still refused at itself
+    assert parse_poly("x1 +\u00a02", 1, F5) == parse_poly("x1 + 2", 1, F5)
+    with pytest.raises(PolyParseError, match=r"unexpected character 'x' \(position 5\)"):
+        parse_poly("x1 + x", 1, F5)
+
+
+def test_parse_refuses_literals_past_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    big = "7" * (limit + 1)
+    for text, pos, spec in ((f"x1 + {big}", 5, F5), (f"x1^{big}", 3, F5), (f"x{big}", 0, F5),
+                            (f"1/{big}*x1", 2, Q)):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, 1, spec)
+        assert str(err.value) == (
+            f"literal of {limit + 1} digits exceeds Python's int/str digit limit of {limit} (position {pos})"
+        )
+    # a literal of exactly the limit is an ordinary integer
+    assert parse_poly("7" * limit, 1, Q).terms == {(0,): int("7" * limit)}
+
+
+def test_parser_matches_the_operator_route():
+    rng = random.Random(2024)
+    for spec in (F2, FieldSpec.prime(3), FieldSpec.prime(10007), Q):
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            text, want = operator_route_oracle(rng, spec, n, rng.randint(1, 7))
+            got = parse_poly(text, n, spec)
+            assert got == want and list(got.terms) == list(want.terms), text
+
+
+def test_long_sums_parse_in_linear_time():
+    # 30 000 distinct terms: a running sum copied at every '+' is quadratic,
+    # about a minute here, while one accumulator takes about a second
+    F = FieldSpec.prime(10007)
+    text = " + ".join(f"{i % 10006 + 1}*x1^{i // 150}*x2^{i % 150}" for i in range(30_000))
+    start = time.process_time()
+    f = parse_poly(text, 2, F)
+    assert time.process_time() - start < 8
+    assert len(f.terms) == 30_000 and f.terms[(199, 149)] == 29_999 % 10006 + 1 and f.terms[(0, 0)] == 1
 
 
 def test_parse_rejects_deep_nesting():
