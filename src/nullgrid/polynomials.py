@@ -27,7 +27,7 @@ does at each prefix, groups it once and shifts the same rows at each.
 
 Products and powers go through one kernel, _mul_raw.  Sparse operands are
 multiplied term pair by term pair, and a monomial times f term by term of
-f; a power of a monomial is one power of its coefficient.  Dense ones -- at
+f.  Dense ones -- at
 least _KRONECKER_MIN_PAIRS term pairs, and a product box with at most
 _KRONECKER_FACTOR slots per pair -- by Kronecker substitution: each operand
 is packed into one big integer, exponents as mixed-radix slot indices and
@@ -211,13 +211,8 @@ class MultiPoly:
         if e < 0:
             raise ValueError("polynomial exponent must be nonnegative")
         spec, n = self.spec, self.arity
-        base = self.terms
-        if len(base) == 1 and e:
-            # (c x^u)^e = c^e x^(e u), and c^e is nonzero
-            ((u, c),) = base.items()
-            power = pow(c, e, spec.p) if spec.p else spec._reduce(c**e)
-            return MultiPoly._from_raw(n, spec, {tuple(k * e for k in u): power})
         result = {(0,) * n: 1} if e == 0 else None
+        base = self.terms
         while e:
             if e & 1:
                 result = base if result is None else _mul_raw(spec, result, base)

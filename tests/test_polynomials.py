@@ -133,10 +133,15 @@ def test_products_and_powers_match_schoolbook_oracle(monkeypatch):
                 tuple(int(i == j) for j in range(n)): _random_coefficient(rng, spec) for i in range(-1, n)
             })
             base = rand_poly(rng, spec, n, max_deg=2, max_terms=4)
-            expected_linear = expected_base = MultiPoly.constant(n, spec, 1)
+            # a one-term base: its squarings take _mul_raw's monomial path
+            coeff = Fraction(-7, 3) if spec.p is None else spec.p - 2 or 1
+            monomial = MultiPoly.monomial(n, spec, [2] + [1] * (n - 1), coeff)
+            expected_linear = expected_base = expected_monomial = MultiPoly.constant(n, spec, 1)
             for e in range(13):
                 assert linear**e == expected_linear
                 expected_linear = poly_product_oracle(expected_linear, linear)
+                assert monomial**e == expected_monomial
+                expected_monomial = poly_product_oracle(expected_monomial, monomial)
                 if e <= (12 if n == 1 else 6):
                     assert base**e == expected_base
                     expected_base = poly_product_oracle(expected_base, base)
@@ -384,7 +389,7 @@ def test_parser_matches_the_operator_route():
 
 def test_long_sums_parse_in_linear_time():
     # 30 000 distinct terms: a running sum copied at every '+' is quadratic,
-    # about a minute here, while one accumulator takes about a second
+    # about a minute here, while one accumulator takes a second or two
     F = FieldSpec.prime(10007)
     text = " + ".join(f"{i % 10006 + 1}*x1^{i // 150}*x2^{i % 150}" for i in range(30_000))
     start = time.process_time()
