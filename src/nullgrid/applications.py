@@ -4,9 +4,11 @@ Sun's value-set bound for power-sum polynomials, and the Eliahou-Kervaire
 bound through Hopf-Stiefel numbers.
 
 These are verification tools: value sets and covers enumerate the full grid
-(a cover counts its hits per zero-set class of planes, not plane by plane),
-and the bound checkers surface both sides as data so exhaustive suites can
-assert the inequalities rather than trust them.
+(a value set evaluates every point with MultiPoly.evaluate's loop, from
+power rows built once per support value; a cover counts its hits per
+zero-set class of planes, not plane by plane), and the bound checkers
+surface both sides as data so exhaustive suites can assert the
+inequalities rather than trust them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec
 from .ideals import Multiset, MultisetGrid, _check_poly_grid
-from .polynomials import _MAX_EXPONENT, MultiPoly, _degrees
+from .polynomials import _MAX_EXPONENT, MultiPoly, _degrees, _evaluate_raw, _powers
 
 
 @dataclass(frozen=True)
@@ -249,34 +251,21 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
     largest sum(m_i(s_i)) - n + 1 over grid points s with f(s) = c.
 
     Cost is the full product of the supports; these checkers enumerate, they
-    do not solve.  Powers of the support elements are tabulated once so the
-    sweep stays cheap on the exhaustive suites.
+    do not solve.  Each support value's power row is built once, and every
+    point is evaluated from its coordinates' rows by the one evaluation loop
+    of MultiPoly.evaluate.
     """
     _check_poly_grid(f, grid)
     spec = grid.spec
     reduce = spec._reduce
     n = grid.arity
-    supports = [ms.support for ms in grid.sets]
-    pow_tables = []
-    for support, top in zip(supports, _degrees(f.terms, n)):
-        rows = []
-        for e in support:
-            row = [1]
-            for _ in range(top):
-                row.append(reduce(row[-1] * e.value))
-            rows.append(row)
-        pow_tables.append(rows)
+    row_sets = [
+        [_powers(spec, e.value, top) for e in ms.support]
+        for ms, top in zip(grid.sets, _degrees(f.terms, n))
+    ]
     best: Dict[object, int] = {}
-    combos = itertools.product(*(range(len(s)) for s in supports))
-    for combo, mults in zip(combos, grid.multiplicity_vectors()):
-        acc = 0
-        for u, t in f.terms.items():
-            for i, j in enumerate(combo):
-                e = u[i]
-                if e:
-                    t *= pow_tables[i][j][e]
-            acc += t
-        acc = reduce(acc)
+    for rows, mults in zip(itertools.product(*row_sets), grid.multiplicity_vectors()):
+        acc = reduce(_evaluate_raw(f.terms, rows))
         m = sum(mults) - n + 1
         if best.get(acc, 0) < m:
             best[acc] = m

@@ -53,9 +53,6 @@ class Witness:
     exponent: Tuple[int, ...]
     value: FieldElement
 
-    def sort_key(self):
-        return (tuple(e.sort_key() for e in self.point), self.exponent)
-
 
 def _check_witness_preconditions(f: MultiPoly, grid: MultisetGrid, t: Sequence[int]):
     _check_poly_grid(f, grid)

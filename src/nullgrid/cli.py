@@ -88,12 +88,24 @@ def _parse_field(text: str) -> FieldSpec:
     raise _InputError(f"field must be 'prime:<p>' or 'rational', got {text!r}")
 
 
+def _json_int(digits: str) -> int:
+    """A JSON integer; one past Python's int/str digit limit is an input
+    error that names the limit, not the number."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _InputError(
+            f"invalid JSON: a number of {len(digits.lstrip('-'))} digits exceeds "
+            f"Python's int/str digit limit of {sys.get_int_max_str_digits()}"
+        ) from None
+
+
 def _load_json(text_or_path: str, inline: bool):
     try:
         if inline:
-            return json.loads(text_or_path)
+            return json.loads(text_or_path, parse_int=_json_int)
         with open(text_or_path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise _InputError(f"cannot read {text_or_path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -8,20 +8,24 @@ otherwise.  FieldSpec._reduce is the one place that rule is written: every
 kernel computes on raw values with native + - * and passes each result
 through it, and polynomials store their coefficients in that raw form.  A
 FieldElement wraps one raw value where it crosses the API: as a coefficient,
-a value or a multiset element.  All values are immutable.
+a value or a multiset element; it defines __lt__ alone, and <=, > and >=
+follow from __lt__ and __eq__.  All values are immutable.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from fractions import Fraction
 
 from .errors import FieldMismatchError, PreconditionError
 
-# Miller-Rabin witness set, deterministic for all inputs below 3.3 * 10^24
-# (in particular for every 64-bit modulus); probabilistic-but-overwhelming
-# beyond that.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witness set: the first 13 primes, deterministic for all
+# inputs below psi_13 = 3 317 044 064 679 887 385 961 981 (about 3.3 * 10^24,
+# in particular for every 64-bit modulus); probabilistic-but-overwhelming
+# beyond that.  The first 12 alone pass the composite psi_12 =
+# 318 665 857 834 031 151 167 461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -137,6 +141,12 @@ class FieldSpec:
                 raise ValueError("exponent notation is not accepted")
             return self._reduce(Fraction(text) if self.p is None else int(text))
         except (ValueError, ZeroDivisionError) as exc:
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < len(text):  # named by its length, not repeated
+                raise ValueError(
+                    f"invalid {self} value of {len(text)} characters, "
+                    f"longer than Python's int/str digit limit of {limit}"
+                ) from exc
             raise ValueError(f"invalid {self} value {text!r}") from exc
 
     @property
@@ -164,6 +174,7 @@ class FieldSpec:
         return self._reduce(_FRACTION_ONE / a)  # never 1 / a: an int a gives a float
 
 
+@functools.total_ordering
 class FieldElement:
     """An element of a FieldSpec field, in canonical form.
 
@@ -261,29 +272,13 @@ class FieldElement:
         """Canonical total order on one field's elements (by representative)."""
         return self.value
 
-    def _compared_value(self, other):
-        """The raw value that other is ordered by: an int or Fraction is taken
-        unreduced, as __eq__ takes it, so that order agrees with equality."""
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return other
-        other = self._coerce(other)
-        return other if other is NotImplemented else other.value
-
     def __lt__(self, other):
-        v = self._compared_value(other)
-        return NotImplemented if v is NotImplemented else self.value < v
-
-    def __le__(self, other):
-        v = self._compared_value(other)
-        return NotImplemented if v is NotImplemented else self.value <= v
-
-    def __gt__(self, other):
-        v = self._compared_value(other)
-        return NotImplemented if v is NotImplemented else self.value > v
-
-    def __ge__(self, other):
-        v = self._compared_value(other)
-        return NotImplemented if v is NotImplemented else self.value >= v
+        """Order by raw value: an int or Fraction is taken unreduced, as
+        __eq__ takes it, so that order agrees with equality."""
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return self.value < other
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self.value < other.value
 
     def __str__(self):
         try:

@@ -62,9 +62,6 @@ class Multiset:
     def multiplicity(self, value) -> int:
         return self.entries.get(self.spec.element(value), 0)
 
-    def items(self):
-        return tuple(self.entries.items())
-
     def _generator_raw(self) -> list:
         """Raw coefficients of the monic product of (x - s)^mult over this
         multiset, lowest degree first, built on first use and kept: callers
@@ -185,11 +182,6 @@ class MultisetGrid:
     def generators(self) -> Tuple[MultiPoly, ...]:
         n = self.arity
         return tuple(ms.generator_poly(i, n) for i, ms in enumerate(self.sets))
-
-    def replace(self, index: int, ms: Multiset) -> "MultisetGrid":
-        sets = list(self.sets)
-        sets[index] = ms
-        return MultisetGrid(sets)
 
     def __eq__(self, other):
         if not isinstance(other, MultisetGrid):
@@ -316,15 +308,11 @@ def standard_monomials(grid: MultisetGrid):
     return set(itertools.product(*(range(d) for d in grid.sizes)))
 
 
-def term_order_family(arity: int, rng=None, max_perms: int = 24) -> List[TermOrder]:
+def term_order_family(arity: int) -> List[TermOrder]:
     """All three order kinds crossed with variable permutations: every
-    permutation when there are at most four variables, a sample otherwise."""
-    perms = list(itertools.permutations(range(arity)))
-    if len(perms) > max_perms:
-        if rng is None:
-            perms = perms[:max_perms]
-        else:
-            perms = rng.sample(perms, max_perms)
+    permutation when there are at most four variables, the first 24 in
+    lexicographic order otherwise, drawn lazily so the rest are never built."""
+    perms = list(itertools.islice(itertools.permutations(range(arity)), 24))
     return [TermOrder(kind, perm) for kind in TermOrder.KINDS for perm in perms]
 
 

@@ -9,6 +9,10 @@ in coefficient() and evaluate().  Total degree of the zero polynomial is
 None, a real sentinel rather than -1, so degree-bound checks stay honest
 when a cofactor vanishes.
 
+A point is evaluated by one loop, _evaluate_raw, from one power row per
+coordinate (_powers); evaluate() and the value sets of applications both
+call it, and the same power row is column 0 of the Taylor columns.
+
 The parser caps every variable's degree and works on raw term maps, too: a
 sum folds each summand into one accumulator, so a sum of T monomials parses
 in O(T), and the result is wrapped as a MultiPoly once.  Products go
@@ -20,10 +24,12 @@ in the shifted polynomial is the expansion coefficient of f at s attached to
 characteristic, unlike the factorial-scaled derivative formula.  Callers
 usually need only the exponents below a box (a multiplicity vector), so
 shift takes an optional box and works one coordinate at a time, cutting
-each coordinate to its bound before the next is shifted.  A coordinate's
-shift reads the terms grouped into dense rows in that variable (_rows);
-a caller that shifts one polynomial at several values, as the grid walk
-does at each prefix, groups it once and shifts the same rows at each.
+each coordinate to its bound before the next is shifted; the kernel,
+_shift_raw, always gets an int bound, the full width when there is no box.
+A coordinate's shift reads the terms grouped into dense rows in that
+variable (_rows); a caller that shifts one polynomial at several values,
+as the grid walk does at each prefix, groups it once and shifts the same
+rows at each.
 
 Products and powers go through one kernel, _mul_raw.  Sparse operands are
 multiplied term pair by term pair, and a monomial times f term by term of
@@ -235,22 +241,9 @@ class MultiPoly:
 
     def evaluate(self, point: Sequence) -> FieldElement:
         spec = self.spec
-        reduce = spec._reduce
         s = self._point_raw(point)
-        # per-variable power tables; exponents at desk scale are small
-        powers = []
-        for x, top in zip(s, _degrees(self.terms, self.arity)):
-            row = [1]
-            for _ in range(top):
-                row.append(reduce(row[-1] * x))
-            powers.append(row)
-        acc = 0
-        for u, t in self.terms.items():
-            for i, e in enumerate(u):
-                if e:
-                    t *= powers[i][e]
-            acc += t
-        return FieldElement(reduce(acc), spec)
+        rows = [_powers(spec, x, top) for x, top in zip(s, _degrees(self.terms, self.arity))]
+        return FieldElement(spec._reduce(_evaluate_raw(self.terms, rows)), spec)
 
     def shift(self, point: Sequence, box: Sequence[int] = None) -> "MultiPoly":
         """Substitute x_i -> x_i + s_i; the result's coefficient at x^u is the
@@ -267,11 +260,9 @@ class MultiPoly:
         terms = self.terms
         # the zero polynomial has no degrees, and no shift to run
         for i, (si, top) in enumerate(zip(s, map(max, zip(*terms)))):
-            cols = None
-            if si and terms:
-                width = top + 1 if box is None else min(box[i], top + 1)
-                cols = _taylor_columns(spec, si, top, width)
-            terms = _shift_raw(spec, _rows(terms, i, top + 1), i, None if box is None else box[i], cols)
+            width = top + 1 if box is None else min(box[i], top + 1)
+            cols = _taylor_columns(spec, si, top, width) if si and terms else None
+            terms = _shift_raw(spec, _rows(terms, i, top + 1), i, width, cols)
         return MultiPoly._from_raw(self.arity, spec, terms)
 
     # -- division by a univariate ----------------------------------------------
@@ -495,18 +486,37 @@ def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, 
     return quot, rem
 
 
+def _powers(spec: FieldSpec, x, top: int) -> list:
+    """The power row [x^0, x^1, ..., x^top] of a raw value, reduced."""
+    reduce = spec._reduce
+    row = [1]
+    for _ in range(top):
+        row.append(reduce(row[-1] * x))
+    return row
+
+
+def _evaluate_raw(terms: Dict[ExponentVector, object], rows: Sequence[list]):
+    """f at a point, unreduced, from each coordinate's power row (_powers):
+    the sum over the raw terms c*x^u of c * prod_i rows[i][u_i]."""
+    acc = 0
+    for u, t in terms.items():
+        for i, e in enumerate(u):
+            if e:
+                t *= rows[i][e]
+        acc += t
+    return acc
+
+
 def _taylor_columns(spec: FieldSpec, point, top: int, width: int) -> list:
     """The Taylor columns of the shift x -> x + point, for rows of degree at
     most top: cols[j][k] = C(j + k, j) * point^k, reduced, for j < width and
     j + k <= top.  The shifted coefficient at j of a row (a_e) is then the
     sum over k of cols[j][k] * a_(j + k).  C(j + k, j) is an integer reduced
     like any other coefficient, so the columns are right over F_p even when
-    the degree reaches p.  Column 0 is the power row point^k itself, already
-    reduced, so a table one column wide costs only the powers."""
+    the degree reaches p.  Column 0 is the power row of point, so a table
+    one column wide costs only the powers."""
     reduce = spec._reduce
-    powers = [1]
-    for _ in range(top):
-        powers.append(reduce(powers[-1] * point))
+    powers = _powers(spec, point, top)
     return [powers] + [
         [reduce(math.comb(j + k, j) * powers[k]) for k in range(top - j + 1)]
         for j in range(1, width)
@@ -531,10 +541,9 @@ def _rows(terms: Dict[ExponentVector, object], var: int, size: int) -> Dict[Expo
     return rows
 
 
-def _shift_raw(spec: FieldSpec, rows: Dict[ExponentVector, list], var: int, box, cols):
+def _shift_raw(spec: FieldSpec, rows: Dict[ExponentVector, list], var: int, box: int, cols):
     """Substitute x_{var+1} -> x_{var+1} + s in raw terms given as their
-    _rows in x_{var+1}, keeping only exponents below box in that variable
-    (all of them when box is None).
+    _rows in x_{var+1}, keeping only exponents below box in that variable.
 
     cols is None when s = 0, and the shift is only each row cut at box.
     Otherwise it is _taylor_columns(spec, s, top, width) for the rows' top

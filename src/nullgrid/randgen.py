@@ -24,10 +24,10 @@ def rand_spec(rng: random.Random, primes: Sequence[int] = DEFAULT_PRIMES, ration
     return FieldSpec.prime(rng.choice(list(primes)))
 
 
-def rand_element(rng: random.Random, spec: FieldSpec, span: int = 9) -> FieldElement:
+def rand_element(rng: random.Random, spec: FieldSpec) -> FieldElement:
     if spec.is_prime_field:
         return spec.element(rng.randrange(spec.p))
-    return spec.element(Fraction(rng.randint(-span, span), rng.randint(1, 4)))
+    return spec.element(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
 
 
 def rand_multiset(
@@ -106,18 +106,12 @@ def rand_ideal_member(
     return f
 
 
-def rand_witness_instance(
-    rng: random.Random,
-    spec: FieldSpec,
-    arity: int,
-    max_t: int = 2,
-    max_extra: int = 2,
-):
+def rand_witness_instance(rng: random.Random, spec: FieldSpec, arity: int):
     """A (polynomial, grid, target) triple meeting the witness preconditions:
     the target monomial is planted with a nonzero coefficient, every other
     term has strictly smaller total degree, and the grid sizes exceed the
     target componentwise."""
-    t = tuple(rng.randint(0, max_t) for _ in range(arity))
+    t = tuple(rng.randint(0, 2) for _ in range(arity))
     f = MultiPoly.monomial(
         arity,
         spec,
@@ -127,7 +121,7 @@ def rand_witness_instance(
     if sum(t) > 0:
         extra = rand_poly(rng, spec, arity, sum(t) - 1, max_terms=4)
         f = f + extra
-    sizes = [t[i] + rng.randint(1, max_extra) for i in range(arity)]
+    sizes = [t[i] + rng.randint(1, 2) for i in range(arity)]
     grid = MultisetGrid(
         [rand_multiset(rng, spec, sizes[i], min_size=sizes[i]) for i in range(arity)]
     )

@@ -7,10 +7,11 @@ recursion for the weights expanded symbolically, the two-point recursion
 for the bracket with random pivots, big-integer binomials, term-by-term
 binomial expansion, Hermite interpolation through confluent Vandermonde
 systems, products of linear factors on coefficient lists, schoolbook
-products in field arithmetic, plane-by-plane evaluation, and direct
-enumeration.  No product or generator here goes through
-MultiPoly's * or ** or through Multiset's generator, except in
-operator_route_oracle, which checks the parser against those operators.
+products in field arithmetic, plane-by-plane evaluation, term-by-term
+evaluation with no power table, and direct enumeration.  No product or
+generator here goes through MultiPoly's * or ** or through Multiset's
+generator, except in operator_route_oracle, which checks the parser
+against those operators.
 """
 
 import itertools
@@ -192,6 +193,31 @@ def cover_report_oracle(hyperplanes, grid):
         undercovered_points=undercovered,
         proportional_pairs=proportional,
     )
+
+
+def evaluate_oracle(f, point):
+    """f at a point, term by term in FieldElement arithmetic: each term's
+    coefficient times its coordinates' powers, taken with ** one by one."""
+    spec = f.spec
+    total = spec.zero
+    for u, c in f.terms.items():
+        term = spec.element(c)
+        for x, e in zip(point, u):
+            term = term * spec.element(x) ** e
+        total = total + term
+    return total
+
+
+def value_set_oracle(f, grid):
+    """The value set of f on the grid by enumeration: every point evaluated
+    by evaluate_oracle, and each value given the largest sum(m_i) - n + 1
+    over the points where f takes it."""
+    best = {}
+    for point in grid.points():
+        value = evaluate_oracle(f, point)
+        m = sum(grid.multiplicity_vector(point)) - grid.arity + 1
+        best[value] = max(best.get(value, 0), m)
+    return Multiset(grid.spec, best.items())
 
 
 def poly_product_oracle(a, b):

@@ -35,8 +35,8 @@ from nullgrid.applications import (
     vector_multiset_from_list,
     vector_multiset_to_list,
 )
-from nullgrid.randgen import rand_element, rand_multiset, rand_spec
-from oracles import cover_report_oracle, hopf_stiefel_oracle
+from nullgrid.randgen import rand_element, rand_multiset, rand_poly, rand_spec
+from oracles import cover_report_oracle, evaluate_oracle, hopf_stiefel_oracle, value_set_oracle
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -237,6 +237,32 @@ def test_value_set_examples():
     assert value_set(const, gridm) == Multiset.of(F5, {3: 4})  # max(2+3) - 2 + 1
 
     assert value_set(parse_poly("x1", 1, F5), MultisetGrid.of(F5, [{0: 2}])) == Multiset.of(F5, {0: 2})
+
+
+def test_value_set_and_evaluate_match_the_enumeration_oracle():
+    # grids holding 0, whose power row is 1, 0, 0, ..., and degrees at or
+    # above p, where x^p = x over F_p: the power rows run to each degree
+    rng = random.Random(2311)
+    for spec in (F2, F3, FieldSpec.prime(101), Q):
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            sets = []
+            for _ in range(n):
+                ms = rand_multiset(rng, spec, 4)
+                if not ms.multiplicity(0) and rng.random() < 0.6:
+                    ms = Multiset(spec, [*ms.entries.items(), (0, rng.randint(1, 2))])
+                sets.append(ms)
+            grid = MultisetGrid(sets)
+            top = spec.p + 2 if spec.p else 6
+            f = rand_poly(rng, spec, n, max_deg=top, max_terms=6)
+            if rng.random() < 0.5:
+                f = f + MultiPoly.monomial(n, spec, [top] + [0] * (n - 1), 1)
+            assert value_set(f, grid) == value_set_oracle(f, grid), (spec, grid, f)
+            for point in grid.points():
+                assert f.evaluate(point) == evaluate_oracle(f, point), (spec, point, f)
+    # x^p - x vanishes on all of F_p, 0 among it
+    grid = MultisetGrid.of(F3, [{0: 2, 1: 1, 2: 1}])
+    assert value_set(parse_poly("x1^3 - x1", 1, F3), grid) == Multiset.of(F3, {0: 2})
 
 
 def test_separable_value_set_is_iterated_sumset():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -137,6 +138,20 @@ def test_obstruction_check_examples():
     with pytest.raises(PreconditionError):
         g1 = MultisetGrid.of(F5, [{0: 1, 1: 1}]).generators()[0]
         cofactor_obstruction_check(g1, MultisetGrid.of(F5, [{0: 1, 1: 1}]), (1,))
+
+
+def test_obstruction_check_refuses_a_bogus_cofactor(monkeypatch):
+    grid = MultisetGrid.of(F3, [{0: 1, 1: 1}, {0: 1, 1: 1}])
+    f = parse_poly("x1*x2", 2, F3)
+    real = certificates.reduce_poly
+
+    def bogus(f, grid):
+        # h_1 = f makes h_1 * g_1 of degree 4, above deg f = 2
+        res = real(f, grid)
+        return dataclasses.replace(res, cofactors=(f,) + res.cofactors[1:])
+
+    monkeypatch.setattr(certificates, "reduce_poly", bogus)
+    assert cofactor_obstruction_check(f, grid, (1, 1)) is False
 
 
 def test_obstruction_check_random():

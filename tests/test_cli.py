@@ -243,6 +243,10 @@ def test_exit_codes():
     assert code == 2 and err.startswith("error:")
     code, _, err = run_cli(["cd-check", "--field", "prime:6", "--a", "[]", "--b", "[]"])
     assert code == 2
+    # psi_12 = 399165290221 * 798330580441 passes the first twelve prime bases
+    ms = '[{"value":"1","mult":1}]'
+    argv = ["sumset", "--field", "prime:318665857834031151167461", "--a", ms, "--b", ms]
+    assert run_cli(argv) == (2, "", "error: modulus must be a prime integer, got 318665857834031151167461\n")
     # precondition violations -> 1
     code, _, err = run_cli(
         ["witness", "--poly", "x1", "--grid-inline", GRID_F5_01, "--t", "0"]
@@ -419,6 +423,22 @@ def test_values_past_the_int_digit_limit_are_refused():
     for subcommand in (["reduce"], ["reduce", "--json"], ["divdiff"], ["valueset", "--json"]):
         argv = subcommand + ["--poly", f"10^{limit - 300}*10^400 + x1", "--grid-inline", grid_q]
         assert run_cli(argv) == (1, "", message)
+    # a JSON value past it is an input error named by its length, quoted or not
+    big = "1" * (limit + 700)
+    quoted = f"error: invalid F_7 value of {len(big)} characters, longer than Python's int/str digit limit of {limit}\n"
+    unquoted = f"error: invalid JSON: a number of {len(big)} digits exceeds Python's int/str digit limit of {limit}\n"
+    for value, message in ((f'"{big}"', quoted), (big, unquoted), ("-" + big, unquoted)):
+        entry = f'[{{"value":{value},"mult":1}}]'
+        grid = f'{{"field":{{"kind":"prime","p":7}},"sets":[{entry}]}}'
+        assert run_cli(["reduce", "--poly", "x1", "--grid-inline", grid]) == (2, "", message)
+        assert run_cli(["sumset", "--field", "prime:7", "--a", entry, "--b", entry]) == (2, "", message)
+        vector = f'[{{"value":[{value}],"mult":1}}]'
+        assert run_cli(["ek-check", "--p", "7", "--dim", "1", "--a", vector, "--b", vector]) == (2, "", message)
+        planes = f"[[{value}, 1]]"
+        argv = ["cover-check", "--grid-inline", GRID_F5_01.replace('"p":5', '"p":7'), "--hyperplanes-inline", planes]
+        assert run_cli(argv) == (2, "", message)
+    grid = '{"field":{"kind":"prime","p":%s},"sets":[[{"value":"1","mult":1}]]}' % big
+    assert run_cli(["reduce", "--poly", "x1", "--grid-inline", grid]) == (2, "", unquoted)
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path):

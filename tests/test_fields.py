@@ -129,6 +129,15 @@ def test_primality_check():
     assert not is_probable_prime(1)
     assert not is_probable_prime(561)  # Carmichael
     assert not is_probable_prime(2**61 + 1)
+    # composites with no factor among the bases, refused by a base
+    assert not is_probable_prime(43**2)
+    assert not is_probable_prime(3215031751)  # 151 * 751 * 28351, strong pseudoprime to 2, 3, 5, 7
+    # psi_12 passes the first twelve prime bases; base 41 refuses it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_probable_prime(psi12)
+    with pytest.raises(ValueError, match="modulus must be a prime integer"):
+        FieldSpec.prime(psi12)
 
 
 def test_add_examples():

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -454,6 +456,32 @@ def test_universal_gb_random_members():
         if f.is_zero():
             continue
         assert universal_gb_check(f, grid, term_order_family(n))
+
+
+def test_universal_gb_check_refuses_a_leading_monomial_below_the_sizes(monkeypatch):
+    # x1 is no member; with membership faked, its leading monomial x1 is
+    # divisible by no x_i^(d_i), under any order
+    grid = MultisetGrid.of(F5, [{0: 1, 1: 1}, {0: 2}])
+    monkeypatch.setattr(ideals, "in_grid_ideal", lambda f, grid: True)
+    assert universal_gb_check(parse_poly("x1", 2, F5), grid, term_order_family(2)) is False
+
+
+def test_term_order_family_keeps_the_first_24_permutations():
+    orders = term_order_family(5)
+    assert [o.kind for o in orders] == ["lex"] * 24 + ["grlex"] * 24 + ["grevlex"] * 24
+    assert [o.permutation for o in orders[:24]] == sorted(itertools.permutations(range(5)))[:24]
+    # arity 12 has 479 001 600 permutations, and none past the 24th is built
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        orders = term_order_family(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 0.5
+    assert peak < 1_000_000
+    assert len(orders) == 72
+    assert orders[23].permutation == (0, 1, 2, 3, 4, 5, 6, 7, 11, 10, 9, 8)
 
 
 def test_pairwise_s_polynomials_reduce_to_zero():
