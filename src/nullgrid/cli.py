@@ -82,22 +82,30 @@ def _parse_field(text: str) -> FieldSpec:
         return FieldSpec.rationals()
     if text.startswith("prime:"):
         try:
-            return FieldSpec.prime(int(text.split(":", 1)[1]))
+            return FieldSpec.prime(_parse_int(text.split(":", 1)[1], "--field"))
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
     raise _InputError(f"field must be 'prime:<p>' or 'rational', got {text!r}")
 
 
-def _json_int(digits: str) -> int:
-    """A JSON integer; one past Python's int/str digit limit is an input
-    error that names the limit, not the number."""
+def _parse_int(text: str, what: str) -> int:
+    """int(text); a number past Python's int/str digit limit is an input
+    error that names its length and the limit, not the number, and any other
+    bad text raises int's own ValueError."""
     try:
-        return int(digits)
+        return int(text)
     except ValueError:
-        raise _InputError(
-            f"invalid JSON: a number of {len(digits.lstrip('-'))} digits exceeds "
-            f"Python's int/str digit limit of {sys.get_int_max_str_digits()}"
-        ) from None
+        digits = text.strip().lstrip("+-")
+        limit = sys.get_int_max_str_digits()
+        if digits.isdecimal() and len(digits) > limit:
+            raise _InputError(
+                f"{what}: a number of {len(digits)} digits exceeds Python's int/str digit limit of {limit}"
+            ) from None
+        raise
+
+
+def _json_int(digits: str) -> int:
+    return _parse_int(digits, "invalid JSON")
 
 
 def _load_json(text_or_path: str, inline: bool):
@@ -135,7 +143,9 @@ def _load_poly(args, grid: MultisetGrid) -> MultiPoly:
 
 def _parse_ints(text: str, what: str):
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_parse_int(part, what) for part in text.split(","))
+    except _InputError:
+        raise
     except ValueError as exc:
         raise _InputError(f"{what} must be comma-separated integers, got {text!r}") from exc
 

@@ -8,20 +8,22 @@ expansion coefficients at single points, filled in bottom-up as one
 confluent Newton table per coordinate.  The grid ideal is a tensor product
 of univariate ideals, so the remainder of x^u is the product of the
 remainders of x_i^(u_i) modulo g_i: the definitional bracket sums f's
-coefficients against one-coordinate top coefficients, read off each g_i by
-a linear recurrence, and never divides.
+coefficients against one-coordinate top coefficients, the power series
+inverse of each reversed g_i (polynomials._inv_series), and never divides.
 
 A weight table holds field constants, depending only on the grid, that
 express the bracket as a linear combination of pointwise expansion
 coefficients.  Every weight is a product of one-coordinate weights, the
 confluent divided-difference coefficients of each coordinate multiset, and
 the table is their outer product.  They are read off in residue form, the
-partial-fraction expansion of 1 / g_i at each element s: the inverse of the
-head prod (s - s')^m(s'), times one closed-form binomial series in x - s per
-other element s', truncated.  Neither the Newton tables nor the generator is
-used, so the three routes stay independent.  The weights at the maximal
-exponents are the inverted heads, never zero, which is what powers the
-witness search.
+partial-fraction expansion of 1 / g_i at each element s: the power series
+in x - s of 1 / prod (x - s')^m(s') over the other elements s', truncated.
+The factors of small multiplicity are multiplied into one polynomial, which
+the same series inverse inverts once, and a factor of large multiplicity is
+taken as the closed-form binomial series of its inverse.  Neither the Newton
+tables nor the generator is used, so the three routes stay independent.  The
+weights at the maximal exponents are the inverted heads prod (s - s')^m(s'),
+never zero, which is what powers the witness search.
 
 The top-coefficient identity checks the bracket against the weighted sum of
 expansion coefficients.  Without a given table it contracts that sum one
@@ -41,7 +43,7 @@ from typing import Dict, Optional, Tuple
 from .errors import PreconditionError
 from .fields import FieldElement
 from .ideals import MultisetGrid, _check_poly_grid, grid_expansions
-from .polynomials import MultiPoly, _degrees, _rows, _shift_raw, _taylor_columns
+from .polynomials import MultiPoly, _inv_series, _rows, _shift_raw, _taylor_columns
 
 # most Newton-table entries divided_difference_recursive will fill: the sum
 # over the coordinates i of (prod_{j<i} d_j) * T_i, where T_i is
@@ -51,17 +53,13 @@ _MAX_NEWTON_ENTRIES = 1_000_000
 
 def _bracket_row(ms, top: int) -> list:
     """h[e] for e <= top: the coefficient of x^(d - 1) in x^e mod g, for the
-    generator g of the multiset, of degree d.  It is 0 below d - 1 and 1 at
-    d - 1; above, x^d = -sum_j g_j x^j mod g gives the recurrence
-    h[e] = -sum_{j < d} g_j * h[e - d + j], one reduced sum per entry."""
+    generator g of the multiset, of degree d.  It is 0 below d - 1, and
+    h[d - 1 + k] is the coefficient of y^k in the power series 1 / rev(g),
+    where rev(g)(y) = y^d g(1/y) has constant term 1 because g is monic:
+    x^d = -sum_j g_j x^j mod g is that series' recurrence."""
     gen = ms._generator_raw()
     d = len(gen) - 1
-    low = gen[:d]
-    reduce = ms.spec._reduce
-    h = [0] * (d - 1) + [1]
-    for e in range(d, top + 1):
-        h.append(reduce(-sum(map(mul, low, h[e - d:e]))))
-    return h
+    return [0] * (d - 1) + _inv_series(ms.spec, gen[::-1], top - d + 2)
 
 
 def divided_difference(f: MultiPoly, grid: MultisetGrid) -> FieldElement:
@@ -73,17 +71,13 @@ def divided_difference(f: MultiPoly, grid: MultisetGrid) -> FieldElement:
     product of the one-coordinate coefficients _bracket_row reads off g_i.
     The bracket is then the sum over the terms c x^u of f of c times that
     product, reduced once: O(sum_i deg_i f * d_i + |f| * n) work, and no
-    division."""
+    division.  The products are one chain of maps over f's exponent columns,
+    one link per coordinate, so no term is visited by a Python loop."""
     _check_poly_grid(f, grid)
-    rows = [_bracket_row(ms, top) for ms, top in zip(grid.sets, _degrees(f.terms, grid.arity))]
-    acc = 0
-    for u, c in f.terms.items():
-        for row, e in zip(rows, u):
-            c *= row[e]
-            if not c:
-                break
-        acc += c  # reduced once below
-    return FieldElement(f.spec._reduce(acc), f.spec)
+    products = f.terms.values()
+    for ms, col in zip(grid.sets, zip(*f.terms)):
+        products = map(mul, products, map(_bracket_row(ms, max(col)).__getitem__, col))
+    return FieldElement(f.spec._reduce(sum(products)), f.spec)
 
 
 def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid) -> FieldElement:
@@ -163,40 +157,53 @@ def _coordinate_weights(ms) -> dict:
     """Weights of the one-coordinate grid of the multiset, as raw
     {element: [w_0, ..., w_(m-1)]} in entry order, zeros included, in residue
     form.  For each entry (s, m), with y = x - s, w_e is the coefficient of
-    y^(m - 1 - e) in the product over the other entries (t, M) of
-    (y + s - t)^(-M), truncated below y^m.  That product is the inverse of
-    the head prod (s - t)^M, one inversion per element, times one
-    closed-form factor per other element: the sum over k of
-    C(M + k - 1, k) * (-c)^k * y^k with c = (s - t)^(-1).  C(M + k - 1, k) is carried from k - 1 to k as an
-    exact integer and reduced like any other coefficient, so no factorial is
-    inverted and the weights are right over F_p for every multiplicity.  An
-    element of multiplicity 1 needs only the head."""
-    reduce, inv, p = ms.spec._reduce, ms.spec._inv, ms.spec.p
+    y^(m - 1 - e) in the power series of 1 / q_s, truncated below y^m, where
+    q_s(y) is the product over the other entries (t, M) of (y + s - t)^M.
+
+    A factor with M small against m, 8 * M <= m + 32, is multiplied into
+    one truncated polynomial by M in-place passes of y + s - t, O(m) steps
+    each, and that polynomial is inverted once (polynomials._inv_series).
+    Any other factor is taken as the closed-form series of its inverse, the
+    sum over k of C(M + k - 1, k) * c^M * (-c)^k * y^k with c = (s - t)^(-1),
+    in O(m) steps and one inversion; the first such series is taken as it
+    is, and each later one, and the inverted polynomial, are convolved into
+    it at about m^2 / 2 cheaper steps each.  A row of two elements has one
+    factor, whose closed form is the whole series, so it always takes that
+    form.  C(M + k - 1, k) is carried from k - 1 to k as an exact integer
+    and reduced like any other coefficient, so no factorial is inverted and
+    the weights are right over F_p for every multiplicity."""
+    spec = ms.spec
+    reduce, inv, p = spec._reduce, spec._inv, spec.p
     row = [(e.value, m) for e, m in ms.entries.items()]
     weights = {}
     for s, m in row:
-        others = [(reduce(s - t), big_m) for t, big_m in row if t != s]
-        head = 1
-        for diff, big_m in others:
-            head = reduce(head * (pow(diff, big_m, p) if p else diff**big_m))
-        scale = inv(head)
-        if m == 1:
-            weights[s] = [scale]
-            continue
-        series = None  # the product so far; the first factor is taken as it is
-        for diff, big_m in others:
-            neg_c = reduce(-inv(diff))
-            factor, binom, power = [], 1, 1  # C(M + k - 1, k) and (-c)^k
-            for k in range(m):
+        poly, factors = [1], []  # the small factors' product; series to convolve
+        for t, big_m in row:
+            if t == s:
+                continue
+            diff = reduce(s - t)
+            if len(row) > 2 and 8 * big_m <= m + 32:
+                for _ in range(big_m):  # poly *= y + diff, cut below y^m
+                    if len(poly) < m:
+                        poly.append(0)
+                    for k in range(len(poly) - 1, 0, -1):
+                        poly[k] = reduce(diff * poly[k] + poly[k - 1])
+                    poly[0] = reduce(diff * poly[0])
+                continue
+            c = inv(diff)
+            neg_c = reduce(-c)
+            factor, binom, power = [], 1, reduce(pow(c, big_m, p) if p else c**big_m)
+            for k in range(m):  # binom = C(M + k - 1, k), power = c^M * (-c)^k
                 factor.append(reduce(binom * power))
                 binom = binom * (big_m + k) // (k + 1)
                 power = reduce(power * neg_c)
-            series = factor if series is None else [
-                reduce(sum(map(mul, series[: k + 1], reversed(factor[: k + 1]))))
-                for k in range(m)
-            ]
-        series = series or [1] + [0] * (m - 1)
-        weights[s] = [reduce(scale * w) for w in reversed(series)]
+            factors.append(factor)
+        if poly != [1] or not factors:
+            factors.append(_inv_series(spec, poly, m))
+        series = factors[0]
+        for factor in factors[1:]:
+            series = [reduce(sum(map(mul, series[: k + 1], reversed(factor[: k + 1])))) for k in range(m)]
+        weights[s] = series[::-1]
     return weights
 
 

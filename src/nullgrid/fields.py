@@ -70,7 +70,10 @@ class FieldSpec:
 
     def __new__(cls, kind: str, p: int = None):
         if kind == "prime":
-            if not isinstance(p, int) or isinstance(p, bool) or not is_probable_prime(p):
+            # the type comes first, since 7.0, Fraction(7) and True hash like
+            # ints; a modulus already interned is a prime, so only a new one
+            # is tested
+            if not isinstance(p, int) or isinstance(p, bool) or (p not in _FIELDS and not is_probable_prime(p)):
                 raise ValueError(f"modulus must be a prime integer, got {p!r}")
         elif kind == "rational":
             if p is not None:

@@ -248,7 +248,9 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     rows are shifted at every value of the next coordinate.  The Taylor
     columns of each nonzero support value of S_i are built once per walk,
     up to deg_{x_i} f and m_i(s) wide, and shared by every prefix that
-    shifts at that value.  The output is that of MultiPoly.shift at each
+    shifts at that value; a value of S_1 is its own prefix, so its columns
+    are built when the walk reaches it and freed when the walk moves on.
+    The output is that of MultiPoly.shift at each
     point, term for term and in the same order.  The walk is a loop, not a
     recursion, so the arity is not bounded by the interpreter's recursion
     limit."""
@@ -256,13 +258,14 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     spec, n = f.spec, grid.arity
     tops = _degrees(f.terms, n)
     # one cell (elem, m, Taylor columns of elem, or None for zero) per
-    # support value, so every prefix that shifts at a value reads one table
-    cells_per_set = [
+    # support value, so every prefix that shifts at a value reads one table;
+    # S_1's cells hold None, and the walk builds their columns itself
+    cells_per_set = [tuple((elem, m, None) for elem, m in grid.sets[0].entries.items())] + [
         tuple(
             (elem, m, _taylor_columns(spec, elem.value, top, min(m, top + 1)) if elem.value else None)
             for elem, m in ms.entries.items()
         )
-        for ms, top in zip(grid.sets, tops)
+        for ms, top in zip(grid.sets[1:], tops[1:])
     ]
     # rows[i] is f shifted in x_1..x_i at the current point's prefix,
     # grouped into rows in x_{i+1}; shifting never raises a degree, so
@@ -276,7 +279,9 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
         while cells[depth] is prev[depth]:
             depth += 1
         for i in range(depth, n):
-            _, m, cols = cells[i]
+            elem, m, cols = cells[i]
+            if not i and elem.value:
+                cols = _taylor_columns(spec, elem.value, tops[0], min(m, tops[0] + 1))
             terms = _shift_raw(spec, rows[i], i, m, cols)
             if i + 1 < n:
                 rows[i + 1] = _rows(terms, i + 1, tops[i + 1] + 1)

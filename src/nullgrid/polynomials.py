@@ -39,7 +39,9 @@ _KRONECKER_FACTOR slots per pair -- by Kronecker substitution: each operand
 is packed into one big integer, exponents as mixed-radix slot indices and
 coefficients as fixed-width slots, so the product is one big-integer
 multiplication (Karatsuba in CPython at these sizes), read back and reduced
-once per coefficient.
+once per coefficient.  Power series are inverted by one kernel,
+_inv_series, which the bracket rows and the coordinate weights of divdiff
+share.
 """
 
 from __future__ import annotations
@@ -366,6 +368,23 @@ def _mul_raw(spec: FieldSpec, a: Dict[ExponentVector, object], b: Dict[ExponentV
             out[e] = out.get(e, 0) + av * bv  # reduced once per coefficient below
     out = {e: reduce(v) for e, v in out.items()}
     return {e: v for e, v in out.items() if v}
+
+
+def _inv_series(spec: FieldSpec, a: Sequence, n: int) -> list:
+    """The first n coefficients of the power series 1 / a, for a raw
+    coefficient list a, lowest degree first, whose a[0] is invertible.  With
+    b[0] = 1 / a[0], each later b[k] is -b[0] * sum_j a[j] * b[k - j], one
+    reduced sum per coefficient over a window of b zero-padded below 0, so
+    the cost is O(n * len(a)); the terms of a from y^n up play no part."""
+    reduce = spec._reduce
+    first = spec._inv(a[0])
+    neg = reduce(-first)
+    tail = a[1:n][::-1]
+    width = len(tail)
+    b = [0] * width + [first]
+    for k in range(1, n):
+        b.append(reduce(neg * sum(map(mul, tail, b[k:k + width]))))
+    return b[width:width + n]
 
 
 def _mul_packed(spec: FieldSpec, radix: Sequence[int], a, b):

@@ -441,6 +441,23 @@ def test_values_past_the_int_digit_limit_are_refused():
     assert run_cli(["reduce", "--poly", "x1", "--grid-inline", grid]) == (2, "", unquoted)
 
 
+def test_command_line_numbers_past_the_int_digit_limit_are_refused():
+    """A modulus or a --t entry past the limit is one short error line that
+    names its length and the limit, not Python's own text or the number."""
+    limit = sys.get_int_max_str_digits()
+    big = "1" * (limit + 700)
+    message = f"digits exceeds Python's int/str digit limit of {limit}\n"
+    code, out, err = run_cli(["sumset", "--field", "prime:" + big, "--a", "[]", "--b", "[]"])
+    assert (code, out, err) == (2, "", f"error: --field: a number of {len(big)} " + message)
+    for t in (big, "1," + big, "-" + big + ",0"):
+        code, out, err = run_cli(["witness", "--poly", "x1*x2", "--grid-inline", GRID_F3_2D, "--t", t])
+        assert (code, out, err) == (2, "", f"error: --t: a number of {len(big)} " + message)
+    # other bad text keeps its own message
+    assert run_cli(["witness", "--poly", "x1*x2", "--grid-inline", GRID_F3_2D, "--t", "1,a"]) == (
+        2, "", "error: --t must be comma-separated integers, got '1,a'\n"
+    )
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path):
     deep = "[" * 100000
     message = (2, "", "error: invalid JSON: nested too deeply\n")

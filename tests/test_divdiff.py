@@ -336,6 +336,22 @@ def test_every_weight_matches_residue_oracle():
         table = weight_table(grid)
         for (point, u), w in table.weights.items():
             assert w == residue_weight_oracle(grid, point, u), (grid, point, u)
+    # multiplicities on both sides of the choice between in-place passes
+    # (8 * M <= m + 32, in a row of three or more elements) and the
+    # closed-form series, mixed within one element's row, with passes cut
+    # below y^m and multiplicities at or past p over F_2 and F_3
+    cases = [
+        (F2, [{0: 5, 1: 3}]),  # a row of two: closed form only
+        (FieldSpec.prime(3), [{0: 20, 1: 2, 2: 7}]),  # 0: passes for 1, closed for 2
+        (FieldSpec.prime(3), [{0: 4, 1: 3, 2: 3}, {1: 1, 2: 6}]),  # passes past y^4
+        (FieldSpec.prime(5), [{0: 4, 1: 3, 2: 3, 3: 2}]),
+        (FieldSpec.prime(10007), [{1: 16, 2: 1, 3: 3, 4: 7, 5: 1}]),  # 1: closed for 4 only
+        (Q, [{1: 16, 2: 1, 3: 3, 4: 7, 5: 1}]),
+    ]
+    for spec, sets in cases:
+        grid = MultisetGrid.of(spec, sets)
+        for (point, u), w in weight_table(grid).weights.items():
+            assert w == residue_weight_oracle(grid, point, u), (grid, point, u)
 
 
 def test_every_weight_matches_hermite_oracle():

@@ -123,6 +123,34 @@ def test_spec_construction(monkeypatch):
     assert FieldSpec("prime", fresh) is built[0]
 
 
+def test_an_interned_modulus_is_not_tested_again(monkeypatch):
+    """A modulus already interned is a prime, so a second construction looks
+    it up and runs no primality test; the type is still checked first,
+    since 7.0, Fraction(7) and True hash like the ints 7 and 1."""
+    calls = []
+    inner = fields.is_probable_prime
+
+    def counting(p):
+        calls.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(fields, "is_probable_prime", counting)
+    fresh = 2**107 - 1  # a Mersenne prime no other test builds
+    spec = FieldSpec.prime(fresh)
+    assert calls == [fresh]
+    assert FieldSpec.prime(fresh) is spec and FieldSpec("prime", fresh) is spec
+    assert FieldSpec.prime(7) is FieldSpec.prime(7) and calls.count(fresh) == 1
+    calls.clear()
+    for _ in range(3):
+        FieldSpec.prime(7)
+        FieldSpec.rationals()
+    assert calls == []
+    for bad in (7.0, Fraction(7), True, 8):
+        with pytest.raises(ValueError, match="modulus must be a prime integer"):
+            FieldSpec("prime", bad)
+    assert calls == [8]
+
+
 def test_primality_check():
     assert is_probable_prime(2) and is_probable_prime(3) and is_probable_prime(97)
     assert is_probable_prime(2**61 - 1)

@@ -539,3 +539,22 @@ def test_divmod_kernel_by_a_constant_leaves_no_remainder():
         quot, rem = polynomials._divmod_raw(spec, f.terms, 1, [2])
         assert rem == {}
         assert MultiPoly(2, spec, quot) * MultiPoly.constant(2, spec, 2) == f
+
+
+@pytest.mark.parametrize("spec", [F2, FieldSpec.prime(3), FieldSpec.prime(10007), Q], ids=str)
+def test_inv_series_times_its_input_is_one_below_y_to_the_n(spec):
+    """b = _inv_series(a, n) must satisfy a * b = 1 mod y^n: checked by a
+    schoolbook product in FieldElement arithmetic, with a[0] other than 1
+    wherever the field has one, a shorter and a longer than n, and n = 0."""
+    rng = random.Random(71)
+    for trial in range(60):
+        n = rng.randint(0, 12)
+        a = [rand_element(rng, spec) for _ in range(rng.choice((1, 2, max(n, 1), n + 1, n + 5)))]
+        while a[0] == 0 or (trial % 2 and spec.p != 2 and a[0] == 1):
+            a[0] = rand_element(rng, spec)
+        b = polynomials._inv_series(spec, [c.value for c in a], n)
+        assert len(b) == n
+        b = [spec.element(v) for v in b]
+        for k in range(n):
+            coeff = sum((a[j] * b[k - j] for j in range(min(k, len(a) - 1) + 1)), spec.zero)
+            assert coeff == (spec.one if k == 0 else spec.zero), (a, n, k)

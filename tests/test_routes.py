@@ -142,6 +142,8 @@ def test_graph_sees_the_calls_it_should():
     assert "polynomials._rows" in _reach("divdiff._contracted_sum")
     assert "divdiff._coordinate_weights" in _reach("divdiff._contracted_sum")
     assert "polynomials.MultiPoly.__mul__" in _reach("polynomials._Parser.term")
+    assert "polynomials._inv_series" in _reach("divdiff.divided_difference")
+    assert "polynomials._inv_series" in _reach("divdiff._coordinate_weights")
 
 
 def test_weight_table_stays_off_the_recursion_and_the_remainder():
@@ -196,6 +198,19 @@ def test_expansions_and_reduction_stay_apart():
     _assert_apart(reduction, expansions)
 
 
+def test_series_inverse_stays_off_the_expansions_and_the_division():
+    _assert_apart(
+        ["polynomials._inv_series"],
+        [
+            "polynomials._shift_raw",
+            "polynomials._rows",
+            "polynomials._taylor_columns",
+            "polynomials._divmod_raw",
+            "ideals.grid_expansions",
+        ],
+    )
+
+
 def test_recursive_bracket_stays_off_the_remainder_and_the_weights():
     _assert_apart(
         ["divdiff.divided_difference_recursive"],
@@ -209,6 +224,7 @@ def test_recursive_bracket_stays_off_the_remainder_and_the_weights():
             "divdiff._coordinate_weights",
             "divdiff._contracted_sum",
             "divdiff._weighted_sum",
+            "polynomials._inv_series",
         ],
     )
 
