@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _short_repr
 from .ideals import Multiset, MultisetGrid, _check_poly_grid
 from .polynomials import _MAX_EXPONENT, MultiPoly, _degrees, _evaluate_raw, _powers
 
@@ -429,7 +429,7 @@ def hyperplanes_from_lists(spec: FieldSpec, rows: list) -> List[Hyperplane]:
     planes = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
-            raise ValueError(f"hyperplanes[{i}] must be a list of coefficients, got {row!r}")
+            raise ValueError(f"hyperplanes[{i}] must be a list of coefficients, got {_short_repr(row)}")
         planes.append(Hyperplane(spec, [str(c) for c in row]))
     return planes
 
@@ -440,13 +440,13 @@ def hyperplane_to_list(h: Hyperplane) -> List[str]:
 
 def vector_multiset_from_list(p: int, dim: int, items: list) -> VectorMultiset:
     if not isinstance(items, list):
-        raise ValueError(f"vector multiset must be a list of {{'value': [..], 'mult': ..}} entries, got {items!r}")
+        raise ValueError(f"vector multiset must be a list of {{'value': [..], 'mult': ..}} entries, got {_short_repr(items)}")
     pairs = []
     for item in items:
         if not isinstance(item, dict) or "value" not in item or "mult" not in item:
-            raise ValueError(f"entry must be {{'value': [..], 'mult': ..}}, got {item!r}")
+            raise ValueError(f"entry must be {{'value': [..], 'mult': ..}}, got {_short_repr(item)}")
         if not isinstance(item["value"], list):
-            raise ValueError(f"entry value must be a list of coordinates, got {item['value']!r}")
+            raise ValueError(f"entry value must be a list of coordinates, got {_short_repr(item['value'])}")
         pairs.append(([str(x) for x in item["value"]], item["mult"]))
     return VectorMultiset(p, dim, pairs)
 

@@ -42,7 +42,7 @@ from .divdiff import (
     weight_table,
 )
 from .errors import InvariantViolation, PreconditionError
-from .fields import FieldSpec
+from .fields import FieldSpec, _output_size_error
 from .ideals import (
     MultisetGrid,
     grid_from_dict,
@@ -63,7 +63,13 @@ class _InputError(ValueError):
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with the exit-code contract: a usage error is one "error:"
     line and exit 2 (raised as _InputError), and a dash-led token that names
-    no option is a value, so --poly -x1 reads like --poly=-x1."""
+    no option is a value, so --poly -x1 reads like --poly=-x1.  The
+    type=int options read their text with _parse_int; argparse still names
+    the type int when it reports any other bad text."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, _parse_int)
 
     def error(self, message):
         raise _InputError(message)
@@ -88,20 +94,23 @@ def _parse_field(text: str) -> FieldSpec:
     raise _InputError(f"field must be 'prime:<p>' or 'rational', got {text!r}")
 
 
-def _parse_int(text: str, what: str) -> int:
-    """int(text); a number past Python's int/str digit limit is an input
-    error that names its length and the limit, not the number, and any other
-    bad text raises int's own ValueError."""
+def _parse_int(text: str, what: str = None) -> int:
+    """int(text).  A number past Python's int/str digit limit is refused by
+    its length and the limit, not the number: as an input error that starts
+    with what or, without what, as the ArgumentTypeError of an integer
+    option, which argparse prefixes with the option.  Any other bad text
+    raises int's own ValueError."""
     try:
         return int(text)
     except ValueError:
         digits = text.strip().lstrip("+-")
         limit = sys.get_int_max_str_digits()
-        if digits.isdecimal() and len(digits) > limit:
-            raise _InputError(
-                f"{what}: a number of {len(digits)} digits exceeds Python's int/str digit limit of {limit}"
-            ) from None
-        raise
+        if not (digits.isdecimal() and len(digits) > limit):
+            raise
+    message = f"a number of {len(digits)} digits exceeds Python's int/str digit limit of {limit}"
+    if what is None:
+        raise argparse.ArgumentTypeError(message)
+    raise _InputError(f"{what}: {message}")
 
 
 def _json_int(digits: str) -> int:
@@ -148,6 +157,16 @@ def _parse_ints(text: str, what: str):
         raise
     except ValueError as exc:
         raise _InputError(f"{what} must be comma-separated integers, got {text!r}") from exc
+
+
+def _check_printable(*counts: int) -> None:
+    """Refuse computed counts too long to print: one past Python's int/str
+    digit limit is the output-size failure (exit 1), as a polynomial or
+    field element is (fields._output_size_error).  A handler checks its
+    counts before it builds its text, so --json fails the same way."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(abs(n) >= 10**limit for n in counts):
+        raise _output_size_error()
 
 
 def _fmt_tuple(values) -> str:
@@ -343,6 +362,7 @@ def _cmd_sun_check(args):
 
 def _cmd_hopf_stiefel(args):
     beta = hopf_stiefel(args.p, args.r, args.s)
+    _check_printable(beta)
     return str(beta), {"p": args.p, "r": args.r, "s": args.s, "beta": beta}, 0
 
 
@@ -350,6 +370,7 @@ def _cmd_ek_check(args):
     a = vector_multiset_from_list(args.p, args.dim, _load_json(args.a, inline=True))
     b = vector_multiset_from_list(args.p, args.dim, _load_json(args.b, inline=True))
     chk = eliahou_kervaire_check(a, b)
+    _check_printable(chk.lhs, chk.rhs)  # the sumset's multiplicities are at most lhs
     ss = vector_sumset(a, b)
     text = f"sumset: {ss}\nlhs: {chk.lhs}\nrhs: {chk.rhs}\nholds: {_fmt_bool(chk.holds)}"
     obj = {

@@ -282,9 +282,7 @@ def _contracted_sum(f: MultiPoly, grid: MultisetGrid):
         rows = _rows(terms, i, top + 1)
         acc = {}
         for s, w in _coordinate_weights(ms).items():
-            m = len(w)
-            cols = _taylor_columns(spec, s, top, min(m, top + 1)) if s else None
-            for u, c in _shift_raw(spec, rows, i, m, cols).items():
+            for u, c in _shift_raw(spec, rows, i, _taylor_columns(spec, s, top, len(w))).items():
                 if w[u[i]]:
                     v = u[:i] + (0,) + u[i + 1:]
                     acc[v] = acc.get(v, 0) + w[u[i]] * c  # reduced once below

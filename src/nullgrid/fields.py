@@ -74,7 +74,7 @@ class FieldSpec:
             # ints; a modulus already interned is a prime, so only a new one
             # is tested
             if not isinstance(p, int) or isinstance(p, bool) or (p not in _FIELDS and not is_probable_prime(p)):
-                raise ValueError(f"modulus must be a prime integer, got {p!r}")
+                raise ValueError(f"modulus must be a prime integer, got {_short_repr(p)}")
         elif kind == "rational":
             if p is not None:
                 raise ValueError("the rational field takes no modulus")
@@ -303,6 +303,19 @@ def _output_size_error() -> PreconditionError:
     )
 
 
+def _short_repr(value) -> str:
+    """repr(value) for an error message, but an int past 50 digits is named
+    by its digit count, so the message stays one short line even when the
+    number is past Python's int/str digit limit."""
+    if not isinstance(value, int) or -10**50 < value < 10**50:
+        return repr(value)
+    a = abs(value)
+    digits = (a.bit_length() - 1) * 30102 // 100000 + 1  # a lower bound: 0.30102 < log10(2)
+    while a >= 10**digits:
+        digits += 1
+    return f"a {'negative ' if value < 0 else ''}number of {digits} digits"
+
+
 def field_to_dict(spec: FieldSpec) -> dict:
     if spec.is_prime_field:
         return {"kind": "prime", "p": spec.p}
@@ -311,7 +324,7 @@ def field_to_dict(spec: FieldSpec) -> dict:
 
 def field_from_dict(d: dict) -> FieldSpec:
     if not isinstance(d, dict):
-        raise ValueError(f"field must be an object with a 'kind', got {d!r}")
+        raise ValueError(f"field must be an object with a 'kind', got {_short_repr(d)}")
     kind = d.get("kind")
     if kind == "prime":
         if "p" not in d:

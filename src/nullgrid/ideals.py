@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _short_repr
 from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _degrees, _divmod_raw, _mul_raw, _rows, _shift_raw, _taylor_columns
 
 
@@ -39,7 +39,7 @@ class Multiset:
         for value, mult in pairs:
             elem = spec.element(value)
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise ValueError(f"multiplicity of {elem} must be a positive integer, got {mult!r}")
+                raise ValueError(f"multiplicity of {elem} must be a positive integer, got {_short_repr(mult)}")
             if elem in entries:
                 raise ValueError(f"duplicate element {elem} in multiset input")
             entries[elem] = mult
@@ -246,10 +246,10 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     every point below that prefix shares the result.  Each prefix's shifted
     polynomial is grouped into rows in the next variable once, and those
     rows are shifted at every value of the next coordinate.  The Taylor
-    columns of each nonzero support value of S_i are built once per walk,
-    up to deg_{x_i} f and m_i(s) wide, and shared by every prefix that
-    shifts at that value; a value of S_1 is its own prefix, so its columns
-    are built when the walk reaches it and freed when the walk moves on.
+    columns of each support value of S_i, 0 included, are built once per
+    walk, up to deg_{x_i} f and cut below m_i(s), and shared by every prefix
+    that shifts at that value; a value of S_1 is its own prefix, so its
+    columns are built when the walk reaches it and freed when it moves on.
     The output is that of MultiPoly.shift at each
     point, term for term and in the same order.  The walk is a loop, not a
     recursion, so the arity is not bounded by the interpreter's recursion
@@ -257,14 +257,11 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     _check_poly_grid(f, grid)
     spec, n = f.spec, grid.arity
     tops = _degrees(f.terms, n)
-    # one cell (elem, m, Taylor columns of elem, or None for zero) per
-    # support value, so every prefix that shifts at a value reads one table;
-    # S_1's cells hold None, and the walk builds their columns itself
+    # one cell (elem, m, Taylor columns of elem) per support value, so every
+    # prefix that shifts at a value reads one table; S_1's cells hold None,
+    # and the walk builds their columns itself
     cells_per_set = [tuple((elem, m, None) for elem, m in grid.sets[0].entries.items())] + [
-        tuple(
-            (elem, m, _taylor_columns(spec, elem.value, top, min(m, top + 1)) if elem.value else None)
-            for elem, m in ms.entries.items()
-        )
+        tuple((elem, m, _taylor_columns(spec, elem.value, top, m)) for elem, m in ms.entries.items())
         for ms, top in zip(grid.sets[1:], tops[1:])
     ]
     # rows[i] is f shifted in x_1..x_i at the current point's prefix,
@@ -280,9 +277,9 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
             depth += 1
         for i in range(depth, n):
             elem, m, cols = cells[i]
-            if not i and elem.value:
-                cols = _taylor_columns(spec, elem.value, tops[0], min(m, tops[0] + 1))
-            terms = _shift_raw(spec, rows[i], i, m, cols)
+            if not i:
+                cols = _taylor_columns(spec, elem.value, tops[0], m)
+            terms = _shift_raw(spec, rows[i], i, cols)
             if i + 1 < n:
                 rows[i + 1] = _rows(terms, i + 1, tops[i + 1] + 1)
         prev = cells
@@ -365,15 +362,15 @@ def multiset_from_list(spec: FieldSpec, items: list) -> Multiset:
     """Read a multiset from its JSON list.  Its size is the degree of its
     generator, so it is capped like a parsed polynomial's degree."""
     if not isinstance(items, list):
-        raise ValueError(f"multiset must be a list of {{'value': ..., 'mult': ...}} entries, got {items!r}")
+        raise ValueError(f"multiset must be a list of {{'value': ..., 'mult': ...}} entries, got {_short_repr(items)}")
     pairs = []
     for item in items:
         if not isinstance(item, dict) or "value" not in item or "mult" not in item:
-            raise ValueError(f"multiset entry must be {{'value': ..., 'mult': ...}}, got {item!r}")
+            raise ValueError(f"multiset entry must be {{'value': ..., 'mult': ...}}, got {_short_repr(item)}")
         pairs.append((str(item["value"]), item["mult"]))
     ms = Multiset(spec, pairs)
     if ms.size > _MAX_EXPONENT:
-        raise ValueError(f"multiset size {ms.size} exceeds the limit {_MAX_EXPONENT}")
+        raise ValueError(f"multiset size {_short_repr(ms.size)} exceeds the limit {_MAX_EXPONENT}")
     return ms
 
 
@@ -394,8 +391,8 @@ def grid_from_dict(d: dict) -> MultisetGrid:
     spec = field_from_dict(d["field"])
     sets = d["sets"]
     if not isinstance(sets, list):
-        raise ValueError(f"grid 'sets' must be a list of multisets, got {sets!r}")
+        raise ValueError(f"grid 'sets' must be a list of multisets, got {_short_repr(sets)}")
     for i, items in enumerate(sets):
         if not isinstance(items, list):
-            raise ValueError(f"grid sets[{i}] must be a list of {{'value': ..., 'mult': ...}} entries, got {items!r}")
+            raise ValueError(f"grid sets[{i}] must be a list of {{'value': ..., 'mult': ...}} entries, got {_short_repr(items)}")
     return MultisetGrid([multiset_from_list(spec, items) for items in sets])

@@ -24,12 +24,14 @@ in the shifted polynomial is the expansion coefficient of f at s attached to
 characteristic, unlike the factorial-scaled derivative formula.  Callers
 usually need only the exponents below a box (a multiplicity vector), so
 shift takes an optional box and works one coordinate at a time, cutting
-each coordinate to its bound before the next is shifted; the kernel,
-_shift_raw, always gets an int bound, the full width when there is no box.
-A coordinate's shift reads the terms grouped into dense rows in that
-variable (_rows); a caller that shifts one polynomial at several values,
-as the grid walk does at each prefix, groups it once and shifts the same
-rows at each.
+each coordinate to its bound before the next is shifted.  Everything a
+coordinate's shift needs to know about its value and its bound is in one
+table, the Taylor columns (_taylor_columns), built by Pascal's rule and
+only as wide as the box; the kernel, _shift_raw, runs one loop for every
+value, 0 included, where the columns make the shift a cut.  It reads the
+terms grouped into dense rows in that variable (_rows); a caller that
+shifts one polynomial at several values, as the grid walk does at each
+prefix, groups it once and shifts the same rows at each.
 
 Products and powers go through one kernel, _mul_raw.  Sparse operands are
 multiplied term pair by term pair, and a monomial times f term by term of
@@ -262,9 +264,8 @@ class MultiPoly:
         terms = self.terms
         # the zero polynomial has no degrees, and no shift to run
         for i, (si, top) in enumerate(zip(s, map(max, zip(*terms)))):
-            width = top + 1 if box is None else min(box[i], top + 1)
-            cols = _taylor_columns(spec, si, top, width) if si and terms else None
-            terms = _shift_raw(spec, _rows(terms, i, top + 1), i, width, cols)
+            cols = _taylor_columns(spec, si, top, top + 1 if box is None else box[i])
+            terms = _shift_raw(spec, _rows(terms, i, top + 1), i, cols)
         return MultiPoly._from_raw(self.arity, spec, terms)
 
     # -- division by a univariate ----------------------------------------------
@@ -526,20 +527,24 @@ def _evaluate_raw(terms: Dict[ExponentVector, object], rows: Sequence[list]):
     return acc
 
 
-def _taylor_columns(spec: FieldSpec, point, top: int, width: int) -> list:
+def _taylor_columns(spec: FieldSpec, point, top: int, box: int) -> list:
     """The Taylor columns of the shift x -> x + point, for rows of degree at
-    most top: cols[j][k] = C(j + k, j) * point^k, reduced, for j < width and
-    j + k <= top.  The shifted coefficient at j of a row (a_e) is then the
-    sum over k of cols[j][k] * a_(j + k).  C(j + k, j) is an integer reduced
-    like any other coefficient, so the columns are right over F_p even when
-    the degree reaches p.  Column 0 is the power row of point, so a table
-    one column wide costs only the powers."""
+    most top cut below box: cols[j][k] = C(j + k, j) * point^k, reduced, for
+    j < min(box, top + 1) and j + k <= top.  The shifted coefficient at j of
+    a row (a_e) is then the sum over k of cols[j][k] * a_(j + k).  Column 0
+    is the power row of point, and column j starts at 1 and follows from
+    column j - 1 by Pascal's rule, cols[j][k] = cols[j-1][k] + point *
+    cols[j][k-1]: additions and products only, so the columns are right over
+    F_p even when the degree reaches p, and no binomial is ever formed.  At
+    point 0 every column is (1, 0, 0, ...), and a shift is a cut."""
     reduce = spec._reduce
-    powers = _powers(spec, point, top)
-    return [powers] + [
-        [reduce(math.comb(j + k, j) * powers[k]) for k in range(top - j + 1)]
-        for j in range(1, width)
-    ]
+    cols = [_powers(spec, point, top)]
+    for j in range(1, min(box, top + 1)):
+        col = [1]
+        for v in cols[-1][1:top - j + 1]:
+            col.append(reduce(v + point * col[-1]))
+        cols.append(col)
+    return cols
 
 
 def _rows(terms: Dict[ExponentVector, object], var: int, size: int) -> Dict[ExponentVector, list]:
@@ -560,25 +565,17 @@ def _rows(terms: Dict[ExponentVector, object], var: int, size: int) -> Dict[Expo
     return rows
 
 
-def _shift_raw(spec: FieldSpec, rows: Dict[ExponentVector, list], var: int, box: int, cols):
+def _shift_raw(spec: FieldSpec, rows: Dict[ExponentVector, list], var: int, cols):
     """Substitute x_{var+1} -> x_{var+1} + s in raw terms given as their
-    _rows in x_{var+1}, keeping only exponents below box in that variable.
+    _rows in x_{var+1}, keeping only exponents below a box in that variable.
 
-    cols is None when s = 0, and the shift is only each row cut at box.
-    Otherwise it is _taylor_columns(spec, s, top, width) for the rows' top
-    = size - 1 and width = min(box, top + 1), so callers that shift many
-    polynomials by one value build it once; a row's shifted coefficient at
-    j is sum(cols[j][k] * row[j + k]), reduced once.  The grid walk groups
+    cols is _taylor_columns(spec, s, size - 1, box), which holds the box, so
+    callers that shift many polynomials by one value build it once; a row's
+    shifted coefficient at j is sum(cols[j][k] * row[j + k]), reduced once.
+    Every value, 0 among them, takes this one loop.  The grid walk groups
     each prefix once and shifts the rows at every value of the next
     coordinate.  Returns a new raw term map without zero coefficients."""
     out: Dict[ExponentVector, object] = {}
-    if cols is None:
-        for rest, row in rows.items():
-            head, tail = rest[:var], rest[var:]
-            for j, c in enumerate(row[:box]):
-                if c:
-                    out[head + (j,) + tail] = c
-        return out
     reduce = spec._reduce
     for rest, row in rows.items():
         head, tail = rest[:var], rest[var:]

@@ -458,6 +458,83 @@ def test_command_line_numbers_past_the_int_digit_limit_are_refused():
     )
 
 
+def test_integer_options_past_the_int_digit_limit_are_refused():
+    """The type=int options name a number past the limit by its length, and
+    keep argparse's own message for other bad text."""
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "9" * limit
+    message = f"a number of {limit + 1} digits exceeds Python's int/str digit limit of {limit}\n"
+    grid_f7 = '{"field":{"kind":"prime","p":7},"sets":[[{"value":"1","mult":1}]]}'
+    vec = '[{"value":[0],"mult":1}]'
+    sun = ["sun-check", "--grid-inline", grid_f7, "--coeffs", "1"]
+    ek = ["ek-check", "--a", vec, "--b", vec]
+    cases = [
+        (sun, {"--k": "1"}),
+        (["hopf-stiefel"], {"--p": "2", "--r": "1", "--s": "1"}),
+        (ek, {"--p": "2", "--dim": "1"}),
+    ]
+    for head, options in cases:
+        for option in options:
+            for bad, text in ((big, message), ("abc", "invalid int value: 'abc'\n")):
+                argv = head + [a for name, value in options.items() for a in (name, bad if name == option else value)]
+                assert run_cli(argv) == (2, "", f"error: argument {option}: " + text)
+        assert run_cli(head + [a for item in options.items() for a in item])[0] == 0
+
+
+def test_input_errors_name_long_numbers_by_their_digits():
+    """A number of more than 50 digits in an input error, such as a
+    multiplicity, a multiset size or a number where a list belongs, is named
+    by its digit count, so the error line stays short, even past the limit."""
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * limit
+    one = '[{"value":"1","mult":1}]'
+    code, out, err = run_cli(["cd-check", "--field", "prime:7", "--a", f'[{{"value":"1","mult":{nines}}}]', "--b", one])
+    assert (code, out, err) == (2, "", f"error: multiset size a number of {limit} digits exceeds the limit 10000\n")
+    two = f'[{{"value":"1","mult":{nines}}},{{"value":"2","mult":{nines}}}]'
+    code, out, err = run_cli(["sumset", "--field", "prime:7", "--a", two, "--b", one])
+    assert (code, out, err) == (2, "", f"error: multiset size a number of {limit + 1} digits exceeds the limit 10000\n")
+    grid = f'{{"field":{{"kind":"prime","p":7}},"sets":[[{{"value":"1","mult":-{nines}}}]]}}'
+    expected = f"error: multiplicity of 1 must be a positive integer, got a negative number of {limit} digits\n"
+    assert run_cli(["reduce", "--poly", "x1", "--grid-inline", grid]) == (2, "", expected)
+    grid_f7 = '{"field":{"kind":"prime","p":7},"sets":[[{"value":"1","mult":1}]]}'
+    for argv in (
+        ["sumset", "--field", "prime:7", "--a", nines, "--b", one],
+        ["sumset", "--field", "prime:7", "--a", f"[{nines}]", "--b", one],
+        ["reduce", "--poly", "x1", "--grid-inline", '{"field":{"kind":"prime","p":7},"sets":%s}' % nines],
+        ["reduce", "--poly", "x1", "--grid-inline", '{"field":{"kind":"prime","p":7},"sets":[%s]}' % nines],
+        ["reduce", "--poly", "x1", "--grid-inline", '{"field":%s,"sets":[]}' % nines],
+        ["reduce", "--poly", "x1", "--grid-inline", '{"field":{"kind":"prime","p":-%s},"sets":[]}' % nines],
+        ["ek-check", "--p", "2", "--dim", "1", "--a", nines, "--b", "[]"],
+        ["ek-check", "--p", "2", "--dim", "1", "--a", f"[{nines}]", "--b", "[]"],
+        ["ek-check", "--p", "2", "--dim", "1", "--a", '[{"value":%s,"mult":1}]' % nines, "--b", "[]"],
+        ["cover-check", "--grid-inline", grid_f7, "--hyperplanes-inline", f"[{nines}]"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1 and len(err) < 200
+        assert err.endswith(f"got a {'negative ' if '-9' in argv[-1] else ''}number of {limit} digits\n")
+    # up to 50 digits the number is printed as it is
+    grid = '{"field":{"kind":"prime","p":7},"sets":[[{"value":"1","mult":-%s}]]}' % ("9" * 50)
+    expected = f"error: multiplicity of 1 must be a positive integer, got -{'9' * 50}\n"
+    assert run_cli(["reduce", "--poly", "x1", "--grid-inline", grid]) == (2, "", expected)
+
+
+def test_counts_too_long_to_print_are_output_size_failures():
+    """A computed count past the int/str digit limit exits 1 with the
+    output-size failure in both output modes, as a polynomial does.  A large
+    p keeps hopf_stiefel's loop over the powers of p short."""
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * limit
+    message = f"error: output-size: a value has more digits than Python's int/str digit limit of {limit}\n"
+    a = f'[{{"value":[0],"mult":{nines}}},{{"value":[1],"mult":{nines}}}]'
+    for mode in ([], ["--json"]):
+        assert run_cli(["hopf-stiefel", "--p", "10007", "--r", nines, "--s", nines] + mode) == (1, "", message)
+        argv = ["ek-check", "--p", "10007", "--dim", "1", "--a", a, "--b", '[{"value":[0],"mult":1}]']
+        assert run_cli(argv + mode) == (1, "", message)
+    # a count at the limit still prints
+    code, out, err = run_cli(["hopf-stiefel", "--p", "10007", "--r", nines, "--s", "1", "--json"])
+    assert (code, err) == (0, "") and json.loads(out)["beta"] == int(nines)
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path):
     deep = "[" * 100000
     message = (2, "", "error: invalid JSON: nested too deeply\n")

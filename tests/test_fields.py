@@ -440,3 +440,17 @@ def test_unique_zero_representative(data):
 def test_sub_is_add_neg(data):
     _, (a, b) = data
     assert a - b == a + (-b)
+
+
+def test_short_repr_names_long_ints_by_their_digit_count():
+    rng = random.Random(83)
+    assert fields._short_repr(10**50 - 1) == "9" * 50
+    assert fields._short_repr(-(10**50) + 1) == "-" + "9" * 50
+    assert fields._short_repr(10**50) == "a number of 51 digits"
+    assert fields._short_repr(-(10**50)) == "a negative number of 51 digits"
+    assert fields._short_repr(10**5000) == "a number of 5001 digits"  # past the int/str limit
+    assert fields._short_repr("x" * 3) == "'xxx'" and fields._short_repr(True) == "True"
+    for _ in range(300):
+        digits = rng.randint(51, 4000)
+        n = rng.choice([10 ** (digits - 1), 10**digits - 1, rng.randrange(10 ** (digits - 1), 10**digits)])
+        assert fields._short_repr(n) == f"a number of {len(str(n))} digits"

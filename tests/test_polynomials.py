@@ -208,6 +208,20 @@ def test_truncated_shift_is_the_full_shift_cut_to_the_box():
             assert boxed.coefficient(u) == expansion_coefficient_oracle(f, s, u)
 
 
+def test_shift_at_zero_is_a_cut_to_the_box():
+    """At the zero point the expansion coefficients are f's own, so the
+    boxed shift keeps f's terms below the box."""
+    rng = random.Random(31)
+    for spec in [F2, FieldSpec.prime(3), FieldSpec.prime(101), Q]:
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            f = rand_poly(rng, spec, n, max_deg=rng.choice([3, 6, 12]), max_terms=12)
+            box = tuple(rng.randint(1, 14) for _ in range(n))
+            cut = {u: c for u, c in f.terms.items() if all(e < b for e, b in zip(u, box))}
+            assert f.shift([spec.zero] * n, box).terms == cut
+            assert f.shift([0] * n) == f
+
+
 def test_shift_box_must_fit_the_arity():
     f = parse_poly("x1*x2 + 1", 2, F5)
     point = [F5.element(1), F5.element(2)]
