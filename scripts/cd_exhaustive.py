@@ -19,7 +19,6 @@ from nullgrid import (
     iter_multisets,
     multiset_deg,
     parse_poly,
-    sumset,
     value_set,
 )
 
@@ -45,7 +44,7 @@ def main():
             for b in pool:
                 chk = cauchy_davenport_check(a, b)
                 assert chk.holds, f"bound violated: A={a} B={b}"
-                s = sumset(a, b)
+                s = chk.measured
                 assert multiset_deg(s) >= multiset_deg(a) + multiset_deg(b), \
                     f"excess-degree violated: A={a} B={b}"
                 values = value_set(x_sum, MultisetGrid([a, b]))

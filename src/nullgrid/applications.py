@@ -29,10 +29,13 @@ from .polynomials import _MAX_EXPONENT, MultiPoly, _degrees, _evaluate_raw, _pow
 @dataclass(frozen=True)
 class BoundCheck:
     """Both sides of a proved inequality; holds must be true on every valid
-    instance, so a False is either a bad instance or a bug worth surfacing."""
+    instance, so a False is either a bad instance or a bug worth surfacing.
+    measured is the sumset whose size is lhs, where the check builds one; it
+    takes no part in comparisons."""
 
     lhs: int
     rhs: int
+    measured: object = field(default=None, compare=False)
 
     @property
     def holds(self) -> bool:
@@ -240,7 +243,7 @@ def cauchy_davenport_check(a: Multiset, b: Multiset) -> BoundCheck:
     """Sizes must satisfy d(A+B) >= min(p, d(A) + d(B) - 1)."""
     s = sumset(a, b)
     p = a.spec.p
-    return BoundCheck(lhs=s.size, rhs=min(p, a.size + b.size - 1))
+    return BoundCheck(lhs=s.size, rhs=min(p, a.size + b.size - 1), measured=s)
 
 
 # -- value sets --------------------------------------------------------------------
@@ -327,14 +330,17 @@ def hopf_stiefel(p: int, r: int, s: int) -> int:
     Computed by the closed form min over k >= 0 of
     (ceil(r / p^k) + ceil(s / p^k) - 1) * p^k; the term for the first
     p^k >= max(r, s) is p^k itself and no larger k does better, so the loop
-    takes O(log max(r, s)) steps."""
+    takes O(log max(r, s)) steps, each dividing the ceilings of the step
+    before by p, as ceil(r / p^(k+1)) = ceil(ceil(r / p^k) / p), never r and
+    s by the large p^k."""
     if r < 1 or s < 1:
         raise ValueError("arguments must be positive")
     FieldSpec.prime(p)  # validates primality; the closed form needs a prime
-    best, q = r + s - 1, 1
-    while q < max(r, s):
+    best, q, a, b = r + s - 1, 1, r, s
+    while a > 1 or b > 1:  # q < max(r, s)
         q *= p
-        best = min(best, (-(-r // q) - (-s // q) - 1) * q)
+        a, b = -(-a // p), -(-b // p)
+        best = min(best, (a + b - 1) * q)
     return best
 
 
@@ -396,7 +402,7 @@ def vector_sumset(a: VectorMultiset, b: VectorMultiset) -> VectorMultiset:
 def eliahou_kervaire_check(a: VectorMultiset, b: VectorMultiset) -> BoundCheck:
     """Sizes must satisfy d(A+B) >= beta_p(d(A), d(B))."""
     s = vector_sumset(a, b)
-    return BoundCheck(lhs=s.size, rhs=hopf_stiefel(a.p, a.size, b.size))
+    return BoundCheck(lhs=s.size, rhs=hopf_stiefel(a.p, a.size, b.size), measured=s)
 
 
 # -- enumeration helpers (exhaustive verification drivers) ----------------------------

@@ -4,9 +4,9 @@ A polynomial of degree sum(t_i) whose coefficient at x^t is nonzero cannot lie
 in the ideal of a grid with d_i > t_i; concretely some grid point s and some
 exponent u below the multiplicity vector of s carry a nonzero expansion
 coefficient.  Two independent searches realize that guarantee: a direct scan
-of every (point, exponent) pair, and a route through the weight table of a
-trimmed grid, where the nonzero top coefficient forces a nonzero term in the
-weighted sum.  Failure of either search on a valid instance is an internal
+of every (point, exponent) pair, and a route through the coordinate weights
+of a trimmed grid, where the nonzero top coefficient forces a nonzero term in
+the weighted sum.  Failure of either search on a valid instance is an internal
 bug, never a legitimate outcome.  Both searches read the expansion
 coefficients from ideals.grid_expansions, so points that share a prefix share
 its shifts, and return the smallest exponent of its first nonempty box.
@@ -31,7 +31,7 @@ from typing import Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError
 from .fields import FieldElement
-from .divdiff import _weighted_sum, weight_table
+from .divdiff import _weighted_sum
 from .ideals import (
     Multiset,
     MultisetGrid,
@@ -100,10 +100,10 @@ def find_witness(
     return the smallest exponent of the first nonempty box of grid_expansions.
 
     exhaustive scans the grid as given.  divided_difference first trims the
-    grid so every size equals t_i + 1, builds the weight table, evaluates the
-    weighted sum of expansion coefficients (divdiff._weighted_sum) -- which
-    must reproduce the nonzero coefficient of x^t, certifying that a witness
-    exists -- and returns the first witness of that walk of the trimmed grid.
+    grid so every size equals t_i + 1, evaluates the weighted sum of
+    expansion coefficients (divdiff._weighted_sum, from the coordinate
+    weights) -- which must reproduce the nonzero coefficient of x^t,
+    certifying that a witness exists -- and returns its walk's first witness.
     After identical trimming the two methods always return the same witness.
     """
     t = _check_witness_preconditions(f, grid, t)
@@ -115,7 +115,7 @@ def find_witness(
         raise InvariantViolation(f"no witness found on a valid instance; {_reproduction(f, grid=grid)}, t = {t}")
     if method == "divided_difference":
         trimmed = trim_grid(grid, t)
-        acc, first = _weighted_sum(f, trimmed, weight_table(trimmed))
+        acc, first = _weighted_sum(f, trimmed)
         # a sum equal to the nonzero coefficient of x^t has a nonzero term,
         # so a certified instance always has a first witness
         if acc != f.terms.get(t, 0):

@@ -31,7 +31,6 @@ from .applications import (
     value_set,
     vector_multiset_from_list,
     vector_multiset_to_list,
-    vector_sumset,
     verify_cover,
 )
 from .certificates import _reproduction, find_witness, punctured_decompose
@@ -328,7 +327,7 @@ def _cmd_cd_check(args):
     a = multiset_from_list(spec, _load_json(args.a, inline=True))
     b = multiset_from_list(spec, _load_json(args.b, inline=True))
     chk = cauchy_davenport_check(a, b)
-    s = sumset(a, b)
+    s = chk.measured
     text = (
         f"sumset: {s}\nlhs: {chk.lhs}\nrhs: {chk.rhs}\n"
         f"holds: {_fmt_bool(chk.holds)}"
@@ -371,7 +370,7 @@ def _cmd_ek_check(args):
     b = vector_multiset_from_list(args.p, args.dim, _load_json(args.b, inline=True))
     chk = eliahou_kervaire_check(a, b)
     _check_printable(chk.lhs, chk.rhs)  # the sumset's multiplicities are at most lhs
-    ss = vector_sumset(a, b)
+    ss = chk.measured
     text = f"sumset: {ss}\nlhs: {chk.lhs}\nrhs: {chk.rhs}\nholds: {_fmt_bool(chk.holds)}"
     obj = {
         "sumset": vector_multiset_to_list(ss),

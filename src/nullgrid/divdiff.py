@@ -26,19 +26,19 @@ weights at the maximal exponents are the inverted heads prod (s - s')^m(s'),
 never zero, which is what powers the witness search.
 
 The top-coefficient identity checks the bracket against the weighted sum of
-expansion coefficients.  Without a given table it contracts that sum one
-coordinate at a time; a given table is summed entry by entry in one
-ideals.grid_expansions walk, the loop shared with the divided-difference
-witness search, which takes the walk's first witness.  The Newton tables'
-single-point expansions come from such a walk too, so points that share a
-prefix share its shifts.
+expansion coefficients, contracted one coordinate at a time.  The
+divided-difference witness search sums it over one ideals.grid_expansions
+walk instead, from the coordinate weights with no table, and takes the walk's
+first witness.  The Newton tables' single-point expansions come from such a
+walk too, so points that share a prefix share its shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
-from typing import Dict, Optional, Tuple
+from math import prod
+from operator import getitem, mul
+from typing import Dict, Tuple
 
 from .errors import PreconditionError
 from .fields import FieldElement
@@ -245,21 +245,22 @@ def top_weight_closed_form(grid: MultisetGrid, point) -> FieldElement:
     return denom.inv()
 
 
-def _weighted_sum(f: MultiPoly, grid: MultisetGrid, table: WeightTable):
+def _weighted_sum(f: MultiPoly, grid: MultisetGrid):
     """One grid_expansions walk: the raw sum of weight times expansion
     coefficient over the grid, and the walk's first witness (point,
     exponent, coefficient) -- the smallest exponent of the first nonempty
-    box -- or None.  Boxes hold only nonzero coefficients, so the table is
-    read only where f has one."""
+    box -- or None.  A weight is the product of one entry of each point's
+    coordinate weight rows, read only where f has a nonzero coefficient."""
+    rows = [_coordinate_weights(ms) for ms in grid.sets]
     acc = 0
     first = None
-    weights = table.weights
     for point, _, shifted in grid_expansions(f, grid):
         if first is None and shifted.terms:
             u = min(shifted.terms)
             first = (point, u, shifted.coefficient(u))
+        ws = [row[s.value] for row, s in zip(rows, point)]
         for u, c in shifted.terms.items():
-            acc += weights[(point, u)].value * c  # reduced once below
+            acc += prod(map(getitem, ws, u), start=c)  # reduced once below
     return f.spec._reduce(acc), first
 
 
@@ -290,15 +291,11 @@ def _contracted_sum(f: MultiPoly, grid: MultisetGrid):
     return terms.get((0,) * grid.arity, 0)
 
 
-def top_coefficient_identity_holds(
-    f: MultiPoly, grid: MultisetGrid, table: Optional[WeightTable] = None
-) -> bool:
+def top_coefficient_identity_holds(f: MultiPoly, grid: MultisetGrid) -> bool:
     """For deg f at most the sum of (d_i - 1), the coefficient of the largest
     standard monomial must equal the weighted sum of f's expansion
-    coefficients over the grid.  Without a table the sum is contracted one
-    coordinate at a time (_contracted_sum); an explicit table, which need not
-    factor over the coordinates, is summed entry by entry (_weighted_sum).
-    Exposed so tests can falsify broken tables."""
+    coefficients over the grid, contracted one coordinate at a time
+    (_contracted_sum)."""
     _check_poly_grid(f, grid)
     t = grid.top_exponent
     deg = f.total_degree()
@@ -306,6 +303,4 @@ def top_coefficient_identity_holds(
         raise PreconditionError(
             "degree", f"deg f = {deg} exceeds the admissible total {sum(t)}"
         )
-    if table is None:
-        return f.terms.get(t, 0) == _contracted_sum(f, grid)
-    return f.terms.get(t, 0) == _weighted_sum(f, grid, table)[0]
+    return f.terms.get(t, 0) == _contracted_sum(f, grid)

@@ -304,16 +304,42 @@ def _output_size_error() -> PreconditionError:
 
 
 def _short_repr(value) -> str:
-    """repr(value) for an error message, but an int past 50 digits is named
-    by its digit count, so the message stays one short line even when the
-    number is past Python's int/str digit limit."""
-    if not isinstance(value, int) or -10**50 < value < 10**50:
-        return repr(value)
-    a = abs(value)
-    digits = (a.bit_length() - 1) * 30102 // 100000 + 1  # a lower bound: 0.30102 < log10(2)
-    while a >= 10**digits:
-        digits += 1
-    return f"a {'negative ' if value < 0 else ''}number of {digits} digits"
+    """repr(value) for an error message, but an int past 50 digits, bare or
+    anywhere inside a list or dict, is named by its digit count, so the
+    message stays one short line even when the number is past Python's
+    int/str digit limit.  Lists and dicts are written out from a stack of
+    pieces, not by recursion, so a value nested as deeply as the JSON reader
+    accepts needs no deeper call stack than repr does; one that contains
+    itself is cut short as repr cuts it, with [...] or {...}."""
+
+    def piece(v):  # finished text, or a list or dict still to write out
+        if type(v) is list or type(v) is dict:
+            return v
+        if not isinstance(v, int) or -10**50 < v < 10**50:
+            return repr(v)
+        a = abs(v)
+        digits = (a.bit_length() - 1) * 30102 // 100000 + 1  # a lower bound: 0.30102 < log10(2)
+        while a >= 10**digits:
+            digits += 1
+        return f"a {'negative ' if v < 0 else ''}number of {digits} digits"
+
+    out, todo, open_ids = [], [piece(value)], set()
+    while todo:
+        v = todo.pop()
+        if type(v) is str:
+            out.append(v)
+        elif type(v) is int:  # the id of a list or dict just closed
+            open_ids.remove(v)
+        elif id(v) in open_ids:
+            out.append("[...]" if type(v) is list else "{...}")
+        else:
+            open_ids.add(id(v))
+            if type(v) is list:
+                ends, parts = "[]", [part for x in v for part in (", ", piece(x))]
+            else:
+                ends, parts = "{}", [part for k, x in v.items() for part in (", ", piece(k), ": ", piece(x))]
+            todo += reversed([ends[0], *parts[1:], ends[1], id(v)])  # parts[1:]: no comma before the first
+    return "".join(out)
 
 
 def field_to_dict(spec: FieldSpec) -> dict:

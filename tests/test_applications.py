@@ -5,6 +5,7 @@ import random
 import pytest
 
 from nullgrid import (
+    BoundCheck,
     ArityMismatchError,
     FieldMismatchError,
     FieldSpec,
@@ -108,6 +109,16 @@ def test_proportional_hyperplanes_reported():
     assert rep.k == 3  # multiplicity counts as listed
 
 
+def test_hyperplane_validation():
+    for coeffs, message in (
+        (["1", "0", "0"], "hyperplane normal vector is zero"),
+        (["1"], "hyperplane needs a constant term and at least one variable"),
+    ):
+        with pytest.raises(ValueError) as err:
+            Hyperplane(F5, coeffs)
+        assert str(err.value) == message
+
+
 def _random_planes(rng, spec, grid):
     """Planes over a few shared normals, so classes hold parallel planes:
     some through the origin, some through a grid point, some anywhere, and
@@ -181,6 +192,9 @@ def test_sumset_examples():
     assert shifted == Multiset.of(F5, {3: 2, 0: 1})
     with pytest.raises(PreconditionError):
         sumset(Multiset.of(Q, {0: 1}), Multiset.of(Q, {0: 1}))
+    with pytest.raises(FieldMismatchError) as err:
+        sumset(Multiset.of(F5, {0: 1}), Multiset.of(F7, {0: 1}))
+    assert str(err.value) == "sumset operands over different fields"
 
 
 def test_sumset_symmetry_random():
@@ -201,6 +215,9 @@ def test_cd_examples():
     full = Multiset.of(F3, {0: 1, 1: 1, 2: 1})
     chk3 = cauchy_davenport_check(full, Multiset.of(F3, {0: 1}))
     assert (chk3.lhs, chk3.rhs, chk3.holds) == (3, 3, True)
+    # the check carries the sumset it measured, which takes no part in equality
+    assert chk.measured == sumset(a, a) and chk3.measured == full
+    assert chk == BoundCheck(lhs=3, rhs=3) and BoundCheck(lhs=3, rhs=3).measured is None
 
 
 def test_multiset_deg_examples():
@@ -350,6 +367,10 @@ def test_hopf_stiefel_rejects_non_prime_p():
     for p in (0, 1, 4):
         with pytest.raises(ValueError):
             hopf_stiefel(p, 2, 2)
+    for r, s in ((0, 2), (2, 0), (-1, -1)):
+        with pytest.raises(ValueError) as err:
+            hopf_stiefel(2, r, s)
+        assert str(err.value) == "arguments must be positive"
 
 
 def test_hopf_stiefel_against_oracle_and_properties():
@@ -382,6 +403,7 @@ def test_ek_examples():
     line = VectorMultiset(2, 2, [((0, 0), 1), ((1, 0), 1)])
     chk3 = eliahou_kervaire_check(line, line)
     assert (chk3.lhs, chk3.rhs) == (2, 2)  # a subspace meets the bound exactly
+    assert chk.measured == vector_sumset(a, b) and chk3.measured == vector_sumset(line, line)
 
 
 def test_ek_exhaustive_tiny():
@@ -402,6 +424,9 @@ def test_vector_multiset_validation():
         VectorMultiset(3, 2, [((0, 0), True)])
     with pytest.raises(TypeError):
         VectorMultiset(3, 2, [((1.7, 2), 1)])
+    with pytest.raises(ArityMismatchError) as err:
+        VectorMultiset(3, 2, [((0, 0), 1), ((1, 2, 0), 1)])
+    assert str(err.value) == "vector (1, 2, 0) has dimension != 2"
 
 
 def test_vector_sumset_group_structure():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from nullgrid import (
     punctured_decompose,
     trim_grid,
 )
-from nullgrid import certificates
+from nullgrid import certificates, divdiff
 from nullgrid.randgen import rand_poly, rand_spec, rand_witness_instance
 from oracles import (
     brute_first_witness,
@@ -78,6 +79,9 @@ def test_witness_preconditions_are_named():
     with pytest.raises(PreconditionError) as err:
         find_witness(parse_poly("x1", 1, F5), MultisetGrid.of(F5, [{0: 1}]), (1,))
     assert err.value.condition == "sizes"
+    with pytest.raises(ValueError) as err:
+        find_witness(parse_poly("x1", 1, F5), grid, (1,), method="divided-difference")
+    assert str(err.value) == "unknown witness method 'divided-difference'"
 
 
 def test_trim_grid_drops_largest_first():
@@ -115,21 +119,47 @@ def test_witness_methods_agree_after_identical_trimming():
 
 
 def test_divided_difference_witness_rejects_a_wrong_table(monkeypatch):
-    true_table = certificates.weight_table
+    """Doubling one coordinate's weight rows doubles the weighted sum, which
+    then misses the nonzero coefficient of x^t in every field, F_2
+    included; doubling every row would scale it by 2^n, which is 1 in F_3
+    at n = 2."""
+    true_rows = divdiff._coordinate_weights
+    doubled = []
 
-    def doubled(grid):
-        table = true_table(grid)
-        table.weights = {k: w + w for k, w in table.weights.items()}
-        return table
+    def first_rows_doubled(ms):
+        rows = true_rows(ms)
+        if not doubled:
+            doubled.append(ms)
+            rows = {s: [w + w for w in ws] for s, ws in rows.items()}
+        return rows
 
-    monkeypatch.setattr(certificates, "weight_table", doubled)
+    monkeypatch.setattr(divdiff, "_coordinate_weights", first_rows_doubled)
     rng = random.Random(67)
     for _ in range(30):
         spec = rand_spec(rng, rational_weight=0.2)
         f, grid, t = rand_witness_instance(rng, spec, rng.randint(1, 3))
-        find_witness(f, grid, t)  # the exhaustive scan reads no table
+        find_witness(f, grid, t)  # the exhaustive scan reads no weights
+        assert not doubled
         with pytest.raises(InvariantViolation, match="failed to certify"):
             find_witness(f, grid, t, method="divided_difference")
+        doubled.clear()
+
+
+def test_divided_difference_witness_builds_no_weight_table():
+    """{1..21}^3 over F_10007: the walk keeps one weight row per support
+    value, about 0.05 MB at peak, while building weight_table's 9261 entries
+    keyed by points peaks at about 4.6 MB."""
+    spec = FieldSpec.prime(10007)
+    grid = MultisetGrid.of(spec, [{s: 1 for s in range(1, 22)}] * 3)
+    f = parse_poly("x1^20*x2^20*x3^20 + x1 + 1", 3, spec)
+    tracemalloc.start()
+    try:
+        w = find_witness(f, grid, (20, 20, 20), method="divided_difference")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (w.point, w.exponent, w.value) == ((spec.one,) * 3, (0, 0, 0), spec.element(3))
+    assert peak < 10**6
 
 
 def test_obstruction_check_examples():
@@ -195,6 +225,13 @@ def test_punctured_errors():
         # fails to vanish at 1, which is outside D
         punctured_decompose(parse_poly("x1 + 1", 1, Q), sg, MultisetGrid.of(Q, [{0: 1}]))
     assert err.value.condition == "vanishing"
+    for sub, message in (
+        (MultisetGrid.of(Q, [{0: 1}, {0: 1}]), "sub-grid: coordinate counts differ"),
+        (MultisetGrid.of(F5, [{0: 1}]), "sub-grid: fields differ"),
+    ):
+        with pytest.raises(PreconditionError) as err:
+            punctured_decompose(parse_poly("x1", 1, Q), sg, sub)
+        assert str(err.value) == message
 
 
 def test_punctured_random_instances():
@@ -332,7 +369,7 @@ def test_witness_search_failure_names_the_instance(monkeypatch):
         find_witness(f, grid, (1, 1))
     assert str(err.value) == f"no witness found on a valid instance; {repro}"
     # the weighted sum is made to miss the coefficient of x^t
-    monkeypatch.setattr(certificates, "_weighted_sum", lambda f, grid, table: (0, None))
+    monkeypatch.setattr(certificates, "_weighted_sum", lambda f, grid: (0, None))
     with pytest.raises(InvariantViolation) as err:
         find_witness(f, grid, (1, 1), method="divided_difference")
     assert str(err.value) == f"weighted coefficient sum failed to certify the instance; {repro}"

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -215,6 +216,22 @@ def test_sumset_and_cd_cli():
         ["cd-check", "--field", "prime:7", "--a", '[{"value":"0","mult":2}]', "--b", '[{"value":"0","mult":3}]']
     )
     assert code == 0 and out.endswith("holds: true\n")
+
+
+def test_bound_checks_build_each_sumset_once(monkeypatch):
+    """cd-check and ek-check print the sumset their bound check measured."""
+    from nullgrid import applications
+
+    calls = []
+    for name in ("sumset", "vector_sumset"):
+        inner = getattr(applications, name)
+        monkeypatch.setattr(applications, name, lambda a, b, inner=inner, name=name: calls.append(name) or inner(a, b))
+    argv = ["cd-check", "--field", "prime:7", "--a", '[{"value":"0","mult":2}]', "--b", '[{"value":"1","mult":1}]']
+    assert run_cli(argv) == (0, "sumset: {1:2}\nlhs: 2\nrhs: 2\nholds: true\n", "")
+    vec = '[{"value":[0,0],"mult":1},{"value":[1,0],"mult":1}]'
+    code, out, _ = run_cli(["ek-check", "--p", "2", "--dim", "2", "--a", vec, "--b", vec])
+    assert code == 0 and out.endswith("lhs: 2\nrhs: 2\nholds: true\n")
+    assert calls == ["sumset", "vector_sumset"]
 
 
 def test_valueset_sun_ek_cli():
@@ -518,18 +535,42 @@ def test_input_errors_name_long_numbers_by_their_digits():
     assert run_cli(["reduce", "--poly", "x1", "--grid-inline", grid]) == (2, "", expected)
 
 
+def test_input_errors_name_nested_long_numbers_by_their_digits():
+    """A long number inside the offending value, not the value itself, is
+    named by its digit count too, at any depth the JSON reader accepts."""
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * limit
+    entry = "error: multiset entry must be {'value': ..., 'mult': ...}, got "
+    argv = ["sumset", "--field", "prime:7", "--a", f'[{{"value":"1","mlt":{nines}}}]', "--b", "[]"]
+    assert run_cli(argv) == (2, "", entry + f"{{'value': '1', 'mlt': a number of {limit} digits}}\n")
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        argv = ["sumset", "--field", "prime:7", "--a", "[" * depth + nines + "]" * depth, "--b", "[]"]
+        code, out, err = run_cli(argv)
+        if err != "error: invalid JSON: nested too deeply\n":
+            break
+    assert depth > 900
+    inner = "[" * (depth - 1) + f"a number of {limit} digits" + "]" * (depth - 1)
+    assert (code, out, err) == (2, "", entry + inner + "\n")
+
+
 def test_counts_too_long_to_print_are_output_size_failures():
     """A computed count past the int/str digit limit exits 1 with the
-    output-size failure in both output modes, as a polynomial does.  A large
-    p keeps hopf_stiefel's loop over the powers of p short."""
+    output-size failure in both output modes, as a polynomial does.  At
+    p = 2 hopf_stiefel takes about 14 300 steps, each dividing its carried
+    ceilings by p; dividing r and s by the large p^k at each step took
+    about 2 s of CPU time."""
     limit = sys.get_int_max_str_digits()
     nines = "9" * limit
     message = f"error: output-size: a value has more digits than Python's int/str digit limit of {limit}\n"
     a = f'[{{"value":[0],"mult":{nines}}},{{"value":[1],"mult":{nines}}}]'
-    for mode in ([], ["--json"]):
-        assert run_cli(["hopf-stiefel", "--p", "10007", "--r", nines, "--s", nines] + mode) == (1, "", message)
-        argv = ["ek-check", "--p", "10007", "--dim", "1", "--a", a, "--b", '[{"value":[0],"mult":1}]']
-        assert run_cli(argv + mode) == (1, "", message)
+    for p in ("10007", "2"):
+        for mode in ([], ["--json"]):
+            assert run_cli(["hopf-stiefel", "--p", p, "--r", nines, "--s", nines] + mode) == (1, "", message)
+            argv = ["ek-check", "--p", p, "--dim", "1", "--a", a, "--b", '[{"value":[0],"mult":1}]']
+            assert run_cli(argv + mode) == (1, "", message)
+    start = time.process_time()
+    assert run_cli(["hopf-stiefel", "--p", "2", "--r", nines, "--s", nines]) == (1, "", message)
+    assert time.process_time() - start < 1
     # a count at the limit still prints
     code, out, err = run_cli(["hopf-stiefel", "--p", "10007", "--r", nines, "--s", "1", "--json"])
     assert (code, err) == (0, "") and json.loads(out)["beta"] == int(nines)

@@ -16,6 +16,7 @@ from nullgrid import (
     PreconditionError,
     divided_difference,
     divided_difference_recursive,
+    grid_expansions,
     parse_poly,
     reduce_poly,
     top_coefficient_identity_holds,
@@ -23,7 +24,7 @@ from nullgrid import (
     weight_table,
 )
 from nullgrid import divdiff
-from nullgrid.divdiff import WeightTable, _contracted_sum, _weighted_sum
+from nullgrid.divdiff import _contracted_sum, _weighted_sum
 from nullgrid.randgen import rand_grid, rand_poly, rand_spec
 from oracles import (
     confluent_vandermonde,
@@ -420,11 +421,20 @@ def test_identity_random():
         assert top_coefficient_identity_holds(f, grid)
 
 
+def _table_sum(f, grid, weights):
+    """The weighted sum of f's expansion coefficients read entry by entry
+    from a {(point, exponent): weight} map, which need not factor over the
+    coordinates."""
+    expansions = ((point, g) for point, _, g in grid_expansions(f, grid))
+    return sum((weights[point, u] * g.coefficient(u) for point, g in expansions for u in g.terms), grid.spec.zero)
+
+
 def test_contraction_matches_the_table_sum():
-    """The identity without a table contracts the weighted sum one
-    coordinate at a time; the entry-by-entry sum over the materialized table
-    is the reference.  Both equal the bracket for every f, so degrees run
-    past the identity's admissible total too."""
+    """The identity contracts the weighted sum one coordinate at a time, and
+    the witness search sums it over one walk with per-coordinate weight
+    rows; the entry-by-entry sum over the materialized table is the
+    reference.  All equal the bracket for every f, so degrees run past the
+    identity's admissible total too."""
     rng = random.Random(53)
     for trial in range(40):
         spec = Q if trial % 4 == 0 else rand_spec(rng, primes=(2, 3, 7, 101, 10007))
@@ -434,8 +444,9 @@ def test_contraction_matches_the_table_sum():
             f = MultiPoly.zero(n, spec)
         else:
             f = rand_poly(rng, spec, n, max_deg=rng.randint(0, 2 * sum(grid.sizes)))
-        expected = _weighted_sum(f, grid, weight_table(grid))[0]
-        assert _contracted_sum(f, grid) == expected, (grid, f)
+        expected = _contracted_sum(f, grid)
+        assert _weighted_sum(f, grid)[0] == expected, (grid, f)
+        assert spec.element(expected) == _table_sum(f, grid, weight_table(grid).weights), (grid, f)
         assert spec.element(expected) == divided_difference(f, grid)
 
 
@@ -488,12 +499,13 @@ def test_single_entry_perturbation_is_detected():
         key = rng.choice(sorted(table.weights, key=lambda k: (tuple(e.sort_key() for e in k[0]), k[1])))
         point, u = key
         delta = spec.one if spec.is_prime_field else spec.element(Fraction(1, 3))
-        broken = WeightTable(grid, {**table.weights, key: table.weights[key] + delta})
+        broken = {**table.weights, key: table.weights[key] + delta}
         probe = dual_basis_poly(grid, point, u)
         deg = probe.total_degree()
         assert deg is not None and deg <= sum(grid.top_exponent)
-        assert top_coefficient_identity_holds(probe, grid, table)
-        assert not top_coefficient_identity_holds(probe, grid, broken)
+        top = probe.coefficient(grid.top_exponent)
+        assert top == _table_sum(probe, grid, table.weights)
+        assert top != _table_sum(probe, grid, broken)
 
 
 def test_weight_table_degenerates_to_expansion_extraction():

@@ -454,3 +454,15 @@ def test_short_repr_names_long_ints_by_their_digit_count():
         digits = rng.randint(51, 4000)
         n = rng.choice([10 ** (digits - 1), 10**digits - 1, rng.randrange(10 ** (digits - 1), 10**digits)])
         assert fields._short_repr(n) == f"a number of {len(str(n))} digits"
+    # inside lists and dicts too, and anything else is written as repr writes it
+    nested = {"value": "1", "mlt": [10**60, {"k": -(10**4300)}], "x": [1.5, None, True, (2, 10**70), "9" * 60]}
+    expected = (
+        "{'value': '1', 'mlt': [a number of 61 digits, {'k': a negative number of 4301 digits}], "
+        f"'x': [1.5, None, True, (2, {10**70}), '{'9' * 60}']}}"
+    )
+    assert fields._short_repr(nested) == expected
+    looped = [1, {"k": [2]}]
+    looped[1]["k"].append(looped)
+    looped[1]["self"] = looped[1]
+    for value in ([], {}, [[], {}], {"a": [1, {"b": "c"}], "": -(10**49)}, ["'\"", [[[0.25]]]], looped):
+        assert fields._short_repr(value) == repr(value)

@@ -224,6 +224,9 @@ def test_grid_membership_examples():
     one = MultiPoly.constant(2, F5, 1)
     assert not in_grid_ideal(one, grid, "remainder")
     assert not in_grid_ideal(one, grid, "pointwise")
+    with pytest.raises(ValueError) as err:
+        in_grid_ideal(one, grid, "both")
+    assert str(err.value) == "unknown membership method 'both'"
 
 
 def test_membership_methods_agree_random():

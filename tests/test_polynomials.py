@@ -362,6 +362,14 @@ def test_parse_errors_carry_positions():
         parse_poly("1/2*x1", 1, F5)  # rational literals need the rational field
     with pytest.raises(PolyParseError):
         parse_poly("x1/2", 1, Q)  # '/' only joins integer literals
+    for text, message in (
+        ("1/0", "zero denominator (position 2)"),
+        ("1/", "expected denominator after '/' (position 2)"),
+        ("(x1", "expected ')', found 'end of input' (position 3)"),
+    ):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, 1, Q)
+        assert str(err.value) == message
 
 
 def test_parse_refuses_non_ascii_digits():

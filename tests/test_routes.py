@@ -2,8 +2,8 @@
 
 The library's correctness rests on pairs of routes that agree without
 sharing code: remainder vs pointwise membership, the definitional vs the
-recursive bracket, the exhaustive vs the weight-table witness search, the
-contracted vs the table-entry weighted sum, and the library vs
+recursive bracket, the exhaustive vs the divided-difference witness search,
+the contracted vs the walked weighted sum, and the library vs
 tests/oracles.py.  These tests build a static call graph of
 src/nullgrid with ast and check that no route reaches the other.
 
@@ -183,6 +183,11 @@ def test_contraction_stays_off_the_remainder_the_recursion_and_the_table():
 def test_contraction_and_table_sum_stay_apart():
     _assert_apart(["divdiff._contracted_sum"], ["divdiff._weighted_sum"])
     _assert_apart(["divdiff._weighted_sum"], ["divdiff._contracted_sum"])
+
+
+def test_witness_search_reads_coordinate_weights_not_the_table():
+    assert "divdiff._coordinate_weights" in _reach("certificates.find_witness")
+    _assert_apart(["certificates.find_witness"], ["divdiff.weight_table"])
 
 
 def test_expansions_and_reduction_stay_apart():
