@@ -330,17 +330,24 @@ def hopf_stiefel(p: int, r: int, s: int) -> int:
     Computed by the closed form min over k >= 0 of
     (ceil(r / p^k) + ceil(s / p^k) - 1) * p^k; the term for the first
     p^k >= max(r, s) is p^k itself and no larger k does better, so the loop
-    takes O(log max(r, s)) steps, each dividing the ceilings of the step
-    before by p, as ceil(r / p^(k+1)) = ceil(ceil(r / p^k) / p), never r and
-    s by the large p^k."""
+    takes O(log max(r, s)) steps.  It carries the ceilings negated, since
+    divmod(-c, p) gives -ceil(c / p) and (-c) mod p at once, and
+    ceil(r / p^(k+1)) = ceil(ceil(r / p^k) / p); the term grows by
+    p^k * ((-a) mod p + (-b) mod p + 1 - p) from the ceilings a, b of one
+    step to the next.  So each step divides by p and multiplies p^k by small
+    numbers only, never dividing r and s by the large p^k or multiplying two
+    large numbers."""
     if r < 1 or s < 1:
         raise ValueError("arguments must be positive")
     FieldSpec.prime(p)  # validates primality; the closed form needs a prime
-    best, q, a, b = r + s - 1, 1, r, s
-    while a > 1 or b > 1:  # q < max(r, s)
+    best = term = r + s - 1
+    q, a, b = 1, -r, -s  # -ceil(r / q), -ceil(s / q)
+    while a < -1 or b < -1:  # q < max(r, s)
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        term += q * (da + db + 1 - p)
         q *= p
-        a, b = -(-a // p), -(-b // p)
-        best = min(best, (a + b - 1) * q)
+        best = min(best, term)
     return best
 
 

@@ -375,17 +375,18 @@ def _inv_series(spec: FieldSpec, a: Sequence, n: int) -> list:
     """The first n coefficients of the power series 1 / a, for a raw
     coefficient list a, lowest degree first, whose a[0] is invertible.  With
     b[0] = 1 / a[0], each later b[k] is -b[0] * sum_j a[j] * b[k - j], one
-    reduced sum per coefficient over a window of b zero-padded below 0, so
-    the cost is O(n * len(a)); the terms of a from y^n up play no part."""
+    reduced sum per coefficient, so the cost is O(n * len(a)); the terms of
+    a from y^n up play no part, and n = 0 gives [].  The sum pairs a[1:n]
+    with b read backwards from b[k - 1] and stops at the shorter, so no
+    window is padded or sliced."""
     reduce = spec._reduce
     first = spec._inv(a[0])
     neg = reduce(-first)
-    tail = a[1:n][::-1]
-    width = len(tail)
-    b = [0] * width + [first]
-    for k in range(1, n):
-        b.append(reduce(neg * sum(map(mul, tail, b[k:k + width]))))
-    return b[width:width + n]
+    tail = a[1:n]
+    b = [first][:n]
+    for _ in range(1, n):
+        b.append(reduce(neg * sum(map(mul, tail, reversed(b)))))
+    return b
 
 
 def _mul_packed(spec: FieldSpec, radix: Sequence[int], a, b):

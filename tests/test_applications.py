@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -388,6 +389,36 @@ def test_hopf_stiefel_closed_form_matches_oracle():
         for r in range(1, 40):
             for s in range(1, 40):
                 assert hopf_stiefel(p, r, s) == hopf_stiefel_oracle(p, r, s), (p, r, s)
+
+
+def test_hopf_stiefel_matches_oracle_on_random_inputs():
+    rng = random.Random(29)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7, 11, 13, 101))
+        r, s = rng.randint(1, 150), rng.randint(1, 150)
+        assert hopf_stiefel(p, r, s) == hopf_stiefel_oracle(p, r, s), (p, r, s)
+
+
+def test_hopf_stiefel_cpu_time_at_4300_digits():
+    """p = 2 at r = s = 10^4300 - 1 takes about 14 300 steps.  Carrying the
+    negated ceilings through divmod and the term by small multiples of p^k
+    must take under half the CPU time of the loop that multiplies
+    (a + b - 1) * p^k in full at each step, timed in the same process, so
+    the bound does not depend on the host's speed (on an Intel Xeon core it
+    took about a quarter); that loop also checks the value."""
+    r = s = 10**4300 - 1
+    start = time.process_time()
+    beta = hopf_stiefel(2, r, s)
+    fast = time.process_time() - start
+    start = time.process_time()
+    best, q, a, b = r + s - 1, 1, r, s
+    while a > 1 or b > 1:
+        q *= 2
+        a, b = -(-a // 2), -(-b // 2)
+        best = min(best, (a + b - 1) * q)
+    full = time.process_time() - start
+    assert beta == best
+    assert fast < full / 2, (fast, full)
 
 
 def test_ek_examples():
