@@ -6,8 +6,11 @@ documented precondition was violated (with a diagnostic), 2 for input errors
 (bad syntax, bad schema), reported on one line prefixed with "error:".
 Output is deterministic; --json switches to a schema-versioned object.  A
 closed stdout (`| head`) cuts the output without a traceback; the exit code
-is still the computation's.  The parser is built once per process, and
-subcommand foo-bar is handled by _cmd_foo_bar, looked up at dispatch.
+is still the computation's.  The parser is built once per process.  Each
+call is parsed by its subcommand's parser alone; the top-level parser sees
+only an argv that does not start with a subcommand, and reports the command
+missing or unknown (or prints the top-level help).  Subcommand foo-bar is
+handled by _cmd_foo_bar, looked up at dispatch.
 """
 
 from __future__ import annotations
@@ -94,11 +97,14 @@ def _parse_field(text: str) -> FieldSpec:
 
 
 def _parse_int(text: str, what: str = None) -> int:
-    """int(text).  A number past Python's int/str digit limit is refused by
-    its length and the limit, not the number: as an input error that starts
-    with what or, without what, as the ArgumentTypeError of an integer
-    option, which argparse prefixes with the option.  Any other bad text
-    raises int's own ValueError."""
+    """int(text) on ASCII text without underscores, as the polynomial
+    grammar reads a literal.  A number past Python's int/str digit limit is
+    refused by its length and the limit, not the number: as an input error
+    that starts with what or, without what, as the ArgumentTypeError of an
+    integer option, which argparse prefixes with the option.  Any other bad
+    text raises int's own ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     try:
         return int(text)
     except ValueError:
@@ -470,9 +476,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with a known subcommand's arguments
+    given straight to its parser.  The top-level parser would pass them all
+    on unchanged (its subparsers action takes nargs=PARSER), after
+    classifying each one only to find the command; it parses just an argv
+    that does not start with a command, to report the command missing or
+    unknown."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         # the subcommand is checked here, not by argparse, so that an
         # unrecognized option before it (nullgrid --bogus) is the error named
         if args.command is None:

@@ -139,9 +139,13 @@ class FieldSpec:
         text = text.strip()
         try:
             # Fraction reads "1e5000000" by building 10**5000000, so exponent
-            # notation is refused before it can run without limit
+            # notation is refused before it can run without limit; int and
+            # Fraction also read "1_0" and non-ASCII digits, which the
+            # polynomial grammar refuses, so they are refused here too
             if self.p is None and ("e" in text or "E" in text):
                 raise ValueError("exponent notation is not accepted")
+            if not text.isascii() or "_" in text:
+                raise ValueError("only ASCII digits are accepted")
             return self._reduce(Fraction(text) if self.p is None else int(text))
         except (ValueError, ZeroDivisionError) as exc:
             limit = sys.get_int_max_str_digits()

@@ -771,3 +771,197 @@ def test_cli_fuzz_keeps_the_exit_code_contract(argv):
     else:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:"), (argv, err)
+
+
+def test_number_text_takes_ascii_digits_only():
+    """int and Fraction read "1_0" and non-ASCII digits, which the polynomial
+    grammar refuses; every reader of number text refuses them too, with the
+    message it gives other bad text."""
+    grid_f5 = '{"field":{"kind":"prime","p":5},"sets":[[{"value":"1_0","mult":1}]]}'
+    grid_f7 = '{"field":{"kind":"prime","p":7},"sets":[[{"value":"1_000","mult":1}]]}'
+    grid_q = '{"field":{"kind":"rational"},"sets":[[{"value":"١/2","mult":1}]]}'
+    vec = '[{"value":[0],"mult":1}]'
+    cases = [
+        (["reduce", "--poly", "1_0", "--grid-inline", GRID_F5_01], "unexpected character '_' (position 1)"),
+        (["reduce", "--poly", "x1", "--grid-inline", grid_f5], "invalid F_5 value '1_0'"),
+        (["reduce", "--poly", "x1", "--grid-inline", grid_f7], "invalid F_7 value '1_000'"),
+        (["reduce", "--poly", "x1", "--grid-inline", grid_q], "invalid QQ value '١/2'"),
+        (
+            ["cover-check", "--grid-inline", GRID_F5_01, "--hyperplanes-inline", '[["1_0", 1]]'],
+            "invalid F_5 value '1_0'",
+        ),
+        (
+            ["sumset", "--field", "prime:1_0007", "--a", "[]", "--b", "[]"],
+            "invalid literal for int() with base 10: '1_0007'",
+        ),
+        (
+            ["sumset", "--field", "prime:７", "--a", "[]", "--b", "[]"],
+            "invalid literal for int() with base 10: '７'",
+        ),
+        (
+            ["witness", "--poly", "x1*x2", "--grid-inline", GRID_F3_2D, "--t", "١,١"],
+            "--t must be comma-separated integers, got '١,١'",
+        ),
+        (["hopf-stiefel", "--p", "٢", "--r", "2", "--s", "3"], "argument --p: invalid int value: '٢'"),
+        (["hopf-stiefel", "--p", "2", "--r", "1_0", "--s", "3"], "argument --r: invalid int value: '1_0'"),
+        (
+            ["sun-check", "--grid-inline", GRID_F3_2D, "--coeffs", "1_0,١", "--k", "2"],
+            "invalid F_3 value '1_0'",
+        ),
+        (
+            ["sun-check", "--grid-inline", GRID_F3_2D, "--coeffs", "1,١", "--k", "2"],
+            "invalid F_3 value '١'",
+        ),
+        (
+            ["sun-check", "--grid-inline", GRID_F3_2D, "--coeffs", "1,1", "--k", "٢"],
+            "argument --k: invalid int value: '٢'",
+        ),
+        (
+            ["ek-check", "--p", "2", "--dim", "١", "--a", vec, "--b", vec],
+            "argument --dim: invalid int value: '١'",
+        ),
+    ]
+    for argv, message in cases:
+        assert run_cli(argv) == (2, "", f"error: {message}\n"), argv
+    # the same numbers in ASCII digits are read
+    for argv in (
+        ["reduce", "--poly", "x1", "--grid-inline", grid_f5.replace("1_0", "10")],
+        ["reduce", "--poly", "x1", "--grid-inline", grid_q.replace("١", "1")],
+        ["sumset", "--field", "prime:10007", "--a", '[{"value":"1","mult":1}]', "--b", '[{"value":"2","mult":1}]'],
+        ["witness", "--poly", "x1*x2", "--grid-inline", GRID_F3_2D, "--t", "1,1"],
+        ["hopf-stiefel", "--p", "2", "--r", "10", "--s", "3"],
+        ["sun-check", "--grid-inline", GRID_F3_2D, "--coeffs", "10,1", "--k", "2"],
+    ):
+        code, _, err = run_cli(argv)
+        assert (code, err) == (0, ""), argv
+    # an ASCII number past the digit limit still names its length and the limit
+    limit = sys.get_int_max_str_digits()
+    big = "1" * 5000
+    assert len(big) > limit
+    message = f"a number of {len(big)} digits exceeds Python's int/str digit limit of {limit}\n"
+    assert run_cli(["hopf-stiefel", "--p", big, "--r", "1", "--s", "1"]) == (2, "", "error: argument --p: " + message)
+    assert run_cli(["sumset", "--field", "prime:" + big, "--a", "[]", "--b", "[]"]) == (2, "", "error: --field: " + message)
+
+
+# -- dispatch: a known subcommand's arguments go straight to its parser -----------
+
+_GRID_F5_MIXED = (
+    '{"field":{"kind":"prime","p":5},"sets":[[{"value":"0","mult":1},{"value":"1","mult":1}],'
+    '[{"value":"2","mult":2}]]}'
+)
+_GOLDEN_ARGVS = [
+    ["witness", "--poly", "x1*x2", "--grid-inline", GRID_F3_2D, "--t", "1,1"],
+    ["witness", "--poly", "x1*x2", "--grid-inline", GRID_F3_2D, "--t", "1,1", "--json"],
+    ["hopf-stiefel", "--p", "2", "--r", "2", "--s", "2"],
+    ["hopf-stiefel", "--p", "2", "--r", "2", "--s", "2", "--json"],
+    ["reduce", "--poly", "x1^3", "--grid-inline", GRID_F5_01],
+    ["reduce", "--poly", "x1^3", "--grid", "grid.json"],
+    ["reduce", "--poly", "(x1 + 2*x2 + 1)^4", "--grid-inline", _GRID_F5_MIXED],
+    ["alpha", "--grid-inline", GRID_F3_2D],
+]
+_EDGE_ARGVS = [
+    [],
+    ["--bogus"],
+    ["no-such-command"],
+    ["--help"],
+    ["-h"],
+    ["--bogus", "reduce", "--poly", "x1"],
+    ["--json", "reduce", "--poly", "x1"],
+    ["reduce", "-h"],
+    ["reduce", "--help"],
+    ["hopf-stiefel", "--p", "2", "-h"],
+    ["reduce"],
+    ["reduce", "--poly"],
+    ["reduce", "reduce"],
+    ["alpha", "reduce"],
+    ["reduce", "--po", "x1", "--grid-inline", GRID_F5_01],
+    ["reduce", "--gri", "grid.json", "--poly", "x1"],
+    ["cover-check", "--h"],
+    ["reduce", "--", "--poly", "x1"],
+    ["reduce", "--poly", "x1", "--", "--grid-inline", GRID_F5_01],
+    ["reduce", "--poly", "--", "x1"],
+    ["reduce", "--poly", "-x1", "--grid-inline", GRID_F5_01],
+    ["reduce", "--poly", "-x", "-y"],
+    ["reduce", "--poly", "x1", "--poly", "x2", "--json", "--json"],
+    ["reduce", "--bogus", "--poly", "x1", "--grid-inline", GRID_F5_01],
+    ["reduce", "--poly=x1", "extra"],
+    ["member", "--method", "neither", "--poly", "x1", "--grid-inline", GRID_F5_01],
+    ["member", "--method", "remainder", "--method", "pointwise", "--poly", "x1"],
+    ["witness", "--poly", "x1", "--t", "١,١", "--method", "divided"],
+    ["sun-check", "--grid-inline", GRID_F5_01, "--coeffs", "1", "--k", "x"],
+    ["sun-check", "--grid-inline", GRID_F5_01, "--coeffs", "1", "--k", "٢"],
+    ["hopf-stiefel", "--p", "٢", "--r", "1_0", "--s", "3"],
+    ["hopf-stiefel", "--p", "2", "--r", "1", "--s", "1", "--p", "3"],
+    ["hopf-stiefel", "--p", "2", "--r", "1", "--s", "1" * 5000],
+    ["sumset", "--field", "prime:1_0007", "--a", "[]", "--b", "[]"],
+    ["ek-check", "--p", "2", "--dim", "-1", "--a", "[]", "--b", "[]"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """What one parse route makes of argv: the namespace, the usage error, or
+    the SystemExit code with what was printed."""
+    printed = io.StringIO()
+    try:
+        with redirect_stdout(printed), redirect_stderr(printed):
+            return "parsed", sorted(vars(parse(argv)).items())
+    except cli._InputError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, printed.getvalue()
+
+
+def _assert_same_parse(argv):
+    full = _parse_outcome(cli.build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse_args, argv) == full, argv
+    return full
+
+
+def test_direct_dispatch_matches_the_full_parse(monkeypatch):
+    outcomes = [_assert_same_parse(argv) for argv in _GOLDEN_ARGVS + _EDGE_ARGVS]
+    assert {outcome[0] for outcome in outcomes} == {"parsed", "error", "exit"}
+    # argv=None reads sys.argv[1:], as argparse does
+    for argv in (["reduce", "--poly", "x1"], ["--bogus"], ["reduce", "--poly"]):
+        monkeypatch.setattr(sys, "argv", ["nullgrid"] + argv)
+        assert _parse_outcome(cli._parse_args, None) == _parse_outcome(cli.build_parser().parse_args, argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_direct_dispatch_matches_the_full_parse_on_fuzzed_argvs(argv):
+    _assert_same_parse(argv)
+
+
+def test_known_subcommands_skip_the_top_level_parser(monkeypatch):
+    parser = cli.build_parser()
+    known = _GOLDEN_ARGVS + [
+        ["reduce", "--po", "x1", "--grid-inline", GRID_F5_01],
+        ["reduce", "--bogus", "--poly", "x1", "--grid-inline", GRID_F5_01],
+        ["reduce", "--grid-inline", GRID_F5_01],
+        ["member", "--method", "neither", "--poly", "x1", "--grid-inline", GRID_F5_01],
+    ]
+    expected = [run_cli(argv) for argv in known]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(parser, "parse_args", refuse)
+        patched.setattr(parser, "parse_known_args", refuse)
+        assert [run_cli(argv) for argv in known] == expected
+        with redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as exc:
+            main(["reduce", "--help"])
+        assert exc.value.code == 0 and out.getvalue().startswith("usage: nullgrid reduce")
+
+    # an argv that does not start with a command still reaches it
+    seen = []
+    full_parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv=None, ns=None: seen.append(argv) or full_parse(argv, ns))
+    assert run_cli([]) == (2, "", "error: the following arguments are required: command\n")
+    assert run_cli(["--bogus"]) == (2, "", "error: unrecognized arguments: --bogus\n")
+    code, out, err = run_cli(["no-such-command"])
+    assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error: argument command: ")
+    with redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and out.getvalue().startswith("usage: nullgrid [-h]")
+    assert seen == [[], ["--bogus"], ["no-such-command"], ["--help"]]

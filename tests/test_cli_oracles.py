@@ -1,0 +1,191 @@
+"""The CLI checked against the oracles on random valid instances.
+
+Each example draws a small instance over F_2, F_3, F_7, F_10007 or Q: arity
+1 to 3, coordinate multisets of size at most 4 and polynomials of at most 6
+terms.  It runs the instance through cli.main in text mode and in --json
+mode, checks that both print the same data, and compares that data with
+tests/oracles.py or, for sumsets, with a pairwise maximum written here.
+Instances come from random.Random(seed), and every assertion names the argv,
+so a failure is reproduced from its message alone.  Each example has a
+CPU-time bound, so a handler that slows down by orders of magnitude fails.
+"""
+
+import io
+import json
+import random
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+from nullgrid import FieldSpec, parse_poly
+from nullgrid.cli import main
+from nullgrid.ideals import grid_to_dict, multiset_to_list
+from nullgrid.randgen import rand_grid, rand_multiset, rand_poly, rand_witness_instance
+from oracles import (
+    brute_first_witness,
+    generator_oracle,
+    hermite_remainder_oracle,
+    ideal_member_oracle,
+    poly_product_oracle,
+    two_point_bracket_oracle,
+    value_set_oracle,
+)
+
+SPECS = tuple(FieldSpec.prime(p) for p in (2, 3, 7, 10007)) + (FieldSpec.rationals(),)
+EXAMPLES = 40  # per subcommand
+CPU_SECONDS = 1.0  # per example, both output modes together
+
+
+def _run(argv):
+    """cli.main on argv in text mode and in --json mode, each exiting 0 with
+    nothing on stderr, within CPU_SECONDS: the text without its final
+    newline, and the JSON object without its schema and command."""
+    printed = []
+    start = time.process_time()
+    for tail in ([], ["--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + tail)
+        assert (code, err.getvalue()) == (0, ""), argv + tail
+        printed.append(out.getvalue())
+    assert time.process_time() - start < CPU_SECONDS, argv
+    text, payload = printed
+    assert text.endswith("\n"), argv
+    obj = json.loads(payload)
+    assert (obj.pop("schema"), obj.pop("command")) == ("nullgrid.v1", argv[0]), argv
+    return text[:-1], obj
+
+
+def _gridded(seed):
+    """The seeded generator, then a random grid and polynomial drawn from it."""
+    rng = random.Random(seed)
+    spec = rng.choice(SPECS)
+    grid = rand_grid(rng, spec, rng.randint(1, 3), max_size=4)
+    f = rand_poly(rng, spec, grid.arity, max_deg=rng.randint(0, 6), max_terms=6)
+    return rng, grid, f
+
+
+def _grid_args(grid, f):
+    return ["--poly", str(f), "--grid-inline", json.dumps(grid_to_dict(grid))]
+
+
+def _fmt_tuple(values):
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
+def _fmt_multiset(items):
+    return "{" + ", ".join(f"{item['value']}:{item['mult']}" for item in items) + "}"
+
+
+def _by_value(items):
+    return {item["value"]: item["mult"] for item in items}
+
+
+def test_reduce_matches_the_hermite_remainder():
+    for seed in range(EXAMPLES):
+        _, grid, f = _gridded(seed)
+        argv = ["reduce"] + _grid_args(grid, f)
+        text, obj = _run(argv)
+        lines = [f"r: {obj['r']}"] + [f"h{i}: {h}" for i, h in enumerate(obj["h"], 1)]
+        assert text == "\n".join(lines) and len(obj["h"]) == grid.arity, argv
+        r = parse_poly(obj["r"], grid.arity, grid.spec)
+        assert r == hermite_remainder_oracle(f, grid), argv
+        # f = r + sum h_i * g_i, multiplied out by the oracles
+        total = r
+        for i, (h, ms) in enumerate(zip(obj["h"], grid.sets)):
+            h = parse_poly(h, grid.arity, grid.spec)
+            total = total + poly_product_oracle(h, generator_oracle(ms, i, grid.arity))
+        assert total == f, argv
+
+
+def test_member_matches_the_oracle_remainder():
+    for seed in range(EXAMPLES):
+        rng, grid, f = _gridded(seed)
+        if seed % 2:  # half the examples are members
+            f = ideal_member_oracle(rng, grid)
+        method = rng.choice(["remainder", "pointwise", "both"])
+        argv = ["member"] + _grid_args(grid, f) + ["--method", method]
+        text, obj = _run(argv)
+        assert text == f"member: {json.dumps(obj['member'])}\nmethod: {obj['method']}", argv
+        assert obj == {"member": not hermite_remainder_oracle(f, grid).terms, "method": method}, argv
+        assert obj["member"] or seed % 2 == 0, argv
+
+
+def test_divdiff_matches_the_two_point_bracket():
+    for seed in range(EXAMPLES):
+        rng, grid, f = _gridded(seed)
+        method = rng.choice(["def", "rec", "both"])
+        argv = ["divdiff"] + _grid_args(grid, f) + ["--method", method]
+        text, obj = _run(argv)
+        assert text == f"value: {obj['value']}\nmethod: {obj['method']}", argv
+        assert obj == {"value": str(two_point_bracket_oracle(f, grid, rng)), "method": method}, argv
+
+
+def test_exhaustive_witness_matches_the_brute_force_scan():
+    for seed in range(EXAMPLES):
+        rng = random.Random(seed)
+        spec = rng.choice(SPECS)
+        f, grid, t = rand_witness_instance(rng, spec, rng.randint(1, 3))
+        argv = ["witness"] + _grid_args(grid, f) + ["--t", ",".join(map(str, t)), "--method", "exhaustive"]
+        text, obj = _run(argv)
+        expected_text = (
+            f"point: {_fmt_tuple(obj['point'])}\nexponent: {_fmt_tuple(obj['exponent'])}\nvalue: {obj['value']}"
+        )
+        assert text == expected_text, argv
+        point, u, value = brute_first_witness(f, grid)
+        expected = {"point": [str(x) for x in point], "exponent": list(u), "value": str(value), "method": "exhaustive"}
+        assert obj == expected, argv
+
+
+def test_valueset_matches_enumeration():
+    for seed in range(EXAMPLES):
+        _, grid, f = _gridded(seed)
+        argv = ["valueset"] + _grid_args(grid, f)
+        text, obj = _run(argv)
+        assert text == _fmt_multiset(obj["values"]), argv
+        expected = value_set_oracle(f, grid)
+        assert _by_value(obj["values"]) == _by_value(multiset_to_list(expected)), argv
+        assert obj["size"] == expected.size == sum(_by_value(obj["values"]).values()), argv
+
+
+def _pairwise_max(a, b):
+    """The multiset sum: every x + y, with the largest m_A(x) + m_B(y) - 1
+    over its representations, keyed by the printed value."""
+    best = {}
+    for x, mx in a.entries.items():
+        for y, my in b.entries.items():
+            key = str(x + y)
+            best[key] = max(best.get(key, 0), mx + my - 1)
+    return best
+
+
+def _operands(seed):
+    rng = random.Random(seed)
+    spec = rng.choice(SPECS[:-1])  # sumsets are taken in a prime field
+    a, b = rand_multiset(rng, spec, 4), rand_multiset(rng, spec, 4)
+    args = ["--field", f"prime:{spec.p}", "--a", json.dumps(multiset_to_list(a)), "--b", json.dumps(multiset_to_list(b))]
+    return spec, a, b, args
+
+
+def test_sumset_matches_the_pairwise_maximum():
+    for seed in range(EXAMPLES):
+        _, a, b, args = _operands(seed)
+        argv = ["sumset"] + args
+        text, obj = _run(argv)
+        assert text == _fmt_multiset(obj["sumset"]), argv
+        expected = _pairwise_max(a, b)
+        assert _by_value(obj["sumset"]) == expected and obj["size"] == sum(expected.values()), argv
+
+
+def test_cd_check_matches_the_pairwise_maximum():
+    for seed in range(EXAMPLES):
+        spec, a, b, args = _operands(seed)
+        argv = ["cd-check"] + args
+        text, obj = _run(argv)
+        lines = [f"sumset: {_fmt_multiset(obj['sumset'])}", f"lhs: {obj['lhs']}", f"rhs: {obj['rhs']}"]
+        assert text == "\n".join(lines + [f"holds: {json.dumps(obj['holds'])}"]), argv
+        expected = _pairwise_max(a, b)
+        assert _by_value(obj["sumset"]) == expected, argv
+        lhs, rhs = sum(expected.values()), min(spec.p, a.size + b.size - 1)
+        excess = sum(m - 1 for m in a.entries.values()) + sum(m - 1 for m in b.entries.values())
+        assert (obj["lhs"], obj["rhs"], obj["holds"]) == (lhs, rhs, True), argv
+        assert (obj["deg_lhs"], obj["deg_rhs"]) == (sum(m - 1 for m in expected.values()), excess), argv
