@@ -9,19 +9,24 @@ power rows built once per support value; a cover counts its hits per
 zero-set class of planes, not plane by plane), and the bound checkers
 surface both sides as data so exhaustive suites can assert the
 inequalities rather than trust them.
+
+Sumsets, value sets, covers and the enumerators work on raw canonical
+values, as the kernels do: they read a Multiset's raw map and build their
+multisets and hyperplanes from raw values, so a FieldElement is made only
+where a caller reads entries, support or coeffs.  A cover report's points
+are tuples of the grid's support views.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
-from .fields import FieldElement, FieldSpec, _short_repr
+from .fields import FieldElement, FieldSpec, _short_repr, _value_text
 from .ideals import Multiset, MultisetGrid, _check_poly_grid
 from .polynomials import _MAX_EXPONENT, MultiPoly, _degrees, _evaluate_raw, _powers
 
@@ -46,22 +51,46 @@ class BoundCheck:
 
 
 class Hyperplane:
-    """An affine hyperplane c0 + c1*x1 + ... + cn*xn = 0 with (c1..cn) != 0."""
+    """An affine hyperplane c0 + c1*x1 + ... + cn*xn = 0 with (c1..cn) != 0.
 
-    __slots__ = ("spec", "coeffs")
+    It keeps its raw coefficients and its direction key, both computed once
+    when it is built; coeffs is their FieldElement view, built on its first
+    read and kept."""
+
+    __slots__ = ("spec", "_raw", "_key", "_coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence):
-        coeffs = tuple(spec.element(c) for c in coeffs)
-        if len(coeffs) < 2:
+        raw = tuple(spec.element(c).value for c in coeffs)
+        if len(raw) < 2:
             raise ValueError("hyperplane needs a constant term and at least one variable")
-        if all(c.is_zero() for c in coeffs[1:]):
+        if not any(raw[1:]):
             raise ValueError("hyperplane normal vector is zero")
+        self._set(spec, raw)
+
+    @classmethod
+    def _from_raw(cls, spec: FieldSpec, raw: tuple) -> "Hyperplane":
+        """The plane of canonical raw coefficients with a nonzero normal."""
+        h = object.__new__(cls)
+        h._set(spec, raw)
+        return h
+
+    def _set(self, spec: FieldSpec, raw: tuple):
+        inv = spec._inv(next(c for c in raw[1:] if c))
         self.spec = spec
-        self.coeffs = coeffs
+        self._raw = raw
+        self._key = tuple(spec._reduce(c * inv) for c in raw)
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> Tuple[FieldElement, ...]:
+        """(c0, c1, ..., cn) as field elements."""
+        if self._coeffs is None:
+            self._coeffs = tuple(FieldElement(c, self.spec) for c in self._raw)
+        return self._coeffs
 
     @property
     def arity(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._raw) - 1
 
     def as_poly(self) -> MultiPoly:
         n = self.arity
@@ -73,17 +102,15 @@ class Hyperplane:
     def direction_key(self):
         """Coefficients normalized by the first nonzero normal entry; two
         hyperplanes with equal keys are proportional (same zero set)."""
-        spec = self.spec
-        inv = spec._inv(next(c.value for c in self.coeffs[1:] if c.value))
-        return tuple(spec._reduce(c.value * inv) for c in self.coeffs)
+        return self._key
 
     def __eq__(self, other):
         if not isinstance(other, Hyperplane):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return self.spec == other.spec and self._raw == other._raw
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self._raw))  # an element hashes as its raw value
 
     def __str__(self):
         return str(self.as_poly())
@@ -112,9 +139,8 @@ class CoverReport:
 
 
 def _check_cover_hypothesis(grid: MultisetGrid):
-    zero = grid.spec.zero
     for i, ms in enumerate(grid.sets):
-        if ms.multiplicity(zero) != 1:
+        if ms._raw.get(0) != 1:
             raise PreconditionError(
                 "origin",
                 f"coordinate {i + 1} must contain 0 with multiplicity exactly 1",
@@ -141,20 +167,20 @@ def verify_cover(hyperplanes: Sequence[Hyperplane], grid: MultisetGrid) -> Cover
     spec = grid.spec
     groups: Dict[tuple, List[int]] = {}
     for i, h in enumerate(hyperplanes):
-        groups.setdefault(h.direction_key(), []).append(i)
+        groups.setdefault(h._key, []).append(i)
     classes: Dict[tuple, Dict[object, int]] = {}
     for key, members in groups.items():
         classes.setdefault(key[1:], {})[spec._reduce(-key[0])] = len(members)
-    supports = [ms.support for ms in grid.sets]
+    supports = [list(ms._raw) for ms in grid.sets]
     # per normal class, the terms c_i * s_i of each point, in grid.points()
     # order; their sum is reduced once per point
     term_streams = [
-        itertools.product(*([c * e.value for e in supp] for c, supp in zip(normal, supports)))
+        itertools.product(*([c * s for s in supp] for c, supp in zip(normal, supports)))
         for normal in classes
     ]
     origin_at = 0
     for supp in supports:
-        origin_at = origin_at * len(supp) + supp.index(spec.zero)
+        origin_at = origin_at * len(supp) + supp.index(0)
     reduce = spec._reduce
     per_point = {}
     undercovered = []
@@ -200,11 +226,10 @@ def extremal_cover(grid: MultisetGrid) -> List[Hyperplane]:
     n = grid.arity
     planes = []
     for i, ms in enumerate(grid.sets):
-        for elem, mult in ms.entries.items():
-            if elem.is_zero():
-                continue
-            coeffs = [-elem] + [spec.element(1 if j == i else 0) for j in range(n)]
-            planes.extend([Hyperplane(spec, coeffs)] * mult)
+        normal = (0,) * i + (1,) + (0,) * (n - i - 1)
+        for s, mult in ms._raw.items():
+            if s:
+                planes.extend([Hyperplane._from_raw(spec, (spec._reduce(-s),) + normal)] * mult)
     return planes
 
 
@@ -231,12 +256,13 @@ def sumset(a: Multiset, b: Multiset) -> Multiset:
         raise FieldMismatchError("sumset operands over different fields")
     if not a.spec.is_prime_field:
         raise PreconditionError("field", "sumsets are taken in a prime field group")
-    return Multiset(a.spec, _max_sum(a.entries, b.entries, operator.add).items())
+    reduce = a.spec._reduce
+    return Multiset._from_raw(a.spec, _max_sum(a._raw, b._raw, lambda x, y: reduce(x + y)))
 
 
 def multiset_deg(ms: Multiset) -> int:
     """Total multiplicity excess: sum of (mult - 1) over the support."""
-    return sum(m - 1 for m in ms.entries.values())
+    return sum(m - 1 for m in ms._raw.values())
 
 
 def cauchy_davenport_check(a: Multiset, b: Multiset) -> BoundCheck:
@@ -263,7 +289,7 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
     reduce = spec._reduce
     n = grid.arity
     row_sets = [
-        [_powers(spec, e.value, top) for e in ms.support]
+        [_powers(spec, s, top) for s in ms._raw]
         for ms, top in zip(grid.sets, _degrees(f.terms, n))
     ]
     best: Dict[object, int] = {}
@@ -272,7 +298,7 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
         m = sum(mults) - n + 1
         if best.get(acc, 0) < m:
             best[acc] = m
-    return Multiset(spec, [(FieldElement(v, spec), m) for v, m in best.items()])
+    return Multiset._from_raw(spec, best)
 
 
 def sun_value_set_check(
@@ -420,10 +446,9 @@ def iter_multisets(spec: FieldSpec, max_size: int) -> Iterable[Multiset]:
     max_size, in a deterministic order.  Prime fields only."""
     if not spec.is_prime_field:
         raise PreconditionError("field", "enumeration needs a finite ground set")
-    elements = [spec.element(v) for v in range(spec.p)]
     for size in range(1, max_size + 1):
-        for combo in itertools.combinations_with_replacement(elements, size):
-            yield Multiset(spec, Counter(combo).items())
+        for combo in itertools.combinations_with_replacement(range(spec.p), size):
+            yield Multiset._from_raw(spec, Counter(combo))
 
 
 def iter_vector_multisets(p: int, dim: int, max_size: int) -> Iterable[VectorMultiset]:
@@ -448,7 +473,7 @@ def hyperplanes_from_lists(spec: FieldSpec, rows: list) -> List[Hyperplane]:
 
 
 def hyperplane_to_list(h: Hyperplane) -> List[str]:
-    return [str(c) for c in h.coeffs]
+    return [_value_text(c) for c in h._raw]
 
 
 def vector_multiset_from_list(p: int, dim: int, items: list) -> VectorMultiset:

@@ -23,14 +23,12 @@ failing point and to confirm one punctured point.
 
 from __future__ import annotations
 
-import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError
-from .fields import FieldElement
+from .fields import FieldElement, _value_text
 from .divdiff import _weighted_sum
 from .ideals import (
     Multiset,
@@ -75,8 +73,8 @@ def _check_witness_preconditions(f: MultiPoly, grid: MultisetGrid, t: Sequence[i
 
 def trim_grid(grid: MultisetGrid, t: Sequence[int]) -> MultisetGrid:
     """Shrink each coordinate multiset to its t_i + 1 canonically smallest
-    elements, counted with multiplicity.  A negative t_i keeps nothing, which
-    Multiset refuses."""
+    elements, counted with multiplicity: the prefix of its raw map that holds
+    them.  A negative t_i keeps nothing, which Multiset refuses."""
     t = tuple(t)
     if len(t) != grid.arity:
         raise PreconditionError("target", f"bad target exponent {t} for arity {grid.arity}")
@@ -85,8 +83,13 @@ def trim_grid(grid: MultisetGrid, t: Sequence[int]) -> MultisetGrid:
         keep = t[i] + 1
         if ms.size < keep:
             raise PreconditionError("sizes", f"coordinate {i + 1} is already below t+1")
-        repeated = itertools.chain.from_iterable(map(itertools.repeat, ms.support, ms.entries.values()))
-        sets.append(Multiset(ms.spec, Counter(itertools.islice(repeated, max(keep, 0))).items()))
+        prefix = {}
+        for v, m in ms._raw.items():
+            if keep < 1:
+                break
+            prefix[v] = min(m, keep)
+            keep -= m
+        sets.append(Multiset._from_raw(ms.spec, prefix))
     return MultisetGrid(sets)
 
 
@@ -170,12 +173,12 @@ def _check_tight_subgrid(s_grid: MultisetGrid, d_grid: MultisetGrid):
     if s_grid.spec != d_grid.spec:
         raise PreconditionError("sub-grid", "fields differ")
     for i, (big, small) in enumerate(zip(s_grid.sets, d_grid.sets)):
-        for elem, mult in small.entries.items():
-            if big.multiplicity(elem) != mult:
+        for v, mult in small._raw.items():
+            if big._raw.get(v, 0) != mult:
                 raise PreconditionError(
                     "tight",
-                    f"element {elem} has multiplicity {mult} in D_{i + 1} but "
-                    f"{big.multiplicity(elem)} in S_{i + 1}",
+                    f"element {_value_text(v)} has multiplicity {mult} in D_{i + 1} but "
+                    f"{big._raw.get(v, 0)} in S_{i + 1}",
                 )
 
 
@@ -219,10 +222,10 @@ def punctured_decompose(
     h = r
     for i in range(n):
         big, small = s_grid.sets[i], d_grid.sets[i]
-        outside = [(e, m) for e, m in big.entries.items() if small.multiplicity(e) == 0]
+        outside = {v: m for v, m in big._raw.items() if v not in small._raw}
         if not outside:
             continue
-        quotient_poly = Multiset(spec, outside).generator_poly(i, n)
+        quotient_poly = Multiset._from_raw(spec, outside).generator_poly(i, n)
         h, rem = h.divmod_univariate(quotient_poly, i)
         if not rem.is_zero():
             for point, _, shifted in grid_expansions(f, s_grid):

@@ -122,12 +122,19 @@ def _json_int(digits: str) -> int:
     return _parse_int(digits, "invalid JSON")
 
 
+_JSON_DECODER = json.JSONDecoder(parse_int=_json_int)  # json.loads would build one per call
+
+
 def _load_json(text_or_path: str, inline: bool):
     try:
         if inline:
-            return json.loads(text_or_path, parse_int=_json_int)
-        with open(text_or_path) as fh:
-            return json.load(fh, parse_int=_json_int)
+            text = text_or_path
+        else:
+            with open(text_or_path) as fh:
+                text = fh.read()
+        if text.startswith("\ufeff"):  # json.loads' own check, which decode skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _JSON_DECODER.decode(text)
     except OSError as exc:
         raise _InputError(f"cannot read {text_or_path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -98,7 +98,7 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid) -> FieldEleme
     _check_poly_grid(f, grid)
     entries, prefixes = 0, 1
     for ms in grid.sets:
-        entries += prefixes * (ms.size * (ms.size + 1) // 2 if len(ms.support) >= 2 else 1)
+        entries += prefixes * (ms.size * (ms.size + 1) // 2 if len(ms._raw) >= 2 else 1)
         prefixes *= ms.size
     if entries > _MAX_NEWTON_ENTRIES:
         raise PreconditionError(
@@ -112,7 +112,7 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid) -> FieldEleme
         point = tuple(s.value for s in point)
         values.update(((point, u), c) for u, c in g.terms.items())
     for i in reversed(range(grid.arity)):
-        seq = [e.value for e, m in grid.sets[i].entries.items() for _ in range(m)]
+        seq = [s for s, m in grid.sets[i]._raw.items() for _ in range(m)]
         groups = {}  # (point prefix, exponent prefix) -> {(s, e): leaf}
         for (point, u), c in values.items():
             groups.setdefault((point[:i], u[:i]), {})[point[i], u[i]] = c
@@ -174,7 +174,7 @@ def _coordinate_weights(ms) -> dict:
     the weights are right over F_p for every multiplicity."""
     spec = ms.spec
     reduce, inv, p = spec._reduce, spec._inv, spec.p
-    row = [(e.value, m) for e, m in ms.entries.items()]
+    row = list(ms._raw.items())
     weights = {}
     for s, m in row:
         poly, factors = [1], []  # the small factors' product; series to convolve

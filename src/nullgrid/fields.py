@@ -288,13 +288,19 @@ class FieldElement:
         return NotImplemented if other is NotImplemented else self.value < other.value
 
     def __str__(self):
-        try:
-            return str(self.value)
-        except ValueError as exc:
-            raise _output_size_error() from exc
+        return _value_text(self.value)
 
     def __repr__(self):
         return f"{self.value}:{self.spec}"
+
+
+def _value_text(value) -> str:
+    """str of a raw value, as FieldElement prints it: a value past Python's
+    int/str digit limit raises the output-size error."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise _output_size_error() from exc
 
 
 def _output_size_error() -> PreconditionError:

@@ -25,30 +25,61 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
-from .fields import FieldElement, FieldSpec, _short_repr
+from .fields import FieldElement, FieldSpec, _short_repr, _value_text
 from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _degrees, _divmod_raw, _mul_raw, _rows, _shift_raw, _taylor_columns
 
 
 class Multiset:
-    """A finite nonempty multiset of field elements with multiplicities >= 1."""
+    """A finite nonempty multiset of field elements with multiplicities >= 1.
 
-    __slots__ = ("spec", "entries", "support", "_generator")
+    It holds one raw map {canonical value: multiplicity}, sorted by value,
+    which every count, comparison, hash and kernel reads.  entries and
+    support are FieldElement views of that map for callers that read
+    elements; a multiset never changes, so each is built on its first read
+    and kept."""
+
+    __slots__ = ("spec", "_raw", "_entries", "_support", "_generator")
 
     def __init__(self, spec: FieldSpec, pairs: Iterable):
-        entries: Dict[FieldElement, int] = {}
+        raw: Dict[object, int] = {}
         for value, mult in pairs:
             elem = spec.element(value)
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise ValueError(f"multiplicity of {elem} must be a positive integer, got {_short_repr(mult)}")
-            if elem in entries:
+            if elem.value in raw:
                 raise ValueError(f"duplicate element {elem} in multiset input")
-            entries[elem] = mult
-        if not entries:
+            raw[elem.value] = mult
+        self._set(spec, raw)
+
+    @classmethod
+    def _from_raw(cls, spec: FieldSpec, raw: Dict) -> "Multiset":
+        """The multiset of a raw {value: mult} map whose values are already
+        canonical and whose multiplicities are positive ints."""
+        ms = object.__new__(cls)
+        ms._set(spec, raw)
+        return ms
+
+    def _set(self, spec: FieldSpec, raw: Dict):
+        if not raw:
             raise ValueError("multiset must be nonempty")
         self.spec = spec
-        self.support = tuple(sorted(entries, key=FieldElement.sort_key))
-        self.entries = {e: entries[e] for e in self.support}
-        self._generator = None
+        self._raw = dict(sorted(raw.items()))
+        self._entries = self._support = self._generator = None
+
+    @property
+    def entries(self) -> Dict[FieldElement, int]:
+        """{element: multiplicity} in canonical order."""
+        if self._entries is None:
+            spec = self.spec
+            self._entries = {FieldElement(v, spec): m for v, m in self._raw.items()}
+        return self._entries
+
+    @property
+    def support(self) -> Tuple[FieldElement, ...]:
+        """The distinct elements in canonical order."""
+        if self._support is None:
+            self._support = tuple(self.entries)
+        return self._support
 
     @classmethod
     def of(cls, spec: FieldSpec, mapping: Dict) -> "Multiset":
@@ -57,10 +88,10 @@ class Multiset:
     @property
     def size(self) -> int:
         """Total size counted with multiplicity."""
-        return sum(self.entries.values())
+        return sum(self._raw.values())
 
     def multiplicity(self, value) -> int:
-        return self.entries.get(self.spec.element(value), 0)
+        return self._raw.get(self.spec.element(value).value, 0)
 
     def _generator_raw(self) -> list:
         """Raw coefficients of the monic product of (x - s)^mult over this
@@ -75,8 +106,8 @@ class Multiset:
             return self._generator
         reduce = self.spec._reduce
         rows = []
-        for elem, m in self.entries.items():
-            neg = reduce(-elem.value)
+        for v, m in self._raw.items():
+            neg = reduce(-v)
             row, binom, power = {}, 1, 1  # C(m, k) and (-s)^(m - k), k from m down
             for k in range(m, -1, -1):
                 c = reduce(binom * power)
@@ -104,13 +135,13 @@ class Multiset:
     def __eq__(self, other):
         if not isinstance(other, Multiset):
             return NotImplemented
-        return self.spec == other.spec and self.entries == other.entries
+        return self.spec == other.spec and self._raw == other._raw
 
     def __hash__(self):
-        return hash((self.spec, tuple(self.entries.items())))
+        return hash((self.spec, tuple(self._raw.items())))  # an element hashes as its raw value
 
     def __str__(self):
-        return "{" + ", ".join(f"{e}:{m}" for e, m in self.entries.items()) + "}"
+        return "{" + ", ".join(f"{_value_text(v)}:{m}" for v, m in self._raw.items()) + "}"
 
     def __repr__(self):
         return f"Multiset({self})"
@@ -155,12 +186,12 @@ class MultisetGrid:
 
     def multiplicity_vectors(self):
         """The multiplicity vector of every grid point, in points() order."""
-        return itertools.product(*(tuple(ms.entries.values()) for ms in self.sets))
+        return itertools.product(*(tuple(ms._raw.values()) for ms in self.sets))
 
     def point_count(self) -> int:
         prod = 1
         for ms in self.sets:
-            prod *= len(ms.support)
+            prod *= len(ms._raw)
         return prod
 
     def multiplicity_vector(self, point: Sequence) -> Tuple[int, ...]:
@@ -355,7 +386,7 @@ def coefficients_stay_integral(f: MultiPoly, grid: MultisetGrid) -> bool:
 # -- JSON wire format ---------------------------------------------------------
 
 def multiset_to_list(ms: Multiset) -> list:
-    return [{"value": str(e), "mult": m} for e, m in ms.entries.items()]
+    return [{"value": _value_text(v), "mult": m} for v, m in ms._raw.items()]
 
 
 def multiset_from_list(spec: FieldSpec, items: list) -> Multiset:

@@ -965,3 +965,32 @@ def test_known_subcommands_skip_the_top_level_parser(monkeypatch):
         main(["--help"])
     assert exc.value.code == 0 and out.getvalue().startswith("usage: nullgrid [-h]")
     assert seen == [[], ["--bogus"], ["no-such-command"], ["--help"]]
+
+
+def test_bom_led_json_is_the_decoders_error_inline_and_from_a_file(tmp_path):
+    message = (2, "", "error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n")
+    assert run_cli(["reduce", "--poly", "x1", "--grid-inline", "\ufeff" + GRID_F5_01]) == message
+    assert run_cli(["sumset", "--field", "prime:7", "--a", "\ufeff[]", "--b", "[]"]) == message
+    bom_file = tmp_path / "bom.json"
+    bom_file.write_bytes(b"\xef\xbb\xbf" + GRID_F5_01.encode())
+    assert run_cli(["reduce", "--poly", "x1", "--grid", str(bom_file)]) == message
+    # a BOM past the first character is an ordinary bad character
+    code, out, err = run_cli(["reduce", "--poly", "x1", "--grid-inline", " \ufeff" + GRID_F5_01])
+    assert (code, out, err) == (2, "", "error: invalid JSON: Expecting value: line 1 column 2 (char 1)\n")
+
+
+def test_decoding_json_builds_no_decoder(tmp_path, monkeypatch):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(GRID_F5_01)
+    built = []
+    init = json.JSONDecoder.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecoder, "__init__", counting)
+    assert run_cli(["reduce", "--poly", "x1", "--grid-inline", GRID_F5_01])[0] == 0
+    assert run_cli(["reduce", "--poly", "x1", "--grid", str(grid_file)])[0] == 0
+    assert run_cli(["sumset", "--field", "prime:7", "--a", '[{"value":"1","mult":2}]', "--b", '[{"value":"3","mult":1}]'])[0] == 0
+    assert built == []
