@@ -60,7 +60,7 @@ class Hyperplane:
     __slots__ = ("spec", "_raw", "_key", "_coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence):
-        raw = tuple(spec.element(c).value for c in coeffs)
+        raw = tuple(map(spec._raw_value, coeffs))
         if len(raw) < 2:
             raise ValueError("hyperplane needs a constant term and at least one variable")
         if not any(raw[1:]):
@@ -94,10 +94,10 @@ class Hyperplane:
 
     def as_poly(self) -> MultiPoly:
         n = self.arity
-        terms = {(0,) * n: self.coeffs[0]}
-        for i, c in enumerate(self.coeffs[1:]):
+        terms = {(0,) * n: self._raw[0]}
+        for i, c in enumerate(self._raw[1:]):
             terms[tuple(1 if j == i else 0 for j in range(n))] = c
-        return MultiPoly(n, self.spec, terms)
+        return MultiPoly._from_raw(n, self.spec, terms)
 
     def direction_key(self):
         """Coefficients normalized by the first nonzero normal entry; two
@@ -312,10 +312,10 @@ def sun_value_set_check(
         raise PreconditionError("exponent", f"k must be an integer from 1 to {_MAX_EXPONENT}, got {k}")
     n = grid.arity
     spec = grid.spec
-    a = [spec.element(c) for c in coeffs]
+    a = [spec._raw_value(c) for c in coeffs]
     if len(a) != n:
         raise ArityMismatchError(f"{len(a)} coefficients for arity {n}")
-    if any(c.is_zero() for c in a):
+    if not all(a):
         raise PreconditionError("coefficients", "power-sum coefficients must be nonzero")
     gdeg = g.total_degree()
     if gdeg is not None and gdeg >= k:
@@ -323,7 +323,7 @@ def sun_value_set_check(
     _check_poly_grid(g, grid)
     terms = dict(g.terms)  # deg g < k, so no term of g sits at an x_i^k
     for i, c in enumerate(a):
-        terms[(0,) * i + (k,) + (0,) * (n - i - 1)] = c.value
+        terms[(0,) * i + (k,) + (0,) * (n - i - 1)] = c
     lhs = value_set(MultiPoly._from_raw(n, spec, terms), grid).size
     total = sum((d - 1) // k for d in grid.sizes) + 1
     char = spec.characteristic
@@ -380,7 +380,7 @@ def hopf_stiefel(p: int, r: int, s: int) -> int:
 class VectorMultiset:
     """A multiset of coordinate vectors over F_p^dim with componentwise
     addition; stands in for multisets of a finite vector space.  Coordinates
-    are values that FieldSpec.element reads."""
+    are values that FieldSpec._raw_value reads."""
 
     __slots__ = ("p", "dim", "entries")
 
@@ -390,7 +390,7 @@ class VectorMultiset:
         spec = FieldSpec.prime(p)  # validates primality
         entries: Dict[Tuple[int, ...], int] = {}
         for vec, mult in pairs:
-            vec = tuple(spec.element(x).value for x in vec)
+            vec = tuple(map(spec._raw_value, vec))
             if len(vec) != dim:
                 raise ArityMismatchError(f"vector {vec} has dimension != {dim}")
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:

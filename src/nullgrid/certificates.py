@@ -52,6 +52,10 @@ class Witness:
     value: FieldElement
 
 
+def _witness(spec, point, exponent, value) -> Witness:  # from raw values
+    return Witness(tuple(FieldElement(x, spec) for x in point), exponent, FieldElement(value, spec))
+
+
 def _check_witness_preconditions(f: MultiPoly, grid: MultisetGrid, t: Sequence[int]):
     _check_poly_grid(f, grid)
     t = tuple(t)
@@ -61,7 +65,7 @@ def _check_witness_preconditions(f: MultiPoly, grid: MultisetGrid, t: Sequence[i
         raise PreconditionError(
             "degree", f"deg f = {f.total_degree()} but the target needs {sum(t)}"
         )
-    if f.coefficient(t).is_zero():
+    if not f.terms.get(t):
         raise PreconditionError("top-coefficient", f"coefficient of x^{t} is zero")
     bad = [i for i, d in enumerate(grid.sizes) if d <= t[i]]
     if bad:
@@ -111,10 +115,10 @@ def find_witness(
     """
     t = _check_witness_preconditions(f, grid, t)
     if method == "exhaustive":
-        for point, _, shifted in grid_expansions(f, grid):
-            if shifted.terms:
-                u = min(shifted.terms)
-                return Witness(point, u, shifted.coefficient(u))
+        for point, terms in grid_expansions(f, grid):
+            if terms:
+                u = min(terms)
+                return _witness(f.spec, point, u, terms[u])
         raise InvariantViolation(f"no witness found on a valid instance; {_reproduction(f, grid=grid)}, t = {t}")
     if method == "divided_difference":
         trimmed = trim_grid(grid, t)
@@ -125,7 +129,7 @@ def find_witness(
             raise InvariantViolation(
                 f"weighted coefficient sum failed to certify the instance; {_reproduction(f, grid=grid)}, t = {t}"
             )
-        return Witness(*first)
+        return _witness(f.spec, *first)
     raise ValueError(f"unknown witness method {method!r}")
 
 
@@ -228,11 +232,11 @@ def punctured_decompose(
         quotient_poly = Multiset._from_raw(spec, outside).generator_poly(i, n)
         h, rem = h.divmod_univariate(quotient_poly, i)
         if not rem.is_zero():
-            for point, _, shifted in grid_expansions(f, s_grid):
-                if shifted.terms and not d_grid.contains_point(point):
+            for point, terms in grid_expansions(f, s_grid):
+                if terms and not d_grid.contains_point(point):
                     raise PreconditionError(
                         "vanishing",
-                        f"f does not vanish fully at {tuple(str(x) for x in point)}, "
+                        f"f does not vanish fully at {tuple(map(_value_text, point))}, "
                         "which lies outside the sub-grid",
                     )
             raise InvariantViolation(

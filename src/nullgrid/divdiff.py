@@ -108,9 +108,8 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid) -> FieldEleme
     spec = f.spec
     reduce, inv = spec._reduce, spec._inv
     values = {}  # (point, exponent) -> nonzero leaf, on the last coordinate first
-    for point, _, g in grid_expansions(f, grid):
-        point = tuple(s.value for s in point)
-        values.update(((point, u), c) for u, c in g.terms.items())
+    for point, terms in grid_expansions(f, grid):
+        values.update(((point, u), c) for u, c in terms.items())
     for i in reversed(range(grid.arity)):
         seq = [s for s, m in grid.sets[i]._raw.items() for _ in range(m)]
         groups = {}  # (point prefix, exponent prefix) -> {(s, e): leaf}
@@ -147,10 +146,8 @@ class WeightTable:
         return self.weights[(point, tuple(exponent))]
 
     def sorted_items(self):
-        return sorted(
-            self.weights.items(),
-            key=lambda kv: (tuple(e.sort_key() for e in kv[0][0]), kv[0][1]),
-        )
+        """The entries as stored: in grid.points() order, boxes in lex order."""
+        return list(self.weights.items())
 
 
 def _coordinate_weights(ms) -> dict:
@@ -220,8 +217,7 @@ def weight_table(grid: MultisetGrid) -> WeightTable:
     reduce = spec._reduce
     groups = [((), [((), 1)])]  # (point prefix, [(exponent prefix, raw weight)])
     for ms in grid.sets:
-        table = _coordinate_weights(ms)
-        own = [(elem, table[elem.value]) for elem in ms.support]
+        own = list(zip(ms.support, _coordinate_weights(ms).values()))  # both in entry order
         groups = [
             (prefix + (elem,), [(u + (e,), reduce(w * we)) for u, w in box for e, we in enumerate(ws)])
             for prefix, box in groups
@@ -247,19 +243,19 @@ def top_weight_closed_form(grid: MultisetGrid, point) -> FieldElement:
 
 def _weighted_sum(f: MultiPoly, grid: MultisetGrid):
     """One grid_expansions walk: the raw sum of weight times expansion
-    coefficient over the grid, and the walk's first witness (point,
+    coefficient over the grid, and the walk's first witness as raw (point,
     exponent, coefficient) -- the smallest exponent of the first nonempty
     box -- or None.  A weight is the product of one entry of each point's
     coordinate weight rows, read only where f has a nonzero coefficient."""
     rows = [_coordinate_weights(ms) for ms in grid.sets]
     acc = 0
     first = None
-    for point, _, shifted in grid_expansions(f, grid):
-        if first is None and shifted.terms:
-            u = min(shifted.terms)
-            first = (point, u, shifted.coefficient(u))
-        ws = [row[s.value] for row, s in zip(rows, point)]
-        for u, c in shifted.terms.items():
+    for point, terms in grid_expansions(f, grid):
+        if first is None and terms:
+            u = min(terms)
+            first = (point, u, terms[u])
+        ws = [row[s] for row, s in zip(rows, point)]
+        for u, c in terms.items():
             acc += prod(map(getitem, ws, u), start=c)  # reduced once below
     return f.spec._reduce(acc), first
 

@@ -4,12 +4,12 @@ A FieldSpec fixes the coefficient domain at runtime (the CLI must accept any
 prime modulus, so the modulus is a value, not a type parameter).  Elements are
 kept in canonical form -- an integer in [0, p) for prime fields; over the
 rationals a plain int when the value is integral and a reduced Fraction
-otherwise.  FieldSpec._reduce is the one place that rule is written: every
-kernel computes on raw values with native + - * and passes each result
-through it, and polynomials store their coefficients in that raw form.  A
-FieldElement wraps one raw value where it crosses the API: as a coefficient,
-a value or a multiset element; it defines __lt__ alone, and <=, > and >=
-follow from __lt__ and __eq__.  All values are immutable.
+otherwise.  FieldSpec._reduce writes that rule and FieldSpec._raw_value
+coerces inputs into it: kernels compute on raw values with native + - * and
+reduce each result, and every layer hands raw values to the next.  A
+FieldElement wraps one raw value where it leaves the library: a coefficient,
+a value or a point; it defines __lt__ alone, and <=, > and >= follow from
+__lt__ and __eq__.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -115,24 +115,31 @@ class FieldSpec:
     # -- element construction ------------------------------------------------
 
     def element(self, value) -> "FieldElement":
-        """Coerce an int, Fraction, decimal string ("a/b" over the rationals),
-        or FieldElement into canonical form in this field."""
+        """A value _raw_value reads, as a FieldElement; one of this field as it is."""
+        if isinstance(value, FieldElement) and value.spec is self:
+            return value
+        return FieldElement(self._raw_value(value), self)
+
+    def _raw_value(self, value):
+        """The canonical raw value of an int, Fraction, decimal string ("a/b"
+        over the rationals) or FieldElement of this field: the one coercion
+        rule, which element() and every reader of raw values share."""
         if isinstance(value, FieldElement):
             if value.spec is not self:
                 raise FieldMismatchError(f"element of {value.spec} used in {self}")
-            return value
+            return value.value
         if isinstance(value, bool):
             raise TypeError("bool is not a field value")
         if isinstance(value, str):
-            return FieldElement(self._raw_from_str(value), self)
+            return self._raw_from_str(value)
         if isinstance(value, int):
-            return FieldElement(self._reduce(value), self)
+            return self._reduce(value)
         if isinstance(value, Fraction):
             if value.denominator == 1:
-                return FieldElement(self._reduce(value.numerator), self)
+                return self._reduce(value.numerator)
             if self.p:
                 raise TypeError(f"non-integer rational {value} has no canonical image in {self}")
-            return FieldElement(value, self)
+            return value
         raise TypeError(f"cannot coerce {type(value).__name__} into {self}")
 
     def _raw_from_str(self, text: str):
@@ -199,15 +206,11 @@ class FieldElement:
         self.spec = spec
 
     def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.spec is self.spec:
-                return other
+        if isinstance(other, FieldElement) and other.spec is not self.spec:
             raise FieldMismatchError(f"mixed fields {self.spec} and {other.spec}")
-        if isinstance(other, int) and not isinstance(other, bool):
-            return FieldElement(self.spec._reduce(other), self.spec)
-        if isinstance(other, Fraction):
-            return self.spec.element(other)
-        return NotImplemented
+        if isinstance(other, bool) or not isinstance(other, (FieldElement, int, Fraction)):
+            return NotImplemented
+        return self.spec.element(other)
 
     def __add__(self, other):
         other = self._coerce(other)

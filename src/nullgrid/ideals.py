@@ -14,8 +14,8 @@ membership; membership can be cross-checked pointwise through expansion
 coefficients, and the remainder and cofactors never leave the subring
 generated by the inputs' coefficients because the generators are monic.
 Grid scans read those coefficients from grid_expansions, which walks the
-grid one coordinate at a time so that points sharing a prefix share its
-shifts.
+grid one coordinate at a time, so that points sharing a prefix share its
+shifts, and yields raw points and raw term maps.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ class Multiset:
     def __init__(self, spec: FieldSpec, pairs: Iterable):
         raw: Dict[object, int] = {}
         for value, mult in pairs:
-            elem = spec.element(value)
+            v = spec._raw_value(value)
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise ValueError(f"multiplicity of {elem} must be a positive integer, got {_short_repr(mult)}")
-            if elem.value in raw:
-                raise ValueError(f"duplicate element {elem} in multiset input")
-            raw[elem.value] = mult
+                raise ValueError(f"multiplicity of {_value_text(v)} must be a positive integer, got {_short_repr(mult)}")
+            if v in raw:
+                raise ValueError(f"duplicate element {_value_text(v)} in multiset input")
+            raw[v] = mult
         self._set(spec, raw)
 
     @classmethod
@@ -91,7 +91,7 @@ class Multiset:
         return sum(self._raw.values())
 
     def multiplicity(self, value) -> int:
-        return self._raw.get(self.spec.element(value).value, 0)
+        return self._raw.get(self.spec._raw_value(value), 0)
 
     def _generator_raw(self) -> list:
         """Raw coefficients of the monic product of (x - s)^mult over this
@@ -267,10 +267,10 @@ def reduce_poly(f: MultiPoly, grid: MultisetGrid) -> ReductionResult:
 
 
 def grid_expansions(f: MultiPoly, grid: MultisetGrid):
-    """Yield (point, multiplicity vector, f.shift(point, mv)) for every grid
-    point, lazily and in grid.points() order.  Each shifted polynomial holds
-    only the nonzero expansion coefficients at its point, all strictly below
-    mv, so readers iterate its terms instead of scanning the box.
+    """Yield (point, terms) for every grid point, lazily and in points()
+    order: the point as raw values, and the raw terms of f.shift(point, mv)
+    at its multiplicity vector mv, which readers iterate instead of scanning
+    the box; the walk never touches them again once it has yielded them.
 
     The box bound m_i(s_i) depends on s_i alone, so the grid is walked as a
     tree: x_{i+1} is shifted and cut once per prefix (s_1, ..., s_{i+1}), and
@@ -281,18 +281,15 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     walk, up to deg_{x_i} f and cut below m_i(s), and shared by every prefix
     that shifts at that value; a value of S_1 is its own prefix, so its
     columns are built when the walk reaches it and freed when it moves on.
-    The output is that of MultiPoly.shift at each
-    point, term for term and in the same order.  The walk is a loop, not a
-    recursion, so the arity is not bounded by the interpreter's recursion
-    limit."""
+    The terms are MultiPoly.shift's, in its order.  The walk is a loop, not
+    a recursion, so the arity is not bounded by the recursion limit."""
     _check_poly_grid(f, grid)
     spec, n = f.spec, grid.arity
     tops = _degrees(f.terms, n)
-    # one cell (elem, m, Taylor columns of elem) per support value, so every
-    # prefix that shifts at a value reads one table; S_1's cells hold None,
-    # and the walk builds their columns itself
-    cells_per_set = [tuple((elem, m, None) for elem, m in grid.sets[0].entries.items())] + [
-        tuple((elem, m, _taylor_columns(spec, elem.value, top, m)) for elem, m in ms.entries.items())
+    # a cell (value, m, its Taylor columns) per support value, read by every
+    # prefix that shifts there; S_1's hold None, the walk builds those itself
+    cells_per_set = [tuple((v, m, None) for v, m in grid.sets[0]._raw.items())] + [
+        tuple((v, m, _taylor_columns(spec, v, top, m)) for v, m in ms._raw.items())
         for ms, top in zip(grid.sets[1:], tops[1:])
     ]
     # rows[i] is f shifted in x_1..x_i at the current point's prefix,
@@ -300,22 +297,22 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     # f's degrees size every row
     rows = [_rows(f.terms, 0, tops[0] + 1)] + [None] * (n - 1)
     prev = (None,) * n
-    for cells in itertools.product(*cells_per_set):
+    points = itertools.product(*(ms._raw for ms in grid.sets))
+    for point, cells in zip(points, itertools.product(*cells_per_set)):
         # product changes a suffix of the cells, the last one at least:
         # reshift from its first new cell
         depth = 0
         while cells[depth] is prev[depth]:
             depth += 1
         for i in range(depth, n):
-            elem, m, cols = cells[i]
+            v, m, cols = cells[i]
             if not i:
-                cols = _taylor_columns(spec, elem.value, tops[0], m)
+                cols = _taylor_columns(spec, v, tops[0], m)
             terms = _shift_raw(spec, rows[i], i, cols)
             if i + 1 < n:
                 rows[i + 1] = _rows(terms, i + 1, tops[i + 1] + 1)
         prev = cells
-        point, mv, _ = zip(*cells)
-        yield point, mv, MultiPoly._from_raw(n, spec, terms)
+        yield point, terms
 
 
 def in_local_ideal(f: MultiPoly, point: Sequence, box: Sequence[int]) -> bool:
@@ -331,7 +328,7 @@ def in_grid_ideal(f: MultiPoly, grid: MultisetGrid, method: str = "remainder") -
     if method == "remainder":
         return reduce_poly(f, grid).remainder.is_zero()
     if method == "pointwise":
-        return all(g.is_zero() for _, _, g in grid_expansions(f, grid))
+        return not any(terms for _, terms in grid_expansions(f, grid))
     raise ValueError(f"unknown membership method {method!r}")
 
 
@@ -375,9 +372,9 @@ def coefficients_stay_integral(f: MultiPoly, grid: MultisetGrid) -> bool:
     if any(c.denominator != 1 for c in f.terms.values()):
         raise PreconditionError("integral-input", "polynomial has a non-integer coefficient")
     for ms in grid.sets:
-        for elem in ms.support:
-            if elem.value.denominator != 1:
-                raise PreconditionError("integral-input", f"grid element {elem} is not an integer")
+        for v in ms._raw:
+            if v.denominator != 1:
+                raise PreconditionError("integral-input", f"grid element {_value_text(v)} is not an integer")
     res = reduce_poly(f, grid)
     polys = (res.remainder,) + res.cofactors
     return all(c.denominator == 1 for q in polys for c in q.terms.values())

@@ -115,7 +115,7 @@ class MultiPoly:
                 isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in u
             ):
                 raise ArityMismatchError(f"bad exponent vector {u} for arity {arity}")
-            v = spec.element(c).value
+            v = spec._raw_value(c)
             if v:
                 canon[u] = v
         self.terms = canon
@@ -210,7 +210,7 @@ class MultiPoly:
         if not isinstance(other, (FieldElement, int, Fraction)):
             return NotImplemented
         reduce = self.spec._reduce
-        s = self.spec.element(other).value
+        s = self.spec._raw_value(other)
         return MultiPoly._from_raw(self.arity, self.spec, {u: reduce(c * s) for u, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -241,7 +241,7 @@ class MultiPoly:
     def _point_raw(self, point: Sequence) -> list:
         if len(point) != self.arity:
             raise ArityMismatchError(f"point of length {len(point)} for arity {self.arity}")
-        return [self.spec.element(x).value for x in point]
+        return list(map(self.spec._raw_value, point))
 
     def evaluate(self, point: Sequence) -> FieldElement:
         spec = self.spec

@@ -66,6 +66,16 @@ def test_cover_verify_examples():
     assert rep_origin.verdict == "origin_violated"
 
 
+def test_cover_planes_must_match_the_grid():
+    grid = MultisetGrid.of(F5, [{0: 1, 1: 1}, {0: 1, 2: 1}])
+    with pytest.raises(ArityMismatchError) as info:
+        verify_cover([Hyperplane(F5, [4, 1, 0]), Hyperplane(F5, [1, 1])], grid)
+    assert str(info.value) == "hyperplane arity 1 vs grid arity 2"
+    with pytest.raises(FieldMismatchError) as info:
+        verify_cover([Hyperplane(F7, [1, 1, 0])], grid)
+    assert str(info.value) == "hyperplane and grid fields differ"
+
+
 def test_cover_hypothesis_checked():
     with pytest.raises(PreconditionError):
         verify_cover([], MultisetGrid.of(F5, [{1: 1, 2: 1}]))  # no 0

@@ -286,9 +286,34 @@ def test_malformed_field_is_an_input_error():
         ('"x"', "error: field must be an object with a 'kind', got 'x'\n"),
         ("[5]", "error: field must be an object with a 'kind', got [5]\n"),
         ('{"kind":"prime"}', "error: prime field object needs 'p'\n"),
+        ('{"kind":"bogus","p":5}', "error: unknown field kind 'bogus'\n"),
     ):
         code, out, err = run_cli(["reduce", "--poly", "x1", "--grid-inline", f'{{"field":{field},{sets}}}'])
         assert (code, out, err) == (2, "", message)
+
+
+def test_field_option_text_is_checked():
+    """--field reads prime:<p> or rational; a sumset needs the prime field."""
+    a = '[{"value":"1","mult":1}]'
+    for text in ("bogus", "prime", "Rational", "", "prime7"):
+        code, out, err = run_cli(["sumset", "--field", text, "--a", a, "--b", a])
+        assert (code, out, err) == (2, "", f"error: field must be 'prime:<p>' or 'rational', got {text!r}\n")
+    for command in ("sumset", "cd-check"):
+        code, out, err = run_cli([command, "--field", "rational", "--a", a, "--b", a])
+        assert (code, out, err) == (1, "", "error: field: sumsets are taken in a prime field group\n")
+
+
+def test_cover_check_names_proportional_planes():
+    grid = '{"field":{"kind":"prime","p":5},"sets":[[{"value":"0","mult":1},{"value":"1","mult":2}],[{"value":"0","mult":1},{"value":"2","mult":1}]]}'
+    # x1 + 4 = 0 twice, as 2*x1 + 3 = 0 once, and 4*x2 + 2 = 0 (x2 = 2)
+    planes = '[["4","1","0"],["3","2","0"],["4","1","0"],["2","0","4"]]'
+    code, out, err = run_cli(["cover-check", "--grid-inline", grid, "--hyperplanes-inline", planes])
+    expected = "verdict: valid_cover\nk: 4\nbound: 3\nmeets_bound: true\norigin_covered: false\nproportional: 1~2; 1~3; 2~3\n"
+    assert (code, out, err) == (0, expected, "")
+    code, out, err = run_cli(["cover-check", "--grid-inline", grid, "--hyperplanes-inline", planes, "--json"])
+    assert code == 0 and json.loads(out)["proportional"] == [[1, 2], [1, 3], [2, 3]]
+    code, out, err = run_cli(["cover-check", "--grid-inline", grid, "--hyperplanes-inline", '[["4","1","0"],["3","2","0"]]'])
+    assert (code, err) == (1, "") and out.endswith("meets_bound: false\norigin_covered: false\nundercovered: (0, 2)\nproportional: 1~2\n")
 
 
 def test_exponent_notation_is_an_input_error():

@@ -5,27 +5,35 @@ Each example draws a small instance over F_2, F_3, F_7, F_10007 or Q: arity
 terms.  It runs the instance through cli.main in text mode and in --json
 mode, checks that both print the same data, and compares that data with
 tests/oracles.py or, for sumsets, with a pairwise maximum written here.
+The divided-difference witness is compared after trim_grid, and cover-check
+runs on extremal covers and on covers perturbed so that its undercovered:
+and proportional: lines and its failing exit code appear.
 Instances come from random.Random(seed), and every assertion names the argv,
 so a failure is reproduced from its message alone.  Each example has a
 CPU-time bound, so a handler that slows down by orders of magnitude fails.
 """
 
 import io
+import itertools
 import json
 import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from nullgrid import FieldSpec, parse_poly
+from nullgrid import FieldSpec, Hyperplane, Multiset, MultisetGrid, extremal_cover, parse_poly, trim_grid
+from nullgrid.applications import hyperplane_to_list
 from nullgrid.cli import main
 from nullgrid.ideals import grid_to_dict, multiset_to_list
 from nullgrid.randgen import rand_grid, rand_multiset, rand_poly, rand_witness_instance
 from oracles import (
     brute_first_witness,
+    cover_report_oracle,
     generator_oracle,
     hermite_remainder_oracle,
+    hopf_stiefel_oracle,
     ideal_member_oracle,
     poly_product_oracle,
+    residue_weight_oracle,
     two_point_bracket_oracle,
     value_set_oracle,
 )
@@ -35,17 +43,17 @@ EXAMPLES = 40  # per subcommand
 CPU_SECONDS = 1.0  # per example, both output modes together
 
 
-def _run(argv):
-    """cli.main on argv in text mode and in --json mode, each exiting 0 with
-    nothing on stderr, within CPU_SECONDS: the text without its final
-    newline, and the JSON object without its schema and command."""
+def _run(argv, exit_code=0):
+    """cli.main on argv in text mode and in --json mode, each exiting with
+    exit_code and nothing on stderr, within CPU_SECONDS: the text without its
+    final newline, and the JSON object without its schema and command."""
     printed = []
     start = time.process_time()
     for tail in ([], ["--json"]):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv + tail)
-        assert (code, err.getvalue()) == (0, ""), argv + tail
+        assert (code, err.getvalue()) == (exit_code, ""), argv + tail
         printed.append(out.getvalue())
     assert time.process_time() - start < CPU_SECONDS, argv
     text, payload = printed
@@ -134,6 +142,107 @@ def test_exhaustive_witness_matches_the_brute_force_scan():
         point, u, value = brute_first_witness(f, grid)
         expected = {"point": [str(x) for x in point], "exponent": list(u), "value": str(value), "method": "exhaustive"}
         assert obj == expected, argv
+
+
+def test_divided_difference_witness_matches_the_scan_of_the_trimmed_grid():
+    for seed in range(EXAMPLES):
+        rng = random.Random(seed)
+        spec = rng.choice(SPECS)
+        f, grid, t = rand_witness_instance(rng, spec, rng.randint(1, 3))
+        argv = ["witness"] + _grid_args(grid, f) + ["--t", ",".join(map(str, t)), "--method", "divided-difference"]
+        text, obj = _run(argv)
+        expected_text = (
+            f"point: {_fmt_tuple(obj['point'])}\nexponent: {_fmt_tuple(obj['exponent'])}\nvalue: {obj['value']}"
+        )
+        assert text == expected_text, argv
+        point, u, value = brute_first_witness(f, trim_grid(grid, t))
+        expected = {
+            "point": [str(x) for x in point], "exponent": list(u), "value": str(value), "method": "divided-difference"
+        }
+        assert obj == expected, argv
+
+
+def test_alpha_matches_the_residue_weights():
+    for seed in range(EXAMPLES):
+        rng = random.Random(seed)
+        grid = rand_grid(rng, rng.choice(SPECS), rng.randint(1, 3), max_size=4)
+        argv = ["alpha", "--grid-inline", json.dumps(grid_to_dict(grid))]
+        text, obj = _run(argv)
+        lines = [f"s={_fmt_tuple(w['point'])} u={_fmt_tuple(w['exponent'])}: {w['value']}" for w in obj["weights"]]
+        assert text == "\n".join(lines), argv
+        # every (point, exponent below its multiplicity vector), points in
+        # grid order and each box in lexicographic order
+        expected = [
+            {"point": [str(x) for x in point], "exponent": list(u), "value": str(residue_weight_oracle(grid, point, u))}
+            for point in grid.points()
+            for u in itertools.product(*(range(m) for m in grid.multiplicity_vector(point)))
+        ]
+        assert obj == {"weights": expected}, argv
+
+
+def _cover_instance(seed):
+    """A grid holding 0 once per coordinate, and its extremal cover as
+    coefficient rows, perturbed by the seed: as it is, one plane dropped, one
+    plane added, or one plane repeated times a nonzero scalar."""
+    rng = random.Random(seed)
+    spec = rng.choice(SPECS)
+    sets = []
+    for _ in range(rng.randint(1, 3)):
+        ms = rand_multiset(rng, spec, 3)
+        sets.append(Multiset(spec, [(v, m) for v, m in ms.entries.items() if v != 0] + [(0, 1)]))
+    grid = MultisetGrid(sets)
+    rows = [hyperplane_to_list(h) for h in extremal_cover(grid)]
+    values = list(range(spec.p)) if spec.p else [-2, -1, 0, 1, 3]
+    kind = seed % 4
+    if kind == 1 and rows:
+        del rows[rng.randrange(len(rows))]
+    elif kind == 2 or not rows:
+        normal = [rng.choice(values) for _ in sets]
+        normal[rng.randrange(len(normal))] = 1
+        rows.append([str(rng.choice(values))] + [str(c) for c in normal])
+    elif kind == 3:
+        scalar = spec.element(rng.choice([v for v in values if v]))
+        rows.append([str(scalar * spec.element(c)) for c in rng.choice(rows)])
+    return grid, rows
+
+
+def test_cover_check_matches_the_report_oracle():
+    verdicts, optional_lines = set(), set()
+    for seed in range(EXAMPLES):
+        grid, rows = _cover_instance(seed)
+        argv = ["cover-check", "--grid-inline", json.dumps(grid_to_dict(grid)), "--hyperplanes-inline", json.dumps(rows)]
+        expected = cover_report_oracle([Hyperplane(grid.spec, row) for row in rows], grid)
+        text, obj = _run(argv, 0 if expected.verdict == "valid_cover" else 1)
+        lines = [f"verdict: {obj['verdict']}", f"k: {obj['k']}", f"bound: {obj['bound']}"]
+        lines += [f"meets_bound: {json.dumps(obj['meets_bound'])}", f"origin_covered: {json.dumps(obj['origin_covered'])}"]
+        if obj["undercovered"]:
+            lines.append("undercovered: " + "; ".join(map(_fmt_tuple, obj["undercovered"])))
+        if obj["proportional"]:
+            lines.append("proportional: " + "; ".join(f"{i}~{j}" for i, j in obj["proportional"]))
+        assert text == "\n".join(lines), argv
+        assert obj == {
+            "verdict": expected.verdict,
+            "k": expected.k,
+            "bound": expected.bound,
+            "meets_bound": expected.k >= expected.bound,
+            "origin_covered": expected.origin_covered,
+            "undercovered": [[str(x) for x in point] for point in expected.undercovered_points],
+            "proportional": [[i + 1, j + 1] for i, j in expected.proportional_pairs],
+        }, argv
+        verdicts.add(expected.verdict)
+        optional_lines.update(line.split(":")[0] for line in lines[5:])
+    assert verdicts == {"valid_cover", "undercovered", "origin_violated"}
+    assert optional_lines == {"undercovered", "proportional"}
+
+
+def test_hopf_stiefel_matches_the_direct_search():
+    for seed in range(EXAMPLES):
+        rng = random.Random(seed)
+        p, r, s = rng.choice([2, 3, 5, 7, 11, 10007]), rng.randint(1, 40), rng.randint(1, 40)
+        argv = ["hopf-stiefel", "--p", str(p), "--r", str(r), "--s", str(s)]
+        text, obj = _run(argv)
+        beta = hopf_stiefel_oracle(p, r, s)
+        assert (text, obj) == (str(beta), {"p": p, "r": r, "s": s, "beta": beta}), argv
 
 
 def test_valueset_matches_enumeration():

@@ -425,8 +425,9 @@ def _table_sum(f, grid, weights):
     """The weighted sum of f's expansion coefficients read entry by entry
     from a {(point, exponent): weight} map, which need not factor over the
     coordinates."""
-    expansions = ((point, g) for point, _, g in grid_expansions(f, grid))
-    return sum((weights[point, u] * g.coefficient(u) for point, g in expansions for u in g.terms), grid.spec.zero)
+    spec = grid.spec
+    expansions = ((tuple(map(spec.element, point)), terms) for point, terms in grid_expansions(f, grid))
+    return sum((weights[point, u] * spec.element(c) for point, terms in expansions for u, c in terms.items()), spec.zero)
 
 
 def test_contraction_matches_the_table_sum():

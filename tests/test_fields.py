@@ -1,9 +1,11 @@
 import copy
 import pickle
 import random
+import sys
 import threading
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +73,10 @@ def test_spec_construction(monkeypatch):
     assert FieldSpec("prime", 7) is f7 is field_from_dict({"kind": "prime", "p": 7})
     assert FieldSpec("rational") is q is field_from_dict({"kind": "rational"})
     assert f7 is not FieldSpec.prime(5)
+    for d, kind in (({"kind": "bogus", "p": 7}, "'bogus'"), ({"p": 7}, "None"), ({"kind": "Prime"}, "'Prime'")):
+        with pytest.raises(ValueError) as info:
+            field_from_dict(d)
+        assert str(info.value) == f"unknown field kind {kind}"
     # every bad modulus is refused on every call: validation precedes the
     # lookup, so 7.0 and True never reach the entries for 7 and 1
     for bad in (4, 1, 7.0, True, "7", None, 0, -7):
@@ -220,6 +226,27 @@ def test_mismatched_specs():
         a + b
     with pytest.raises(FieldMismatchError):
         a * FieldSpec.rationals().element(1)
+    # arithmetic coerces through the field's one rule, but a mismatch keeps
+    # its own message naming both fields; plain ints and Fractions are
+    # coerced, and other operand types are refused
+    f5, f7, q = FieldSpec.prime(5), FieldSpec.prime(7), FieldSpec.rationals()
+    a, b = f5.element(2), f7.element(3)
+    ops = [
+        lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+        lambda x, y: x / y, lambda x, y: x < y, lambda x, y: x <= y,
+    ]
+    for op in ops:
+        for x, y, text in ((a, b, "F_5 and F_7"), (b, a, "F_7 and F_5"), (a, q.element(1), "F_5 and QQ")):
+            with pytest.raises(FieldMismatchError) as info:
+                op(x, y)
+            assert str(info.value) == f"mixed fields {text}"
+    assert (a + 4, 4 - a, a * Fraction(6, 2), a / 3) == (1, 2, 1, 4)
+    assert type(a + 4) is FieldElement and (a + 4).spec is f5
+    for other in (True, 1.5, "2", None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a + other
+    with pytest.raises(TypeError, match="non-integer rational 1/2 has no canonical image in F_5"):
+        a * Fraction(1, 2)
 
 
 def test_canonical_strings_round_trip():
@@ -303,7 +330,8 @@ def test_kernels_return_canonical_raw_values():
         polys = [f, g, f + g, f - g, -f, f * g, f**0, f**1, f**3, f.shift(point, [3] * n), f.shift(point)]
         polys += [f * c for c in scalars] + [c * f for c in scalars]
         polys += list(f.divmod_univariate(gen, 0)) + [res.remainder, *res.cofactors]
-        polys += [shifted for _, _, shifted in grid_expansions(f, grid)] + list(grid.generators())
+        walked = list(grid_expansions(f, grid))
+        polys += [SimpleNamespace(terms=terms) for _, terms in walked] + list(grid.generators())
         polys += [parse_poly(str(f), n, spec), MultiPoly(n, spec, {(0,) * n: a, (1,) * n: "2"})]
         for poly in polys:
             _assert_raw_terms(spec, poly)
@@ -313,6 +341,7 @@ def test_kernels_return_canonical_raw_values():
         raws = [v for ms in grid.sets for v in ms._generator_raw()]
         raws += [w.value for w in weight_table(grid).weights.values()]
         raws += [e.value for e in value_set(f, grid).support]
+        raws += [x for point, _ in walked for x in point]
         b = rand_element(rng, spec)
         values = [a + b, a - b, a * b, -a, a**3, a + 1, 1 - a, a * 2]
         out += values + ([a / b, b.inv()] if b else [])
@@ -442,6 +471,17 @@ def test_sub_is_add_neg(data):
     assert a - b == a + (-b)
 
 
+def _decimal_len(n):
+    """len(str(n)) with Python's int/str digit limit lifted, so the reference
+    count does not depend on the limit the process runs under."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return len(str(n))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_short_repr_names_long_ints_by_their_digit_count():
     rng = random.Random(83)
     assert fields._short_repr(10**50 - 1) == "9" * 50
@@ -453,7 +493,7 @@ def test_short_repr_names_long_ints_by_their_digit_count():
     for _ in range(300):
         digits = rng.randint(51, 4000)
         n = rng.choice([10 ** (digits - 1), 10**digits - 1, rng.randrange(10 ** (digits - 1), 10**digits)])
-        assert fields._short_repr(n) == f"a number of {len(str(n))} digits"
+        assert fields._short_repr(n) == f"a number of {_decimal_len(n)} digits"
     # inside lists and dicts too, and anything else is written as repr writes it
     nested = {"value": "1", "mlt": [10**60, {"k": -(10**4300)}], "x": [1.5, None, True, (2, 10**70), "9" * 60]}
     expected = (

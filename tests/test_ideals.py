@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from nullgrid import (
+    FieldMismatchError,
     FieldSpec,
     MultiPoly,
     Multiset,
@@ -54,6 +55,15 @@ def test_multiset_basics():
         Multiset.of(F5, {0: 0})
     with pytest.raises(ValueError):
         Multiset(F5, [(1, 1), (6, 2)])  # 6 = 1 in F_5: duplicate keys must not merge
+
+
+def test_grid_needs_coordinates_over_one_field():
+    with pytest.raises(ValueError) as info:
+        MultisetGrid([])
+    assert str(info.value) == "grid needs at least one coordinate multiset"
+    with pytest.raises(FieldMismatchError) as info:
+        MultisetGrid([Multiset.of(F5, {1: 1}), Multiset.of(F5, {2: 1}), Multiset.of(Q, {1: 1})])
+    assert str(info.value) == "grid multisets span different fields"
 
 
 def test_generator_examples():
@@ -272,16 +282,17 @@ def test_grid_expansions_match_per_point_shifts():
         n = rng.randint(1, 4)
         grid, f = _walk_instance(rng, spec, n)
         walked = list(grid_expansions(f, grid))
-        assert [s for s, _, _ in walked] == list(grid.points())
-        for s, mv, got in walked:
+        points = [tuple(map(spec.element, s)) for s, _ in walked]
+        assert points == list(grid.points())
+        for s, mv, (_, got) in zip(points, grid.multiplicity_vectors(), walked):
             assert mv == grid.multiplicity_vector(s)
             # equal terms in equal insertion order
-            assert list(got.terms.items()) == list(f.shift(s, mv).terms.items())
+            assert list(got.items()) == list(f.shift(s, mv).terms.items())
     # more coordinates than the interpreter's recursion limit
     grid = MultisetGrid.of(F5, [{1: 1}] * 1500 + [{0: 1, 2: 2}])
     f = parse_poly("x1^2 + 3*x1501 + 1", 1501, F5)
     walked = list(grid_expansions(f, grid))
-    assert [list(g.terms.items()) for _, _, g in walked] == [
+    assert [list(terms.items()) for _, terms in walked] == [
         list(f.shift(s, grid.multiplicity_vector(s)).terms.items()) for s in grid.points()
     ]
     with pytest.raises(ArityMismatchError):
@@ -340,11 +351,12 @@ def test_grid_expansions_build_first_coordinate_columns_as_they_go():
     tracemalloc.start()
     try:
         walk = grid_expansions(f, grid)
-        point, _, first = next(walk)
+        point, first = next(walk)
         peak = tracemalloc.get_traced_memory()[1]
         walk.close()
     finally:
         tracemalloc.stop()
+    point, first = tuple(map(spec.element, point)), MultiPoly(1, spec, first)
     assert point[0].value == 0 and first.coefficient((0,)) == 0
     assert peak < 2 * 10**6
     # a whole walk holds one or two tables at a time; 300 values, 300 deep,
@@ -353,7 +365,7 @@ def test_grid_expansions_build_first_coordinate_columns_as_they_go():
     grid = MultisetGrid.of(spec, [{v: 1 for v in range(300)}])
     tracemalloc.start()
     try:
-        values = [g.coefficient((0,)) for _, _, g in grid_expansions(f, grid)]
+        values = [spec.element(terms.get((0,), 0)) for _, terms in grid_expansions(f, grid)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -366,9 +378,14 @@ def test_grid_expansions_stop_when_partly_consumed(monkeypatch):
     grid = MultisetGrid.of(F5, [{0: 1, 1: 1, 2: 1}, {0: 2, 3: 1}, {1: 1, 4: 2}])
     f = parse_poly("(x1 + x2 + 2*x3 + 1)^4", 3, F5)
     walk = grid_expansions(f, grid)
-    first = next(walk)
+
+    def step():  # the next point as elements, and its multiplicity vector
+        point = tuple(map(F5.element, next(walk)[0]))
+        return point, grid.multiplicity_vector(point)
+
+    first = step()
     assert first[0] == next(grid.points()) and calls == [0, 1, 2]
-    second = next(walk)
+    second = step()
     assert second[1] == (1, 2, 2) and calls == [0, 1, 2, 2]
     walk.close()
     assert len(calls) == 4  # the full walk would shift 3 + 6 + 12 times

@@ -490,6 +490,9 @@ def test_divmod_univariate():
     assert r2.is_zero() and q2 == parse_poly("x1*x2 + 5", 2, Q)
     with pytest.raises(ValueError):
         f.divmod_univariate(parse_poly("x1*x2", 2, Q), 0)
+    with pytest.raises(ZeroDivisionError) as info:
+        f.divmod_univariate(MultiPoly.zero(2, Q), 1)
+    assert str(info.value) == "division by the zero polynomial"
 
 
 def test_divmod_univariate_random_variable_and_leading_coefficient():

@@ -4,7 +4,9 @@ Every view, count, comparison, hash and text is checked against a reference
 keyed by FieldElement and built here from the same inputs; the sumset, the
 value set and the cover report are checked against rules written in the test
 or in tests/oracles.py.  The last tests pin the raw path itself: the
-kernels build no FieldElement, and a plane listed m times is normalised once.
+kernels and the constructors that read inputs build no FieldElement, the grid
+walk builds no FieldElement and no MultiPoly, and a plane listed m times is
+normalised once.
 """
 
 import random
@@ -20,11 +22,16 @@ from nullgrid import (
     MultiPoly,
     Multiset,
     MultisetGrid,
+    VectorMultiset,
     extremal_cover,
+    grid_expansions,
+    in_grid_ideal,
     sumset,
     value_set,
     verify_cover,
 )
+from nullgrid.certificates import find_witness
+from nullgrid.divdiff import divided_difference_recursive
 from nullgrid.randgen import rand_poly
 from oracles import cover_report_oracle, value_set_oracle
 
@@ -260,3 +267,58 @@ def test_each_distinct_plane_is_normalised_once(monkeypatch):
         verify_cover([h] * 5, grid)
         monkeypatch.undo()
         assert inverted == []
+
+
+def test_constructors_read_inputs_without_building_field_elements(monkeypatch):
+    made = _count_element_inits(monkeypatch)
+    ms = Multiset(F7, [("3", 2), ("-1", 1), ("12", 1)])
+    qs = Multiset(Q, [("1/2", 1), ("-3", 2)])
+    vm = VectorMultiset(5, 2, [((7, -1), 2), ((0, 3), 1)])
+    h = Hyperplane(F7, [3, 0, -1])
+    f = MultiPoly(2, F7, {(1, 0): 9, (0, 2): -1, (0, 0): 7})
+    scaled = f * 3
+    assert ms.multiplicity("12") == 1 and qs.multiplicity(-3) == 2
+    assert made == []
+    monkeypatch.undo()
+    assert ms._raw == {3: 2, 5: 1, 6: 1} and qs._raw == {-3: 2, Fraction(1, 2): 1}
+    assert vm.entries == {(0, 3): 1, (2, 4): 2}
+    assert h._raw == (3, 0, 6) and str(h.as_poly()) == "6*x2 + 3"
+    assert f.terms == {(1, 0): 2, (0, 2): 6} and scaled.terms == {(1, 0): 6, (0, 2): 4}
+
+
+def test_grid_walk_builds_no_field_element_and_no_polynomial(monkeypatch):
+    """Every scan of grid_expansions reads raw points and raw term maps; only
+    a witness, which leaves the library, is wrapped."""
+    rng = random.Random(3030)
+    for spec in FIELDS:
+        grid = _rand_grid(rng, spec, 3, zero=False)
+        f = rand_poly(rng, spec, 3, max_deg=4, max_terms=6)
+        made = _count_element_inits(monkeypatch)
+        polys = []  # MultiPoly(...) runs __init__, and _from_raw skips it
+        init, from_raw = MultiPoly.__init__, MultiPoly._from_raw.__func__
+
+        def counting_init(self, *args):
+            polys.append(args)
+            init(self, *args)
+
+        def counting_from_raw(cls, *args):
+            polys.append(args)
+            return from_raw(cls, *args)
+
+        monkeypatch.setattr(MultiPoly, "__init__", counting_init)
+        monkeypatch.setattr(MultiPoly, "_from_raw", classmethod(counting_from_raw))
+        walked = list(grid_expansions(f, grid))
+        member = in_grid_ideal(f, grid, "pointwise")
+        bracket = divided_difference_recursive(f, grid)
+        assert made == [bracket.value] and polys == []
+        monkeypatch.undo()
+        assert [point for point, _ in walked] == [tuple(e.value for e in s) for s in grid.points()]
+        assert member == (not any(terms for _, terms in walked))
+    # a witness wraps its raw point and coefficient once, when it is returned
+    grid = MultisetGrid.of(F7, [{1: 2, 3: 1}, {0: 1, 5: 2}])
+    f = MultiPoly(2, F7, {(2, 1): 1, (0, 0): 4})
+    for method in ("exhaustive", "divided_difference"):
+        made = _count_element_inits(monkeypatch)
+        w = find_witness(f, grid, (2, 1), method)
+        assert sorted(made) == sorted([*(e.value for e in w.point), w.value.value])
+        monkeypatch.undo()
