@@ -56,7 +56,6 @@ from .applications import (
     hopf_stiefel,
     iter_multisets,
     iter_vector_multisets,
-    lucas_binomial,
     multiset_deg,
     sumset,
     sun_value_set_check,

@@ -20,7 +20,6 @@ are tuples of the grid's support views.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -332,21 +331,6 @@ def sun_value_set_check(
 
 
 # -- Hopf-Stiefel numbers and Eliahou-Kervaire ---------------------------------------
-
-
-def lucas_binomial(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by Lucas: the product of digitwise binomials base p."""
-    if k < 0 or k > n:
-        return 0
-    result = 1
-    while n or k:
-        ni, ki = n % p, k % p
-        if ki > ni:
-            return 0
-        result = result * (math.comb(ni, ki) % p) % p
-        n //= p
-        k //= p
-    return result
 
 
 def hopf_stiefel(p: int, r: int, s: int) -> int:

@@ -206,9 +206,11 @@ class FieldElement:
         self.spec = spec
 
     def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement) and other.spec is not self.spec:
-            raise FieldMismatchError(f"mixed fields {self.spec} and {other.spec}")
-        if isinstance(other, bool) or not isinstance(other, (FieldElement, int, Fraction)):
+        if isinstance(other, FieldElement):
+            if other.spec is not self.spec:
+                raise FieldMismatchError(f"mixed fields {self.spec} and {other.spec}")
+            return other  # as element() returns it, without the call
+        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self.spec.element(other)
 

@@ -15,8 +15,11 @@ call it, and the same power row is column 0 of the Taylor columns.
 
 The parser caps every variable's degree and works on raw term maps, too: a
 sum folds each summand into one accumulator, so a sum of T monomials parses
-in O(T), and the result is wrapped as a MultiPoly once.  Products go
-through _mul_raw and powers through MultiPoly.__pow__.
+in O(T), and the result is wrapped as a MultiPoly once.  A monomial is
+built in place: a product of two one-term factors adds their exponents, and
+a variable's power writes its exponent.  Only products with a factor of
+several terms go through _mul_raw, and only powers of literals and
+parenthesized factors through MultiPoly.__pow__.
 
 Coordinate shifts f(x) -> f(x + s) are the workhorse: the coefficient of x^u
 in the shifted polynomial is the expansion coefficient of f at s attached to
@@ -635,8 +638,12 @@ class _Parser:
 
     Every rule returns a raw term map that it owns, and parse() wraps the
     result once.  A sum folds each summand into one accumulator, dropping a
-    term the moment it cancels, so a sum of T terms costs O(T); products go
-    through _mul_raw, and powers through MultiPoly.__pow__."""
+    term the moment it cancels, so a sum of T terms costs O(T).  A product of
+    two one-term factors adds their exponents and multiplies their
+    coefficients once, and x_i^e is read as one term with e at i, so a
+    monomial such as 3*x1^2*x2 reaches neither _mul_raw nor
+    MultiPoly.__pow__; other products go through _mul_raw, and powers of
+    literals and parenthesized factors through MultiPoly.__pow__."""
 
     def __init__(self, text: str, arity: int, spec: FieldSpec):
         self.tokens = _tokenize(text)
@@ -691,38 +698,64 @@ class _Parser:
                     del acc[u]
 
     def term(self) -> dict:
+        tokens = self.tokens
         terms = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = tokens[self.idx]
             if kind != "op" or val != "*":
                 return terms
-            _, _, pos = self.next()
+            self.idx += 1
             rhs = self.factor()
-            _check_degrees(map(add, _degrees(terms, self.arity), _degrees(rhs, self.arity)), pos)
-            terms = _mul_raw(self.spec, terms, rhs)
+            if len(terms) == 1 == len(rhs):
+                # two monomials: one exponent sum and one product of two
+                # nonzero coefficients, which is nonzero
+                ((u, c),) = terms.items()
+                ((w, d),) = rhs.items()
+                u = tuple(map(add, u, w))
+                _check_degrees(u, pos)
+                terms = {u: self.spec._reduce(c * d)}
+            else:
+                _check_degrees(map(add, _degrees(terms, self.arity), _degrees(rhs, self.arity)), pos)
+                terms = _mul_raw(self.spec, terms, rhs)
 
     def factor(self) -> dict:
-        kind, val, pos = self.peek()
+        kind, val, pos = self.tokens[self.idx]
         if kind == "op" and val == "-":
-            self.next()
+            self.idx += 1
             self.descend(pos)
             reduce = self.spec._reduce
             terms = {u: reduce(-c) for u, c in self.factor().items()}
             self.depth -= 1
             return terms
+        if kind == "var":
+            # x_i^e is one term: e written at i in the exponents, with no power taken
+            self.idx += 1
+            index = _int_literal(val[1:], pos)
+            if not 1 <= index <= self.arity:
+                raise PolyParseError(f"unknown variable {val!r} (arity {self.arity})", pos)
+            e, _ = self.exponent()
+            return {self.zero[:index - 1] + (e,) + self.zero[index:]: 1}
         terms = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val, pos = self.next()
-            if kind != "int":
-                raise PolyParseError("exponent must be a nonnegative integer literal", pos)
-            e = _int_literal(val, pos)
-            if e > _MAX_EXPONENT:
-                raise PolyParseError(f"exponent {e} exceeds the limit {_MAX_EXPONENT}", pos)
+        e, pos = self.exponent()
+        if pos is not None:
             _check_degrees((d * e for d in _degrees(terms, self.arity)), pos)
             terms = (MultiPoly._from_raw(self.arity, self.spec, terms) ** e).terms
         return terms
+
+    def exponent(self):
+        """The literal after a factor's '^' and its position, or (1, None)
+        when no '^' follows."""
+        kind, val, _ = self.tokens[self.idx]
+        if kind != "op" or val != "^":
+            return 1, None
+        kind, val, pos = self.tokens[self.idx + 1]
+        self.idx += 2
+        if kind != "int":
+            raise PolyParseError("exponent must be a nonnegative integer literal", pos)
+        e = _int_literal(val, pos)
+        if e > _MAX_EXPONENT:
+            raise PolyParseError(f"exponent {e} exceeds the limit {_MAX_EXPONENT}", pos)
+        return e, pos
 
     def atom(self) -> dict:
         kind, val, pos = self.next()
@@ -748,11 +781,6 @@ class _Parser:
                 num = Fraction(num, den)
             v = self.spec._reduce(num)
             return {self.zero: v} if v else {}
-        if kind == "var":
-            index = _int_literal(val[1:], pos)
-            if not 1 <= index <= self.arity:
-                raise PolyParseError(f"unknown variable {val!r} (arity {self.arity})", pos)
-            return {self.zero[:index - 1] + (1,) + self.zero[index:]: 1}
         raise PolyParseError(f"unexpected {val or 'end of input'!r}", pos)
 
 

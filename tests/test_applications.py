@@ -22,7 +22,6 @@ from nullgrid import (
     hopf_stiefel,
     iter_multisets,
     iter_vector_multisets,
-    lucas_binomial,
     multiset_deg,
     parse_poly,
     sumset,
@@ -354,15 +353,6 @@ def test_sun_over_rationals_has_no_cap():
 
 
 # -- Hopf-Stiefel and Eliahou-Kervaire ------------------------------------------------
-
-
-def test_lucas_binomial_against_comb():
-    for p in (2, 3, 5, 7):
-        for n in range(0, 40):
-            for k in range(0, n + 1):
-                assert lucas_binomial(n, k, p) == math.comb(n, k) % p
-    assert lucas_binomial(5, 7, 3) == 0
-    assert lucas_binomial(5, -1, 3) == 0
 
 
 def test_hopf_stiefel_examples():

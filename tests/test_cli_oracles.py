@@ -7,7 +7,10 @@ mode, checks that both print the same data, and compares that data with
 tests/oracles.py or, for sumsets, with a pairwise maximum written here.
 The divided-difference witness is compared after trim_grid, and cover-check
 runs on extremal covers and on covers perturbed so that its undercovered:
-and proportional: lines and its failing exit code appear.
+and proportional: lines and its failing exit code appear.  punctured,
+check-relation and sun-check read polynomial text too; their r and h, the
+top-coefficient identity and the value-set size are checked against the
+oracles, and sun-check's bound against its formula written out here.
 Instances come from random.Random(seed), and every assertion names the argv,
 so a failure is reproduced from its message alone.  Each example has a
 CPU-time bound, so a handler that slows down by orders of magnitude fails.
@@ -20,14 +23,16 @@ import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from nullgrid import FieldSpec, Hyperplane, Multiset, MultisetGrid, extremal_cover, parse_poly, trim_grid
+from nullgrid import FieldSpec, Hyperplane, MultiPoly, Multiset, MultisetGrid, extremal_cover, parse_poly, trim_grid
 from nullgrid.applications import hyperplane_to_list
 from nullgrid.cli import main
 from nullgrid.ideals import grid_to_dict, multiset_to_list
-from nullgrid.randgen import rand_grid, rand_multiset, rand_poly, rand_witness_instance
+from nullgrid.randgen import rand_element, rand_grid, rand_multiset, rand_poly, rand_witness_instance
 from oracles import (
     brute_first_witness,
+    build_punctured_instance,
     cover_report_oracle,
+    expansion_coefficient_oracle,
     generator_oracle,
     hermite_remainder_oracle,
     hopf_stiefel_oracle,
@@ -105,6 +110,24 @@ def test_reduce_matches_the_hermite_remainder():
         assert total == f, argv
 
 
+def test_punctured_matches_the_hermite_remainder():
+    for seed in range(EXAMPLES):
+        rng = random.Random(seed)
+        spec = rng.choice(SPECS)
+        while True:  # an instance with a punctured point: f's remainder is nonzero
+            f, grid, d_grid, quotient = build_punctured_instance(rng, spec, rng.randint(1, 3))
+            r = hermite_remainder_oracle(f, grid)
+            if r.terms:
+                break
+        argv = ["punctured"] + _grid_args(grid, f) + ["--sub-grid-inline", json.dumps(grid_to_dict(d_grid))]
+        text, obj = _run(argv)
+        assert text == f"r: {obj['r']}\nh: {obj['h']}\nbound: {obj['bound']}\ndeg_f: {obj['deg_f']}", argv
+        h = parse_poly(obj["h"], grid.arity, spec)
+        assert parse_poly(obj["r"], grid.arity, spec) == r == poly_product_oracle(h, quotient), argv
+        bound = sum(grid.sizes) - sum(d_grid.sizes)
+        assert (obj["bound"], obj["deg_f"]) == (bound, f.total_degree()), argv
+
+
 def test_member_matches_the_oracle_remainder():
     for seed in range(EXAMPLES):
         rng, grid, f = _gridded(seed)
@@ -126,6 +149,29 @@ def test_divdiff_matches_the_two_point_bracket():
         text, obj = _run(argv)
         assert text == f"value: {obj['value']}\nmethod: {obj['method']}", argv
         assert obj == {"value": str(two_point_bracket_oracle(f, grid, rng)), "method": method}, argv
+
+
+def test_check_relation_matches_the_weighted_expansion_sum():
+    holds_seen = set()
+    for seed in range(EXAMPLES):
+        rng = random.Random(seed)
+        spec = rng.choice(SPECS)
+        grid = rand_grid(rng, spec, rng.randint(1, 3), max_size=4)
+        t = grid.top_exponent
+        f = rand_poly(rng, spec, grid.arity, max_deg=rng.randint(0, sum(t)), max_terms=6)
+        # the x^t coefficient of f's remainder against the sum over the grid
+        # of each expansion coefficient times its residue weight
+        top = hermite_remainder_oracle(f, grid).coefficient(t)
+        weighted = spec.zero
+        for point in grid.points():
+            for u in itertools.product(*(range(m) for m in grid.multiplicity_vector(point))):
+                weighted = weighted + residue_weight_oracle(grid, point, u) * expansion_coefficient_oracle(f, point, u)
+        holds = top == weighted
+        argv = ["check-relation"] + _grid_args(grid, f)
+        text, obj = _run(argv, 0 if holds else 1)
+        assert (text, obj) == (f"holds: {json.dumps(holds)}", {"holds": holds}), argv
+        holds_seen.add(holds)
+    assert holds_seen == {True}  # the identity is a theorem for deg f <= sum(t)
 
 
 def test_exhaustive_witness_matches_the_brute_force_scan():
@@ -254,6 +300,32 @@ def test_valueset_matches_enumeration():
         expected = value_set_oracle(f, grid)
         assert _by_value(obj["values"]) == _by_value(multiset_to_list(expected)), argv
         assert obj["size"] == expected.size == sum(_by_value(obj["values"]).values()), argv
+
+
+def test_sun_check_matches_enumeration_and_the_bound():
+    for seed in range(EXAMPLES):
+        rng = random.Random(seed)
+        spec = rng.choice(SPECS)
+        grid = rand_grid(rng, spec, rng.randint(1, 3), max_size=4)
+        n, k = grid.arity, rng.randint(1, 3)
+        coeffs = []
+        while len(coeffs) < n:
+            c = rand_element(rng, spec)
+            if c:
+                coeffs.append(c)
+        g = rand_poly(rng, spec, n, max_deg=k - 1, max_terms=3) if seed % 3 else MultiPoly.zero(n, spec)
+        argv = ["sun-check", "--grid-inline", json.dumps(grid_to_dict(grid)),
+                "--coeffs=" + ",".join(map(str, coeffs)), "--k", str(k), f"--g={g}"]
+        f = g
+        for i, c in enumerate(coeffs):
+            f = f + MultiPoly.monomial(n, spec, [k if j == i else 0 for j in range(n)], c)
+        lhs = value_set_oracle(f, grid).size
+        # Sun's bound: min(char, sum_i floor((d_i - 1) / k) + 1), no cap over Q
+        total = sum((d - 1) // k for d in grid.sizes) + 1
+        rhs = min(spec.p, total) if spec.p else total
+        text, obj = _run(argv, 0 if lhs >= rhs else 1)
+        assert text == f"lhs: {obj['lhs']}\nrhs: {obj['rhs']}\nholds: {json.dumps(obj['holds'])}", argv
+        assert obj == {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs}, argv
 
 
 def _pairwise_max(a, b):

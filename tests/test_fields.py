@@ -249,6 +249,25 @@ def test_mismatched_specs():
         a * Fraction(1, 2)
 
 
+def test_same_field_operands_skip_the_coercion_call(monkeypatch):
+    f5, f7 = FieldSpec.prime(5), FieldSpec.prime(7)
+    a, b = f5.element(2), f5.element(4)
+    calls = []
+    element = FieldSpec.element
+    monkeypatch.setattr(FieldSpec, "element", lambda spec, v: calls.append(v) or element(spec, v))
+    # an element of the same field is used as it is
+    assert (a + b, a - b, b - a, a * b, a / b, a < b, b <= a) == (1, 3, 2, 3, 3, True, False)
+    assert calls == []
+    # ints and Fractions still take the field's one rule
+    assert (a + 4, 4 - a, a * Fraction(6, 2)) == (1, 2, 1) and calls == [4, 4, Fraction(3)]
+    for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x < y):
+        with pytest.raises(FieldMismatchError) as info:
+            op(a, f7.element(3))
+        assert str(info.value) == "mixed fields F_5 and F_7"
+        with pytest.raises(TypeError, match="unsupported operand|not supported"):
+            op(a, True)
+
+
 def test_canonical_strings_round_trip():
     q = FieldSpec.rationals()
     for text in ("3/4", "-3/4", "7", "0"):

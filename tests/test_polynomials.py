@@ -441,6 +441,31 @@ def test_parse_caps_each_variables_degree():
     f = parse_poly("(x1^5000)^2*x2^10000", 2, F5)
     assert (f.degree_in(0), f.degree_in(1)) == (10000, 10000)
     assert parse_poly("(x1 - x1)^10000*x1^10000*x1", 2, F5).is_zero()
+    # a product of monomials is refused at the '*' that takes a degree past the cap
+    for text, message in [
+        ("x1^6000*x1^5000", "degree 11000 in x1 exceeds the limit 10000 (position 7)"),
+        ("x2^10000*x1*x2", "degree 10001 in x2 exceeds the limit 10000 (position 11)"),
+        ("x1^0*x1^10000*x1", "degree 10001 in x1 exceeds the limit 10000 (position 13)"),
+    ]:
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text, 2, F5)
+        assert str(exc.value) == message, text
+    assert parse_poly("x1^0*x1^10000", 2, F5).terms == {(10000, 0): 1}
+
+
+def test_monomials_parse_without_the_product_kernel(monkeypatch):
+    calls = []
+    mul_raw, power = polynomials._mul_raw, MultiPoly.__pow__
+    monkeypatch.setattr(polynomials, "_mul_raw", lambda *args: calls.append("_mul_raw") or mul_raw(*args))
+    monkeypatch.setattr(MultiPoly, "__pow__", lambda f, e: calls.append("__pow__") or power(f, e))
+    f = parse_poly("3*x1^2*x2 - x3^4 + 5*x1*x2*x3", 3, Q)
+    assert list(f.terms.items()) == [((2, 1, 0), 3), ((0, 0, 4), -1), ((1, 1, 1), 5)] and calls == []
+    # a factor of several terms goes through the product kernel, and a power
+    # of a parenthesized factor through MultiPoly.__pow__
+    assert parse_poly("(x1 + 1)*x2", 2, Q) == MultiPoly(2, Q, {(1, 1): 1, (0, 1): 1})
+    assert calls == ["_mul_raw"]
+    assert parse_poly("(x1 + x2)^2", 2, Q) == MultiPoly(2, Q, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    assert calls[1] == "__pow__" and "_mul_raw" in calls[2:]
 
 
 def test_parse_rational_literals():
