@@ -3,15 +3,20 @@
 
 Generates random valid nonvanishing instances, runs both search methods, and
 confirms every run produces a verified witness, with the two methods agreeing
-after identical grid trimming.
+after identical grid trimming.  The instances come from the test suite's
+generators, tests/randgen.py.
 """
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
 from nullgrid import find_witness, trim_grid
-from nullgrid.randgen import rand_spec, rand_witness_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from randgen import rand_spec, rand_witness_instance  # noqa: E402
 
 
 def main():

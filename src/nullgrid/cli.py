@@ -402,11 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON object")
-    common.add_argument(
-        "--parallel",
-        action="store_true",
-        help="accepted for compatibility; has no effect (scans run serially)",
-    )
     gridded = argparse.ArgumentParser(add_help=False)
     gridded.add_argument("--grid", help="path to a grid JSON file")
     gridded.add_argument("--grid-inline", help="grid JSON given inline")

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from nullgrid import CoverReport, MultiPoly, Multiset, MultisetGrid
-from nullgrid.randgen import rand_grid, rand_poly
+from randgen import rand_grid, rand_poly
 
 
 def univariate_divmod_oracle(coeffs, divisor, spec):

@@ -11,9 +11,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .fields import FieldElement, FieldSpec
-from .ideals import Multiset, MultisetGrid
-from .polynomials import MultiPoly
+from nullgrid import FieldElement, FieldSpec, MultiPoly, Multiset, MultisetGrid
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 13)
 

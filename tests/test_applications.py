@@ -36,7 +36,7 @@ from nullgrid.applications import (
     vector_multiset_from_list,
     vector_multiset_to_list,
 )
-from nullgrid.randgen import rand_element, rand_multiset, rand_poly, rand_spec
+from randgen import rand_element, rand_multiset, rand_poly, rand_spec
 from oracles import cover_report_oracle, evaluate_oracle, hopf_stiefel_oracle, value_set_oracle
 
 F2 = FieldSpec.prime(2)

@@ -23,7 +23,7 @@ from nullgrid import (
     trim_grid,
 )
 from nullgrid import certificates, divdiff
-from nullgrid.randgen import rand_poly, rand_spec, rand_witness_instance
+from randgen import rand_poly, rand_spec, rand_witness_instance
 from oracles import (
     brute_first_witness,
     build_punctured_instance,

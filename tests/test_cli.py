@@ -98,7 +98,7 @@ def test_hopf_stiefel_large_arguments_finish():
     assert proc.stdout == "134217728\n"
 
 
-def test_repeat_runs_and_parallel_are_byte_identical():
+def test_repeat_runs_are_byte_identical():
     cases = [
         ["witness", "--poly", "x1*x2", "--grid-inline", GRID_F3_2D, "--t", "1,1"],
         ["witness", "--poly", "x1*x2", "--grid-inline", GRID_F3_2D, "--t", "1,1", "--json"],
@@ -110,8 +110,8 @@ def test_repeat_runs_and_parallel_are_byte_identical():
     for argv in cases:
         first = run_cli(argv)
         second = run_cli(argv)
-        with_parallel = run_cli(argv + ["--parallel"])
-        assert first == second == with_parallel
+        third = run_cli(argv)
+        assert first == second == third
         forward.append(first)
     assert [run_cli(argv) for argv in reversed(cases)] == forward[::-1]
 
@@ -393,12 +393,15 @@ def test_usage_errors_are_one_error_line():
         ["--bogus"],
         ["no-such-command"],
         ["member", "--method", "neither", "--poly", "x1", "--grid-inline", GRID_F5_01],
+        ["reduce", "--poly", "x1", "--grid-inline", GRID_F5_01, "--parallel"],
     ):
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: "), argv
     code, _, err = run_cli(["reduce", "--grid-inline", GRID_F5_01])
     assert err == "error: the following arguments are required: --poly\n"
+    code, _, err = run_cli(["reduce", "--poly", "x1", "--grid-inline", GRID_F5_01, "--parallel"])
+    assert err == "error: unrecognized arguments: --parallel\n"
 
 
 def test_missing_json_arguments_are_named():

@@ -4,10 +4,12 @@ Each example draws a small instance over F_2, F_3, F_7, F_10007 or Q: arity
 1 to 3, coordinate multisets of size at most 4 and polynomials of at most 6
 terms.  It runs the instance through cli.main in text mode and in --json
 mode, checks that both print the same data, and compares that data with
-tests/oracles.py or, for sumsets, with a pairwise maximum written here.
-The divided-difference witness is compared after trim_grid, and cover-check
-runs on extremal covers and on covers perturbed so that its undercovered:
-and proportional: lines and its failing exit code appear.  punctured,
+tests/oracles.py or, for sumsets and ek-check's vector sumset, with a
+pairwise maximum written here.  The divided-difference witness is compared
+after trim_grid, and cover-check runs on extremal covers and on covers
+perturbed so that its undercovered: and proportional: lines and its failing
+exit code appear; cover-extremal's planes must number sum(d_i) - n and pass
+the report oracle as a valid cover.  punctured,
 check-relation and sun-check read polynomial text too; their r and h, the
 top-coefficient identity and the value-set size are checked against the
 oracles, and sun-check's bound against its formula written out here.
@@ -27,7 +29,7 @@ from nullgrid import FieldSpec, Hyperplane, MultiPoly, Multiset, MultisetGrid, e
 from nullgrid.applications import hyperplane_to_list
 from nullgrid.cli import main
 from nullgrid.ideals import grid_to_dict, multiset_to_list
-from nullgrid.randgen import rand_element, rand_grid, rand_multiset, rand_poly, rand_witness_instance
+from randgen import rand_element, rand_grid, rand_multiset, rand_poly, rand_witness_instance
 from oracles import (
     brute_first_witness,
     build_punctured_instance,
@@ -226,24 +228,29 @@ def test_alpha_matches_the_residue_weights():
         assert obj == {"weights": expected}, argv
 
 
-def _cover_instance(seed):
-    """A grid holding 0 once per coordinate, and its extremal cover as
-    coefficient rows, perturbed by the seed: as it is, one plane dropped, one
-    plane added, or one plane repeated times a nonzero scalar."""
-    rng = random.Random(seed)
-    spec = rng.choice(SPECS)
+def _cover_grid(rng, spec):
+    """A random grid holding 0 once per coordinate, as covers need."""
     sets = []
     for _ in range(rng.randint(1, 3)):
         ms = rand_multiset(rng, spec, 3)
         sets.append(Multiset(spec, [(v, m) for v, m in ms.entries.items() if v != 0] + [(0, 1)]))
-    grid = MultisetGrid(sets)
+    return MultisetGrid(sets)
+
+
+def _cover_instance(seed):
+    """A cover grid and its extremal cover as coefficient rows, perturbed by
+    the seed: as it is, one plane dropped, one plane added, or one plane
+    repeated times a nonzero scalar."""
+    rng = random.Random(seed)
+    spec = rng.choice(SPECS)
+    grid = _cover_grid(rng, spec)
     rows = [hyperplane_to_list(h) for h in extremal_cover(grid)]
     values = list(range(spec.p)) if spec.p else [-2, -1, 0, 1, 3]
     kind = seed % 4
     if kind == 1 and rows:
         del rows[rng.randrange(len(rows))]
     elif kind == 2 or not rows:
-        normal = [rng.choice(values) for _ in sets]
+        normal = [rng.choice(values) for _ in grid.sets]
         normal[rng.randrange(len(normal))] = 1
         rows.append([str(rng.choice(values))] + [str(c) for c in normal])
     elif kind == 3:
@@ -279,6 +286,26 @@ def test_cover_check_matches_the_report_oracle():
         optional_lines.update(line.split(":")[0] for line in lines[5:])
     assert verdicts == {"valid_cover", "undercovered", "origin_violated"}
     assert optional_lines == {"undercovered", "proportional"}
+
+
+def test_cover_extremal_meets_the_bound_by_the_report_oracle():
+    for seed in range(EXAMPLES):
+        rng = random.Random(seed)
+        grid = _cover_grid(rng, rng.choice(SPECS))
+        spec, n = grid.spec, grid.arity
+        argv = ["cover-extremal", "--grid-inline", json.dumps(grid_to_dict(grid))]
+        text, obj = _run(argv)
+        k_line, *plane_lines = text.split("\n")
+        rows = obj["hyperplanes"]
+        assert k_line == f"k: {obj['k']}" and len(plane_lines) == len(rows) == obj["k"], argv
+        # each printed plane c0 + c1*x1 + ... + cn*xn is its JSON row
+        for line, row in zip(plane_lines, rows):
+            terms = {(0,) * n: row[0]}
+            terms.update({tuple(int(j == i) for j in range(n)): c for i, c in enumerate(row[1:])})
+            assert parse_poly(line, n, spec) == MultiPoly(n, spec, terms), argv
+        report = cover_report_oracle([Hyperplane(spec, row) for row in rows], grid)
+        assert obj["k"] == sum(grid.sizes) - n == report.bound, argv
+        assert report.verdict == "valid_cover", argv
 
 
 def test_hopf_stiefel_matches_the_direct_search():
@@ -370,3 +397,33 @@ def test_cd_check_matches_the_pairwise_maximum():
         excess = sum(m - 1 for m in a.entries.values()) + sum(m - 1 for m in b.entries.values())
         assert (obj["lhs"], obj["rhs"], obj["holds"]) == (lhs, rhs, True), argv
         assert (obj["deg_lhs"], obj["deg_rhs"]) == (sum(m - 1 for m in expected.values()), excess), argv
+
+
+def _vector_operand(rng, p, dim):
+    """A random vector multiset over F_p^dim as CLI JSON, and as a
+    {vector: multiplicity} map."""
+    vectors = list(itertools.product(range(p), repeat=dim))
+    support = rng.sample(vectors, rng.randint(1, min(4, len(vectors))))
+    entries = {v: rng.randint(1, 3) for v in support}
+    return json.dumps([{"value": list(v), "mult": m} for v, m in entries.items()]), entries
+
+
+def test_ek_check_matches_the_pairwise_maximum_and_the_direct_search():
+    for seed in range(EXAMPLES):
+        rng = random.Random(seed)
+        p, dim = rng.choice([2, 3, 5, 7]), rng.randint(1, 3)
+        (a_json, a), (b_json, b) = _vector_operand(rng, p, dim), _vector_operand(rng, p, dim)
+        argv = ["ek-check", "--p", str(p), "--dim", str(dim), "--a", a_json, "--b", b_json]
+        text, obj = _run(argv)
+        sumset_text = "{" + ", ".join(f"{item['value']}:{item['mult']}" for item in obj["sumset"]) + "}"
+        lines = [f"sumset: {sumset_text}", f"lhs: {obj['lhs']}", f"rhs: {obj['rhs']}"]
+        assert text == "\n".join(lines + [f"holds: {json.dumps(obj['holds'])}"]), argv
+        # every x + y, added componentwise mod p, with the largest
+        # m_A(x) + m_B(y) - 1 over its representations
+        expected = {}
+        for (x, mx), (y, my) in itertools.product(a.items(), b.items()):
+            key = tuple((u + v) % p for u, v in zip(x, y))
+            expected[key] = max(expected.get(key, 0), mx + my - 1)
+        assert {tuple(item["value"]): item["mult"] for item in obj["sumset"]} == expected, argv
+        lhs, rhs = sum(expected.values()), hopf_stiefel_oracle(p, sum(a.values()), sum(b.values()))
+        assert (obj["lhs"], obj["rhs"], obj["holds"]) == (lhs, rhs, True), argv

@@ -25,7 +25,7 @@ from nullgrid import (
 )
 from nullgrid import divdiff
 from nullgrid.divdiff import _contracted_sum, _weighted_sum
-from nullgrid.randgen import rand_grid, rand_poly, rand_spec
+from randgen import rand_grid, rand_poly, rand_spec
 from oracles import (
     confluent_vandermonde,
     dual_basis_poly,

@@ -26,7 +26,7 @@ from nullgrid import (
 )
 from nullgrid import fields
 from nullgrid.fields import field_from_dict
-from nullgrid.randgen import rand_element, rand_grid, rand_poly, rand_witness_instance
+from randgen import rand_element, rand_grid, rand_poly, rand_witness_instance
 
 
 def xgcd(a, b):

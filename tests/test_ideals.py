@@ -28,7 +28,7 @@ from nullgrid import (
     universal_gb_check,
 )
 from nullgrid import ideals
-from nullgrid.randgen import rand_grid, rand_ideal_member, rand_multiset, rand_poly, rand_spec
+from randgen import rand_grid, rand_ideal_member, rand_multiset, rand_poly, rand_spec
 from nullgrid.errors import ArityMismatchError
 from oracles import (
     expansion_coefficient_oracle,

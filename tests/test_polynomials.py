@@ -16,7 +16,7 @@ from nullgrid import (
     parse_poly,
 )
 from nullgrid import polynomials
-from nullgrid.randgen import rand_element, rand_poly, rand_spec
+from randgen import rand_element, rand_poly, rand_spec
 from oracles import (
     expansion_coefficient_oracle,
     operator_route_oracle,

@@ -32,7 +32,7 @@ from nullgrid import (
 )
 from nullgrid.certificates import find_witness
 from nullgrid.divdiff import divided_difference_recursive
-from nullgrid.randgen import rand_poly
+from randgen import rand_poly
 from oracles import cover_report_oracle, value_set_oracle
 
 F2 = FieldSpec.prime(2)

@@ -246,20 +246,37 @@ def test_only_the_two_sumsets_reach_the_max_sum_rule():
     assert callers == {"applications.sumset", "applications.vector_sumset"}
 
 
+def _top_module(name):
+    return (name or "").split(".")[0]
+
+
 def test_oracles_import_only_the_allowed_library_names():
     """Data types and random inputs only: an oracle that called a library
     route would stop being an independent check of it."""
     tree = ast.parse(ORACLES.read_text(), str(ORACLES))
     imported = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nullgrid"):
+        if isinstance(node, ast.ImportFrom) and _top_module(node.module) in ("nullgrid", "randgen"):
             imported.setdefault(node.module, set()).update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
-            assert not any(a.name.split(".")[0] == "nullgrid" for a in node.names), node.lineno
+            assert not any(_top_module(a.name) in ("nullgrid", "randgen") for a in node.names), node.lineno
     assert imported == {
         "nullgrid": {"CoverReport", "MultiPoly", "Multiset", "MultisetGrid"},
-        "nullgrid.randgen": {"rand_grid", "rand_poly"},
+        "randgen": {"rand_grid", "rand_poly"},
     }
+
+
+def test_no_library_module_imports_random_or_randgen():
+    """Random instances are the tests' business: the library draws nothing."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not {_top_module(name) for name in names} & {"random", "randgen"}, f"{path.name} line {node.lineno}"
 
 
 def test_oracles_use_no_private_library_name():
