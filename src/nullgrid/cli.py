@@ -44,7 +44,7 @@ from .divdiff import (
     weight_table,
 )
 from .errors import InvariantViolation, PreconditionError
-from .fields import FieldSpec, _output_size_error
+from .fields import FieldSpec, _output_size_error, _value_text
 from .ideals import (
     MultisetGrid,
     grid_from_dict,
@@ -182,7 +182,7 @@ def _check_printable(*counts: int) -> None:
 
 
 def _fmt_tuple(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
+    return "(" + ", ".join(map(str, values)) + ")"
 
 
 def _fmt_bool(b: bool) -> str:
@@ -269,14 +269,11 @@ def _cmd_divdiff(args):
 
 def _cmd_alpha(args):
     grid = _load_grid(args)
-    table = weight_table(grid)
-    lines = []
-    weights = []
-    for (point, u), w in table.sorted_items():
-        lines.append(f"s={_fmt_tuple(point)} u={_fmt_tuple(u)}: {w}")
-        weights.append(
-            {"point": [str(x) for x in point], "exponent": list(u), "value": str(w)}
-        )
+    lines, weights = [], []
+    for (point, u), w in weight_table(grid).weights._raw.items():
+        texts, value = [_value_text(x) for x in point], _value_text(w)
+        lines.append(f"s=({', '.join(texts)}) u={_fmt_tuple(u)}: {value}")
+        weights.append({"point": texts, "exponent": list(u), "value": value})
     return "\n".join(lines), {"weights": weights}, 0
 
 

@@ -23,7 +23,7 @@ the same series inverse inverts once, and a factor of large multiplicity is
 taken as the closed-form binomial series of its inverse.  Neither the Newton
 tables nor the generator is used, so the three routes stay independent.  The
 weights at the maximal exponents are the inverted heads prod (s - s')^m(s'),
-never zero, which is what powers the witness search.
+never zero, which powers the witness search.  The table holds raw values.
 
 The top-coefficient identity checks the bracket against the weighted sum of
 expansion coefficients, contracted one coordinate at a time.  The
@@ -35,10 +35,12 @@ walk too, so points that share a prefix share its shifts.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import prod
-from operator import getitem, mul
-from typing import Dict, Tuple
+from operator import getitem, itemgetter, mul
+from typing import Tuple
 
 from .errors import PreconditionError
 from .fields import FieldElement
@@ -130,20 +132,55 @@ def divided_difference_recursive(f: MultiPoly, grid: MultisetGrid) -> FieldEleme
     return FieldElement(values.get(((), ()), 0), spec)
 
 
+class _WeightView(Mapping):
+    """weight_table's raw {(raw point, exponent): raw weight} dict, read as a
+    mapping of FieldElements: key points are coerced by FieldSpec._raw_value."""
+
+    def __init__(self, raw: dict, grid: MultisetGrid):
+        self._raw, self._grid = raw, grid
+
+    def __len__(self):
+        return len(self._raw)
+
+    def __getitem__(self, key):
+        try:
+            (point, u), spec = key, self._grid.spec
+            return FieldElement(self._raw[tuple(map(spec._raw_value, point)), tuple(u)], spec)
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+
+    def __iter__(self):  # the raw dict is in points() order, prod(mv) entries per point
+        boxes = map(repeat, self._grid.points(), map(prod, self._grid.multiplicity_vectors()))
+        return zip(chain.from_iterable(boxes), map(itemgetter(1), self._raw))
+
+    def items(self):
+        return _WeightItems(self)
+
+    def __eq__(self, other):
+        if isinstance(other, _WeightView):
+            return self._grid.spec is other._grid.spec and self._raw == other._raw
+        return super().__eq__(other)
+
+
+class _WeightItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, map(FieldElement, self._mapping._raw.values(), repeat(self._mapping._grid.spec)))
+
+
 @dataclass
 class WeightTable:
     """Grid-determined weights turning pointwise expansion coefficients into
     the bracket.  The domain is exactly the pairs (grid point, exponent below
-    the point's multiplicity vector); there are prod(d_i) of them."""
+    the point's multiplicity vector); there are prod(d_i) of them, kept raw."""
 
     grid: MultisetGrid
-    weights: Dict[Tuple[Tuple[FieldElement, ...], Tuple[int, ...]], FieldElement]
+    weights: Mapping[Tuple[Tuple[FieldElement, ...], Tuple[int, ...]], FieldElement]
 
     def weight(self, point, exponent) -> FieldElement:
         """The weight of (point, exponent); point coordinates are coerced
         into the grid's field, like top_weight_closed_form's."""
-        point = tuple(self.grid.spec.element(x) for x in point)
-        return self.weights[(point, tuple(exponent))]
+        spec = self.grid.spec
+        return FieldElement(self.weights._raw[(tuple(map(spec._raw_value, point)), tuple(exponent))], spec)
 
     def sorted_items(self):
         """The entries as stored: in grid.points() order, boxes in lex order."""
@@ -208,37 +245,36 @@ def weight_table(grid: MultisetGrid) -> WeightTable:
     """The bracket is the tensor product of one-coordinate brackets, so the
     weight of (s, u) is the product over coordinates i of the weight of
     (s_i, u_i) in the table of the one-coordinate grid S_i.  The table is
-    built as an outer product, one coordinate at a time: each point prefix
-    keeps its box of (exponent prefix, raw weight) pairs, and extending it by
-    an element s of S_i multiplies each weight by s's own and reduces once.
-    The entries come out in grid.points() order, each point's box in
-    lexicographic order, and each is wrapped in a FieldElement at the end."""
-    spec = grid.spec
-    reduce = spec._reduce
-    groups = [((), [((), 1)])]  # (point prefix, [(exponent prefix, raw weight)])
-    for ms in grid.sets:
-        own = list(zip(ms.support, _coordinate_weights(ms).values()))  # both in entry order
-        groups = [
-            (prefix + (elem,), [(u + (e,), reduce(w * we)) for u, w in box for e, we in enumerate(ws)])
-            for prefix, box in groups
-            for elem, ws in own
-        ]
-    weights = {(point, u): FieldElement(w, spec) for point, box in groups for u, w in box}
-    return WeightTable(grid, weights)
+    built as an outer product over raw points, one coordinate at a time:
+    each point prefix keeps its box of (exponent prefix, unreduced weight)
+    pairs, and extending it by an element s of S_i multiplies each weight by
+    s's own; each is reduced once, at the last coordinate.  The raw entries
+    come out in grid.points() order, each point's box in lexicographic order."""
+    rows = [list(_coordinate_weights(ms).items()) for ms in grid.sets]
+    groups = [((), [((), 1)])]  # (raw point prefix, [(exponent prefix, unreduced weight)])
+    for row in rows[:-1]:
+        groups = [(prefix + (s,), [(u + (e,), w * we) for u, w in box for e, we in enumerate(ws)])
+                  for prefix, box in groups for s, ws in row]
+    reduce = grid.spec._reduce
+    raw = {(point, u + (e,)): reduce(w * we) for prefix, box in groups for s, ws in rows[-1]
+           for point in [prefix + (s,)] for u, w in box for e, we in enumerate(ws)}
+    return WeightTable(grid, _WeightView(raw, grid))
 
 
 def top_weight_closed_form(grid: MultisetGrid, point) -> FieldElement:
     """Closed form for the weight at a point's maximal exponent: the product
     over coordinates of (s_i - s')^(-mult(s')) over the other elements s' of
-    the i-th multiset.  Never zero; cross-checked against weight_table."""
-    point = tuple(grid.spec.element(x) for x in point)
+    the i-th multiset, inverted once.  Never zero; cross-checked against
+    weight_table."""
+    spec = grid.spec
+    point = tuple(map(spec._raw_value, point))
     grid.multiplicity_vector(point)  # raises if the point is off the grid
-    denom = grid.spec.one
+    denom = 1
     for si, ms in zip(point, grid.sets):
-        for other, mult in ms.entries.items():
+        for other, mult in ms._raw.items():
             if other != si:
-                denom *= (si - other) ** mult
-    return denom.inv()
+                denom = spec._reduce(denom * pow(si - other, mult, spec.p))  # p is None over Q
+    return FieldElement(spec._inv(denom), spec)
 
 
 def _weighted_sum(f: MultiPoly, grid: MultisetGrid):

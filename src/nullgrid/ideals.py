@@ -201,7 +201,7 @@ class MultisetGrid:
         for ms, x in zip(self.sets, point):
             m = ms.multiplicity(x)
             if m == 0:
-                raise ValueError(f"{x} is not in the grid's coordinate multiset")
+                raise ValueError(f"{_value_text(x)} is not in the grid's coordinate multiset")
             vec.append(m)
         return tuple(vec)
 

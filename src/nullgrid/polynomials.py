@@ -465,27 +465,24 @@ def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, 
     """Long division of raw terms by a polynomial in x_{var+1} alone, given as
     its raw coefficient list, lowest degree first, with a nonzero last entry.
 
-    A term of degree below d = deg(divisor) in x_{var+1} is already reduced
-    and passes into the remainder as it is.  High terms, of degree d or more,
-    that share their exponents in the other variables form one dense row,
-    divided textbook-style from the top down; entries accumulate unreduced
-    and each is reduced once, when the elimination reaches it.  Each row's
-    corrections below x_{var+1}^d are then folded into the remainder, one
-    reduced sum per touched term, and a term that cancels is dropped.
-    Returns raw (quotient, remainder) term maps; every remainder term has
-    degree in x_{var+1} below d."""
+    The remainder starts as a copy of the terms, and the high terms, of degree
+    d = deg(divisor) or more in x_{var+1}, are popped from it into one dense
+    row per exponents in the other variables; the low terms keep their order.
+    Each row is divided textbook-style from the top down; entries accumulate
+    unreduced and each is reduced once, when the elimination reaches it.  Its
+    corrections below x_{var+1}^d are folded into the remainder, one reduced
+    sum per touched term: a new term is appended, and one that cancels is
+    dropped.  Returns new raw (quotient, remainder) term maps; every
+    remainder term has degree in x_{var+1} below d."""
     d = len(divisor) - 1
     lead_inv = spec._inv(divisor[d])
     tail = [(e, b) for e, b in enumerate(divisor[:d]) if b]
     reduce = spec._reduce
-    rem: Dict[ExponentVector, object] = {}
+    rem: Dict[ExponentVector, object] = dict(terms)
     # rows of high terms are keyed by the exponents before and after x_{var+1}
     rows: Dict[Tuple[ExponentVector, ExponentVector], Dict[int, object]] = {}
-    for u, c in terms.items():
-        if u[var] < d:
-            rem[u] = c
-        else:
-            rows.setdefault((u[:var], u[var + 1:]), {})[u[var]] = c
+    for u in [u for u in terms if u[var] >= d]:
+        rows.setdefault((u[:var], u[var + 1:]), {})[u[var]] = rem.pop(u)
     quot: Dict[ExponentVector, object] = {}
     for (head, rest), sparse in rows.items():
         row = [0] * (max(sparse) + 1)

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullgrid import FieldSpec, cli, parse_poly
+from nullgrid import FieldElement, FieldSpec, cli, parse_poly
 from nullgrid.cli import main
 
 GRID_F3_2D = '{"field":{"kind":"prime","p":3},"sets":[[{"value":"0","mult":1},{"value":"1","mult":1}],[{"value":"0","mult":1},{"value":"1","mult":1}]]}'
@@ -177,6 +177,27 @@ def test_alpha_output():
     code, out, _ = run_cli(["alpha", "--grid-inline", GRID_F5_01])
     assert code == 0
     assert out == "s=(0) u=(0): 4\ns=(1) u=(0): 1\n"
+
+
+def test_alpha_builds_no_field_element(monkeypatch):
+    """alpha formats the raw table: no FieldElement is built, from loading
+    the grid to printing its last weight, in either output mode."""
+    made = []
+    init = FieldElement.__init__
+
+    def counting_init(self, value, spec):
+        made.append(value)
+        init(self, value, spec)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    grid = '{"field":{"kind":"rational"},"sets":[[{"value":"0","mult":2},{"value":"1/2","mult":1}],[{"value":"3","mult":1},{"value":"-1","mult":2}]]}'
+    code, out, _ = run_cli(["alpha", "--grid-inline", grid])
+    assert code == 0 and out.startswith("s=(0, -1) u=(0, 0): 1/4\ns=(0, -1) u=(0, 1): 1\n") and out.count("\n") == 9
+    code, out, _ = run_cli(["alpha", "--json", "--grid-inline", grid])
+    assert code == 0 and json.loads(out)["weights"][6] == {"point": ["1/2", "-1"], "exponent": [0, 0], "value": "-1/4"}
+    code, out, _ = run_cli(["alpha", "--grid-inline", GRID_F3_2D])
+    assert code == 0 and out.count("\n") == 4
+    assert made == []
 
 
 def test_punctured_cli():
@@ -468,6 +489,10 @@ def test_values_past_the_int_digit_limit_are_refused():
     for subcommand in (["reduce"], ["reduce", "--json"], ["divdiff"], ["valueset", "--json"]):
         argv = subcommand + ["--poly", f"10^{limit - 300}*10^400 + x1", "--grid-inline", grid_q]
         assert run_cli(argv) == (1, "", message)
+    # alpha's weight at 0 is 1 / 10^(2 * (limit - 300)), whose denominator is past the limit
+    grid_big = '{"field":{"kind":"rational"},"sets":[[{"value":"0","mult":1},{"value":"1%s","mult":2}]]}' % ("0" * (limit - 300))
+    for subcommand in (["alpha"], ["alpha", "--json"]):
+        assert run_cli(subcommand + ["--grid-inline", grid_big]) == (1, "", message)
     # a JSON value past it is an input error named by its length, quoted or not
     big = "1" * (limit + 700)
     quoted = f"error: invalid F_7 value of {len(big)} characters, longer than Python's int/str digit limit of {limit}\n"

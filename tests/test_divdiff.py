@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from nullgrid import (
+    ArityMismatchError,
+    FieldElement,
     FieldSpec,
     MultiPoly,
     Multiset,
@@ -518,3 +521,147 @@ def test_weight_table_degenerates_to_expansion_extraction():
     for u in itertools.product(range(3), range(2)):
         expected = 1 if u == (2, 1) else 0
         assert table.weight(point, u).value == expected
+
+
+def _count_field_elements(monkeypatch):
+    """A list whose length is the number of FieldElements constructed from
+    now on, counted by a wrapper around FieldElement.__init__."""
+    made = []
+    init = FieldElement.__init__
+
+    def counting_init(self, value, spec):
+        made.append(value)
+        init(self, value, spec)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    return made
+
+
+def test_weight_table_builds_no_field_element(monkeypatch):
+    grids = [
+        MultisetGrid.of(F10007, [{1: 2, 5: 1, 9: 3}, {2: 1, 4: 2}]),
+        MultisetGrid.of(Q, [{0: 2, Fraction(1, 2): 1}, {3: 1, -1: 2}, {7: 2}]),
+        MultisetGrid.of(F2, [{0: 3, 1: 2}]),
+    ]
+    made = _count_field_elements(monkeypatch)
+    for grid in grids:
+        table = weight_table(grid)
+        assert made == []
+        assert len(table.weights) == math.prod(grid.sizes)
+        assert made == []
+        # weight() wraps only its one result
+        point = tuple(next(iter(ms._raw)) for ms in grid.sets)
+        table.weight(point, (0,) * grid.arity)
+        assert len(made) == 1
+        made.clear()
+
+
+def _old_style_weights(grid):
+    """The table as a list of ((FieldElement point, exponent), FieldElement
+    weight) pairs in grid.points() order, each box in lex order, multiplied
+    out in FieldElement arithmetic from the one-coordinate weight rows."""
+    spec = grid.spec
+    rows = [divdiff._coordinate_weights(ms) for ms in grid.sets]
+    out = []
+    for point, mv in zip(grid.points(), grid.multiplicity_vectors()):
+        for u in itertools.product(*(range(m) for m in mv)):
+            w = spec.one
+            for row, x, e in zip(rows, point, u):
+                w = w * spec.element(row[x.value][e])
+            out.append(((point, u), w))
+    return out
+
+
+@pytest.mark.parametrize("spec", [F2, FieldSpec.prime(3), F10007, Q], ids=str)
+def test_weight_view_keeps_keys_types_values_and_order(spec):
+    """weights reads as the dict of FieldElement points and weights it was
+    before the table became raw: the same keys, in the same order, with
+    canonical values of the grid's field; multiplicities reach p or more."""
+    rng = random.Random(83)
+    if spec.p is None:
+        values, top_mult = [0, 1, -2, 5, Fraction(1, 3), Fraction(-7, 2)], 3
+    elif spec.p < 5:
+        values, top_mult = list(range(spec.p)), spec.p + 1
+    else:
+        values, top_mult = [0, 1, 5, 77, 10006], 3
+    for _ in range(12):
+        sets = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(values, rng.randint(1, min(3, len(values))))
+            sets.append({v: rng.randint(1, top_mult) for v in support})
+        grid = MultisetGrid.of(spec, sets)
+        table = weight_table(grid)
+        want = _old_style_weights(grid)
+        got = list(table.weights.items())
+        assert got == want, grid
+        assert list(table.weights) == [key for key, _ in want]
+        assert table.sorted_items() == want
+        assert len(table.weights) == len(want)
+        for (point, u), w in got:
+            assert all(type(x) is FieldElement and x.spec is spec for x in point)
+            assert type(u) is tuple and all(type(e) is int for e in u)
+            assert type(w) is FieldElement and w.spec is spec
+            assert spec._reduce(w.value) == w.value and type(w.value) is type(spec._reduce(w.value))
+            assert table.weights[point, u] == w == table.weight(point, u)
+            assert (point, u) in table.weights and ((point, u), w) in table.weights.items()
+
+
+def test_weight_view_reads_int_str_and_element_points():
+    grid = MultisetGrid.of(F7, [{1: 2, 3: 1}, {0: 1, 5: 2}])
+    table = weight_table(grid)
+    w = table.weights[(F7.element(1), F7.element(5)), (1, 1)]
+    assert table.weights[(1, 5), (1, 1)] == table.weights[("1", "5"), [1, 1]] == table.weights[(8, -2), (1, 1)] == w
+    assert w == table.weight((1, 5), (1, 1))
+    for key in [((2, 5), (0, 0)), ((1, 5), (2, 0)), ((1,), (0,)), ((1, 5, 0), (0, 0, 0)), ((1, "x"), (0, 0)),
+                ((FieldSpec.prime(5).element(1), 5), (0, 0)), ((Fraction(1, 2), 5), (0, 0)), ((1, 5),), 7]:
+        with pytest.raises(KeyError):
+            table.weights[key]
+        assert key not in table.weights
+        assert table.weights.get(key) is None
+    # weight() keeps the coercion errors of the field
+    with pytest.raises(TypeError):
+        table.weight((Fraction(1, 2), 5), (0, 0))
+    with pytest.raises(KeyError):
+        table.weight((2, 5), (0, 0))
+
+
+def test_weight_view_unpacks_and_tables_of_one_grid_compare_equal():
+    grid = MultisetGrid.of(Q, [{0: 2, 1: 1}, {5: 1, Fraction(1, 2): 2}])
+    table = weight_table(grid)
+    unpacked = {**table.weights}
+    assert list(unpacked.items()) == list(table.weights.items())
+    assert table.weights == unpacked and unpacked == table.weights
+    assert dict(table.weights) == unpacked
+    assert table == weight_table(grid) == weight_table(MultisetGrid.of(Q, [{1: 1, 0: 2}, {Fraction(1, 2): 2, 5: 1}]))
+    assert table != weight_table(MultisetGrid.of(Q, [{0: 2, 1: 1}, {5: 2, Fraction(1, 2): 2}]))
+    # one point, weight 1 at its top exponent, in two fields: the raw tables agree, the views do not
+    assert weight_table(MultisetGrid.of(F7, [{0: 1}])).weights != weight_table(MultisetGrid.of(F5, [{0: 1}])).weights
+
+
+def test_weight_table_at_scale_cpu_time():
+    """{1..30}^3 with multiplicities 1 + (s mod 2) over F_10007: 91 125
+    entries in a fraction of a second as one raw outer product; wrapping
+    every entry in a FieldElement keyed by FieldElement points took about
+    half a second."""
+    grid = MultisetGrid.of(F10007, [{s: 1 + s % 2 for s in range(1, 31)}] * 3)
+    start = time.process_time()
+    table = weight_table(grid)
+    assert time.process_time() - start < 1.0
+    assert len(table.weights) == 91125
+
+
+def test_top_weight_closed_form_messages():
+    grid = MultisetGrid.of(F7, [{1: 2, 3: 1}, {0: 1, 5: 2}])
+    assert top_weight_closed_form(grid, (8, "5")) == top_weight_closed_form(grid, (F7.element(1), F7.element(5)))
+    with pytest.raises(ValueError, match=r"^2 is not in the grid's coordinate multiset$"):
+        top_weight_closed_form(grid, (9, 5))
+    with pytest.raises(ArityMismatchError, match=r"^point of length 1 for arity 2$"):
+        top_weight_closed_form(grid, (1,))
+    q_grid = MultisetGrid.of(Q, [{0: 1, Fraction(1, 3): 2}])
+    assert top_weight_closed_form(q_grid, (Fraction(1, 3),)) == Q.element(3)
+    assert top_weight_closed_form(q_grid, ("0",)) == Q.element(9)
+    with pytest.raises(ValueError, match=r"^1/2 is not in the grid's coordinate multiset$"):
+        top_weight_closed_form(q_grid, ("1/2",))
+    # an off-grid value past the int/str digit limit is named as a FieldElement names it
+    with pytest.raises(PreconditionError, match=r"^output-size: "):
+        top_weight_closed_form(q_grid, (10 ** (sys.get_int_max_str_digits() + 1),))

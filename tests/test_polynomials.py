@@ -591,6 +591,39 @@ def test_divmod_kernel_by_a_constant_leaves_no_remainder():
         assert MultiPoly(2, spec, quot) * MultiPoly.constant(2, spec, 2) == f
 
 
+@pytest.mark.parametrize("spec", [F7, FieldSpec.prime(10007), Q], ids=str)
+def test_divmod_kernel_leaves_the_input_alone_and_keeps_its_order(spec):
+    """The remainder is a new dict, the caller's terms are not changed, the
+    terms below the divisor's degree that survive keep f's order, and terms
+    the folding creates come after them."""
+    rng = random.Random(47)
+    for _ in range(60):
+        n = rng.choice((1, 2, 3))
+        var = rng.randrange(n)
+        f = rand_poly(rng, spec, n, max_deg=7, max_terms=30)
+        deg = rng.randint(0, 4)
+        divisor = [rand_element(rng, spec).value for _ in range(deg)] + [rand_element(rng, spec).value or 1]
+        before = list(f.terms.items())
+        quot, rem = polynomials._divmod_raw(spec, f.terms, var, divisor)
+        assert list(f.terms.items()) == before
+        assert quot is not f.terms and rem is not f.terms
+        low = [u for u in f.terms if u[var] < deg]
+        kept = [u for u in low if u in rem]
+        assert list(rem)[: len(kept)] == kept
+        assert not set(list(rem)[len(kept):]) & set(f.terms)
+
+
+def test_divmod_kernel_with_no_high_term_returns_its_input():
+    for spec in (F7, Q):
+        f = parse_poly("3*x1^2*x2 + x1 + 5 + x2^4*x1", 2, spec)
+        quot, rem = polynomials._divmod_raw(spec, f.terms, 0, [1, 2, 0, 1])
+        assert quot == {}
+        assert rem == f.terms and list(rem.items()) == list(f.terms.items())
+        assert rem is not f.terms
+        rem[(9, 9)] = 1
+        assert (9, 9) not in f.terms
+
+
 @pytest.mark.parametrize("spec", [F2, FieldSpec.prime(3), FieldSpec.prime(10007), Q], ids=str)
 def test_inv_series_times_its_input_is_one_below_y_to_the_n(spec):
     """b = _inv_series(a, n) must satisfy a * b = 1 mod y^n: checked by a
