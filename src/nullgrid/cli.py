@@ -9,8 +9,14 @@ closed stdout (`| head`) cuts the output without a traceback; the exit code
 is still the computation's.  The parser is built once per process.  Each
 call is parsed by its subcommand's parser alone; the top-level parser sees
 only an argv that does not start with a subcommand, and reports the command
-missing or unknown (or prints the top-level help).  Subcommand foo-bar is
-handled by _cmd_foo_bar, looked up at dispatch.
+missing or unknown (or prints the top-level help).  A subcommand's argv of
+exact option strings only -- each store option with a value that is not
+dash-led or follows "=", each flag bare -- whose values pass their type and
+choices and which names every required option is read from the option
+table built once from that parser's own actions.  Any other argv (help,
+abbreviations, "--", dash-led or missing values, usage errors) goes to
+argparse, so its messages and exit codes are argparse's.  Subcommand foo-bar
+is handled by _cmd_foo_bar, looked up at dispatch.
 """
 
 from __future__ import annotations
@@ -83,6 +89,70 @@ class _ArgumentParser(argparse.ArgumentParser):
         if first is not None and first[0] is None and not arg_string.startswith("--"):
             return None
         return parsed
+
+    @functools.cached_property
+    def _option_table(self):
+        """(table, required actions, defaults) for _read_argv, from _actions:
+        the table maps each option string to its action when the reader
+        models it (a store of one value, or store_true) and to None when not.
+        None in place of the triple when an absent action does more than
+        leave its default: a positional, a str default that a type converts,
+        set_defaults or an exclusive group."""
+        if self._defaults or self._mutually_exclusive_groups:
+            return None
+        table, required, defaults = {}, [], {}
+        for action in self._actions:
+            if not action.option_strings or (isinstance(action.default, str) and action.type is not None):
+                return None
+            kind = type(action)
+            read = kind is argparse._StoreTrueAction or (kind is argparse._StoreAction and action.nargs is None)
+            table.update(dict.fromkeys(action.option_strings, action if read else None))
+            if action.required:
+                required.append(action)
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                defaults.setdefault(action.dest, action.default)
+        return table, required, defaults
+
+    def _read_argv(self, argv):
+        """The attributes parse_args(argv) sets, read from the option table
+        when every token is an exact option string: a store option with its
+        value next (not dash-led) or after "=", or a store_true flag.  Values
+        pass through the registered type function and the choices, every
+        required option must be present, the last of a repeated option wins
+        and an absent one keeps its default.  None for any other argv, which
+        parse_args then parses, so help, usage errors and abbreviations stay
+        argparse's."""
+        if self._option_table is None:
+            return None
+        table, required, defaults = self._option_table
+        values, seen, tokens = dict(defaults), set(), iter(argv)
+        for token in tokens:
+            if token in table:
+                action = table[token]
+                if action is None:
+                    return None
+                if action.nargs == 0:  # store_true
+                    values[action.dest] = action.const
+                    seen.add(action)
+                    continue
+                text = next(tokens, "-")  # a missing value gives up as a dash-led one does
+                if text.startswith("-"):
+                    return None
+            else:
+                option, eq, text = token.partition("=")
+                action = table.get(option)
+                # before Python 3.13 argparse drops an option's value "--"
+                if not eq or action is None or action.nargs == 0 or text == "--":
+                    return None
+            try:
+                value = self._registry_get("type", action.type, action.type)(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+            seen.add(action)
+        return values if seen.issuperset(required) else None
 
 
 def _parse_field(text: str) -> FieldSpec:
@@ -190,6 +260,7 @@ def _fmt_bool(b: bool) -> str:
 
 
 # -- subcommand handlers: return (human text, json object, exit code) -----------
+# main prints one of the two forms; a handler may leave the other None
 
 
 def _cmd_reduce(args):
@@ -268,13 +339,22 @@ def _cmd_divdiff(args):
 
 
 def _cmd_alpha(args):
+    """Builds only the form main prints, and formats each point once: the
+    raw table holds each point's box contiguously."""
     grid = _load_grid(args)
-    lines, weights = [], []
+    entries, last = [], None
     for (point, u), w in weight_table(grid).weights._raw.items():
-        texts, value = [_value_text(x) for x in point], _value_text(w)
-        lines.append(f"s=({', '.join(texts)}) u={_fmt_tuple(u)}: {value}")
-        weights.append({"point": texts, "exponent": list(u), "value": value})
-    return "\n".join(lines), {"weights": weights}, 0
+        if point != last:
+            last, texts = point, [_value_text(x) for x in point]
+            head = f"s=({', '.join(texts)}) u="
+        value = _value_text(w)
+        if args.json:
+            entries.append({"point": texts, "exponent": list(u), "value": value})
+        else:
+            entries.append(f"{head}{_fmt_tuple(u)}: {value}")
+    if args.json:
+        return None, {"weights": entries}, 0
+    return "\n".join(entries), None, 0
 
 
 def _cmd_check_relation(args):
@@ -481,12 +561,20 @@ def _parse_args(argv) -> argparse.Namespace:
     on unchanged (its subparsers action takes nargs=PARSER), after
     classifying each one only to find the command; it parses just an argv
     that does not start with a command, to report the command missing or
-    unknown."""
+    unknown.  The subcommand's parser first reads its arguments from its
+    option table (_ArgumentParser._read_argv); an argument list the table
+    does not read (help, abbreviations, "--", dash-led or missing values,
+    usage errors) goes to the subcommand's parse_args."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     if argv and argv[0] in commands:
-        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        sub, namespace = commands[argv[0]], argparse.Namespace(command=argv[0])
+        values = sub._read_argv(argv[1:])
+        if values is None:
+            return sub.parse_args(argv[1:], namespace)
+        vars(namespace).update(values)
+        return namespace
     return parser.parse_args(argv)
 
 

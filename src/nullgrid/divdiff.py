@@ -35,7 +35,7 @@ walk too, so points that share a prefix share its shifts.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import prod
@@ -156,6 +156,9 @@ class _WeightView(Mapping):
     def items(self):
         return _WeightItems(self)
 
+    def values(self):
+        return _WeightValues(self)
+
     def __eq__(self, other):
         if isinstance(other, _WeightView):
             return self._grid.spec is other._grid.spec and self._raw == other._raw
@@ -164,7 +167,12 @@ class _WeightView(Mapping):
 
 class _WeightItems(ItemsView):
     def __iter__(self):
-        return zip(self._mapping, map(FieldElement, self._mapping._raw.values(), repeat(self._mapping._grid.spec)))
+        return zip(self._mapping, self._mapping.values())
+
+
+class _WeightValues(ValuesView):  # the raw weights wrapped, no key looked up again
+    def __iter__(self):
+        return map(FieldElement, self._mapping._raw.values(), repeat(self._mapping._grid.spec))
 
 
 @dataclass

@@ -200,6 +200,19 @@ def test_alpha_builds_no_field_element(monkeypatch):
     assert made == []
 
 
+def test_alpha_formats_each_point_once(monkeypatch):
+    """A point's coordinates are formatted once for its whole box and each
+    weight once, in either output mode: 4 points of arity 2 and 9 weights."""
+    calls = []
+    value_text = cli._value_text
+    monkeypatch.setattr(cli, "_value_text", lambda x: calls.append(x) or value_text(x))
+    grid = '{"field":{"kind":"rational"},"sets":[[{"value":"0","mult":2},{"value":"1/2","mult":1}],[{"value":"3","mult":1},{"value":"-1","mult":2}]]}'
+    for argv in (["alpha", "--grid-inline", grid], ["alpha", "--json", "--grid-inline", grid]):
+        calls.clear()
+        assert run_cli(argv)[0] == 0
+        assert len(calls) == 4 * 2 + 9, argv
+
+
 def test_punctured_cli():
     code, out, _ = run_cli(
         [
@@ -948,6 +961,18 @@ _EDGE_ARGVS = [
     ["hopf-stiefel", "--p", "2", "--r", "1", "--s", "1" * 5000],
     ["sumset", "--field", "prime:1_0007", "--a", "[]", "--b", "[]"],
     ["ek-check", "--p", "2", "--dim", "-1", "--a", "[]", "--b", "[]"],
+    # each reason the option-table reader leaves an argv to argparse
+    ["reduce", "--bogus=1", "--poly", "x1", "--grid-inline", GRID_F5_01],  # unknown option with "="
+    ["reduce", "--po=x1", "--grid-inline", GRID_F5_01],  # abbreviation with "="
+    ["reduce", "--poly=--", "--grid-inline", GRID_F5_01],  # "--" as a value, dropped before Python 3.13
+    ["reduce", "--poly", "x1", "--grid-inline", GRID_F5_01, "--json=yes"],  # a flag with "="
+    ["reduce", "--poly", "x1", "--json="],
+    ["reduce", "--grid-inline", GRID_F5_01, "--poly"],  # a missing value at the end
+    ["reduce", "--poly", "x1", "--help=x"],
+    ["sun-check", "--grid-inline", GRID_F5_01, "--coeffs=1", "--k=x"],  # a failed type with "="
+    ["hopf-stiefel", "--p=2", "--r=1", "--s=" + "1" * 5000],
+    ["divdiff", "--poly=x1", "--method=neither"],  # a failed choice with "="
+    ["ek-check", "--p=2", "--dim=1", "--a=[]"],  # a missing required option
 ]
 
 
@@ -985,6 +1010,59 @@ def test_direct_dispatch_matches_the_full_parse_on_fuzzed_argvs(argv):
     _assert_same_parse(argv)
 
 
+# one argv per subcommand naming each of its options with a value that is
+# not dash-led; the empty value and "=" inside a value are read as values
+_CANONICAL = {
+    "reduce": [("--poly", "x1^3"), ("--grid-inline", GRID_F5_01)],
+    "member": [("--poly", "x1"), ("--grid", "grid.json"), ("--method", "pointwise")],
+    "witness": [("--poly", "x1*x2"), ("--grid-inline", GRID_F3_2D), ("--t", "1,1"), ("--method", "divided-difference")],
+    "punctured": [("--poly", "x1"), ("--grid", "g.json"), ("--sub-grid", "d.json"), ("--sub-grid-inline", GRID_F5_01)],
+    "divdiff": [("--poly", "x1^2"), ("--grid-inline", GRID_F5_01), ("--method", "rec")],
+    "alpha": [("--grid-inline", GRID_F3_2D)],
+    "check-relation": [("--poly", "x1 + 2"), ("--grid", "grid.json")],
+    "cover-check": [("--grid-inline", GRID_F5_01), ("--hyperplanes", "h.json"), ("--hyperplanes-inline", "[[1, 1]]")],
+    "cover-extremal": [("--grid-inline", GRID_F3_2D)],
+    "sumset": [("--field", "prime:5"), ("--a", "[]"), ("--b", '[{"value":"1","mult":2}]')],
+    "cd-check": [("--field", "prime:7"), ("--a", "[]"), ("--b", "[]")],
+    "valueset": [("--poly", "a=b"), ("--grid-inline", GRID_F5_01)],
+    "sun-check": [("--grid-inline", GRID_F3_2D), ("--coeffs", "1,1"), ("--k", "2"), ("--g", "")],
+    "hopf-stiefel": [("--p", "2"), ("--r", "3"), ("--s", "+4")],
+    "ek-check": [("--p", "3"), ("--dim", "2"), ("--a", "[]"), ("--b", "[]")],
+}
+
+
+# token shapes around the option-table reader's edge, put between the pairs of
+# a canonical argv: exact and abbreviated options, "=" forms, dash-led and
+# missing values, "--", help, flags with "=" and stray values; the options are
+# mostly the subcommand's own
+_ALL_OPTIONS = sorted({"--json", "--grid", "--sub-grid", "--hyperplanes"}.union(*_OPTIONS.values()))
+_TOKEN_VALUES = st.sampled_from(
+    ["x1", "x1 + 2", "", "2", "3", "+4", "1,1", "both", "pointwise", "rec", "prime:5", "[]", GRID_F5_01, "a=b", "١", "1_0"]
+)
+
+
+@st.composite
+def _token_argvs(draw):
+    command = draw(st.sampled_from(sorted(_CANONICAL)))
+    pairs = _CANONICAL[command]
+    pieces = [draw(st.sampled_from([[option, value], [f"{option}={value}"]])) for option, value in pairs]
+    for _ in range(draw(st.integers(0, 3))):
+        option = draw(_mostly(st.sampled_from([option for option, _ in pairs] + ["--json"]), st.sampled_from(_ALL_OPTIONS)))
+        value = draw(_TOKEN_VALUES)
+        shapes = [
+            [option, value], [f"{option}={value}"], [option], [option[:-1], value], [option[:4] + "=" + value],
+            [option, "-" + value], [f"{option}=-{value}"], ["--"], ["-h"], ["--json=" + value], [value],
+        ]
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(shapes)))
+    return [command] + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_argvs())
+def test_direct_dispatch_matches_the_full_parse_on_mixed_token_shapes(argv):
+    _assert_same_parse(argv)
+
+
 def test_known_subcommands_skip_the_top_level_parser(monkeypatch):
     parser = cli.build_parser()
     known = _GOLDEN_ARGVS + [
@@ -1018,6 +1096,72 @@ def test_known_subcommands_skip_the_top_level_parser(monkeypatch):
         main(["--help"])
     assert exc.value.code == 0 and out.getvalue().startswith("usage: nullgrid [-h]")
     assert seen == [[], ["--bogus"], ["no-such-command"], ["--help"]]
+
+
+def _canonical_argvs(command, pairs):
+    space = [token for pair in pairs for token in pair]
+    equals = [f"{option}={value}" for option, value in pairs]
+    mixed = [token for i, (option, value) in enumerate(pairs) for token in ([option, value] if i % 2 else [f"{option}={value}"])]
+    return [
+        [command] + space,
+        [command] + equals,
+        [command] + mixed,
+        [command, "--json"] + equals + ["--json"] + space,  # every option repeated
+    ]
+
+
+def test_canonical_argvs_are_read_without_argparse(monkeypatch):
+    """Exact options with values in space, "=" and mixed forms, repeated
+    options and --json --json, on every subcommand, give the full parse's
+    namespace while every argparse parse refuses to run, so a silent fall
+    back to argparse fails here."""
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert sorted(_CANONICAL) == sorted(commands)
+    argvs = [argv for command, pairs in _CANONICAL.items() for argv in _canonical_argvs(command, pairs)]
+    argvs += [
+        ["reduce", "--poly", "x1", "--poly", "x2", "--json", "--json"],
+        ["member", "--method", "remainder", "--method", "pointwise", "--poly", "x1"],
+        ["hopf-stiefel", "--p", "2", "--r", "1", "--s", "1", "--p=3"],
+        ["sun-check", "--k=2", "--coeffs", "1", "--g", "x1 - 1", "--k", "3"],
+    ]
+    expected = [sorted(vars(cli.build_parser().parse_args(argv)).items()) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a canonical argv")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli._ArgumentParser, "parse_args", refuse)
+        patched.setattr(cli._ArgumentParser, "parse_known_args", refuse)
+        for argv, want in zip(argvs, expected):
+            assert sorted(vars(cli._parse_args(argv)).items()) == want, argv
+        assert run_cli(["hopf-stiefel", "--p=2", "--r", "2", "--s=2", "--json"])[0] == 0
+
+
+def test_option_table_leaves_unmodeled_parsers_and_actions_to_argparse():
+    """A parser with a positional, a str default that a type converts,
+    set_defaults or an exclusive group is never read from its table; an
+    action kind the table does not model is read only while absent."""
+
+    def parser_with(*setups):
+        parser = cli._ArgumentParser(prog="t")
+        parser.add_argument("--n", type=int, default=5)
+        for setup in setups:
+            setup(parser)
+        return parser
+
+    for setup in (
+        lambda p: p.add_argument("path", nargs="?"),
+        lambda p: p.add_argument("--m", type=int, default="3"),
+        lambda p: p.set_defaults(extra=1),
+        lambda p: p.add_mutually_exclusive_group().add_argument("--x"),
+    ):
+        parser = parser_with(setup)
+        assert parser._read_argv(["--n", "4"]) is None
+        assert parser.parse_args(["--n", "4"]).n == 4
+    parser = parser_with(lambda p: p.add_argument("--tag", action="append"), lambda p: p.add_argument("--v", action="count"))
+    assert parser._read_argv(["--n=4"]) == vars(parser.parse_args(["--n=4"])) == {"n": 4, "tag": None, "v": None}
+    for argv in (["--tag", "a"], ["--v"], ["--n", "4", "--tag=b"]):
+        assert parser._read_argv(argv) is None
 
 
 def test_bom_led_json_is_the_decoders_error_inline_and_from_a_file(tmp_path):

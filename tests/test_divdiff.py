@@ -606,6 +606,31 @@ def test_weight_view_keeps_keys_types_values_and_order(spec):
             assert (point, u) in table.weights and ((point, u), w) in table.weights.items()
 
 
+@pytest.mark.parametrize("spec", [F2, FieldSpec.prime(3), F10007, Q], ids=str)
+def test_weight_view_values_wrap_the_raw_weights(spec, monkeypatch):
+    """values() gives the weights items() gives, in order, and coerces no key
+    point: Mapping's own values() looked every key up again."""
+    rng = random.Random(89)
+    values = [0, 1, -2, Fraction(1, 3)] if spec.p is None else list(range(min(spec.p, 4)))
+    top_mult = spec.p + 1 if spec.p and spec.p < 5 else 3
+
+    def refuse(self, value):
+        raise AssertionError("a key point was coerced")
+
+    for _ in range(8):
+        sets = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(values, rng.randint(1, min(3, len(values))))
+            sets.append({v: rng.randint(1, top_mult) for v in support})
+        weights = weight_table(MultisetGrid.of(spec, sets)).weights
+        want = [w for _, w in weights.items()]
+        with monkeypatch.context() as patched:
+            patched.setattr(FieldSpec, "_raw_value", refuse)
+            got = list(weights.values())
+        assert got == want and len(weights.values()) == len(want)
+        assert all(type(w) is FieldElement and w.spec is spec for w in got)
+
+
 def test_weight_view_reads_int_str_and_element_points():
     grid = MultisetGrid.of(F7, [{1: 2, 3: 1}, {0: 1, 5: 2}])
     table = weight_table(grid)
