@@ -61,10 +61,11 @@ def _check_witness_preconditions(f: MultiPoly, grid: MultisetGrid, t: Sequence[i
     t = tuple(t)
     if len(t) != grid.arity or any(e < 0 for e in t):
         raise PreconditionError("target", f"bad target exponent {t} for arity {grid.arity}")
-    if f.total_degree() != sum(t):
-        raise PreconditionError(
-            "degree", f"deg f = {f.total_degree()} but the target needs {sum(t)}"
-        )
+    deg = f.total_degree()
+    if deg is None:
+        raise PreconditionError("degree", f"f is the zero polynomial but the target needs degree {sum(t)}")
+    if deg != sum(t):
+        raise PreconditionError("degree", f"deg f = {deg} but the target needs {sum(t)}")
     if not f.terms.get(t):
         raise PreconditionError("top-coefficient", f"coefficient of x^{t} is zero")
     bad = [i for i, d in enumerate(grid.sizes) if d <= t[i]]

@@ -45,7 +45,7 @@ from typing import Tuple
 from .errors import PreconditionError
 from .fields import FieldElement
 from .ideals import MultisetGrid, _check_poly_grid, grid_expansions
-from .polynomials import MultiPoly, _inv_series, _rows, _shift_raw, _taylor_columns
+from .polynomials import MultiPoly, _inv_series, _pack_rows, _rows, _shift_raw, _taylor_columns
 
 # most Newton-table entries divided_difference_recursive will fill: the sum
 # over the coordinates i of (prod_{j<i} d_j) * T_i, where T_i is
@@ -308,11 +308,14 @@ def _contracted_sum(f: MultiPoly, grid: MultisetGrid):
     """The raw weighted sum of f's expansion coefficients over the grid,
     contracted one coordinate at a time instead of read from a weight table:
     every weight is a product of one-coordinate weights, so the terms are
-    grouped into rows in x_i once per coordinate, and for each s in S_i the
-    rows are shifted at s inside its box, each term is multiplied by the
-    weight of (s, u_i), u_i is set to 0, and the results are summed.  That
-    takes sum_i |supp S_i| shifts instead of a walk over prod_i |supp S_i|
-    points, and the constant term left at the end is the sum."""
+    grouped into rows in x_i once per coordinate, and packed (_pack_rows)
+    when S_i has two values or more, and for each s in S_i the rows are
+    shifted at s inside its box (one dot product per Taylor column for a
+    packed row set), each term is
+    multiplied by the weight of (s, u_i), u_i is set to 0, and the results
+    are summed.  That takes sum_i |supp S_i| shifts instead of a walk over
+    prod_i |supp S_i| points, and the constant term left at the end is the
+    sum."""
     spec = f.spec
     reduce = spec._reduce
     terms = f.terms
@@ -321,9 +324,10 @@ def _contracted_sum(f: MultiPoly, grid: MultisetGrid):
             break
         top = max(u[i] for u in terms)
         rows = _rows(terms, i, top + 1)
+        packed = _pack_rows(spec, rows, len(ms._raw))
         acc = {}
         for s, w in _coordinate_weights(ms).items():
-            for u, c in _shift_raw(spec, rows, i, _taylor_columns(spec, s, top, len(w))).items():
+            for u, c in _shift_raw(spec, rows, i, _taylor_columns(spec, s, top, len(w)), packed).items():
                 if w[u[i]]:
                     v = u[:i] + (0,) + u[i + 1:]
                     acc[v] = acc.get(v, 0) + w[u[i]] * c  # reduced once below

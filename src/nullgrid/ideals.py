@@ -15,7 +15,7 @@ coefficients, and the remainder and cofactors never leave the subring
 generated by the inputs' coefficients because the generators are monic.
 Grid scans read those coefficients from grid_expansions, which walks the
 grid one coordinate at a time, so that points sharing a prefix share its
-shifts, and yields raw points and raw term maps.
+shifts and its packed rows, and yields raw points and raw term maps.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec, _short_repr, _value_text
-from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _degrees, _divmod_raw, _mul_raw, _rows, _shift_raw, _taylor_columns
+from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _degrees, _divmod_raw, _mul_raw, _pack_rows, _rows, _shift_raw, _taylor_columns
 
 
 class Multiset:
@@ -274,9 +274,13 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
 
     The box bound m_i(s_i) depends on s_i alone, so the grid is walked as a
     tree: x_{i+1} is shifted and cut once per prefix (s_1, ..., s_{i+1}), and
-    every point below that prefix shares the result.  Each prefix's shifted
-    polynomial is grouped into rows in the next variable once, and those
-    rows are shifted at every value of the next coordinate.  The Taylor
+    every point below that prefix shares the result.  f is grouped into
+    rows in x_1 once; each prefix's shift writes its shifted polynomial
+    straight into rows in the next variable, and those rows are shifted at
+    every value of the next coordinate.  A row set shifted at two values
+    or more is packed where it is built (_pack_rows), which over F_p gives
+    a set of enough rows one big-integer dot product per Taylor column at
+    each value; other sets, larger p and Q keep the per-row loop.  The Taylor
     columns of each support value of S_i, 0 included, are built once per
     walk, up to deg_{x_i} f and cut below m_i(s), and shared by every prefix
     that shifts at that value; a value of S_1 is its own prefix, so its
@@ -293,9 +297,10 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
         for ms, top in zip(grid.sets[1:], tops[1:])
     ]
     # rows[i] is f shifted in x_1..x_i at the current point's prefix,
-    # grouped into rows in x_{i+1}; shifting never raises a degree, so
-    # f's degrees size every row
+    # grouped into rows in x_{i+1}, and packs[i] its packing or None;
+    # shifting never raises a degree, so f's degrees size every row
     rows = [_rows(f.terms, 0, tops[0] + 1)] + [None] * (n - 1)
+    packs = [_pack_rows(spec, rows[0], len(grid.sets[0]._raw))] + [None] * (n - 1)
     prev = (None,) * n
     points = itertools.product(*(ms._raw for ms in grid.sets))
     for point, cells in zip(points, itertools.product(*cells_per_set)):
@@ -308,9 +313,11 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
             v, m, cols = cells[i]
             if not i:
                 cols = _taylor_columns(spec, v, tops[0], m)
-            terms = _shift_raw(spec, rows[i], i, cols)
             if i + 1 < n:
-                rows[i + 1] = _rows(terms, i + 1, tops[i + 1] + 1)
+                rows[i + 1] = _shift_raw(spec, rows[i], i, cols, packs[i], tops[i + 1] + 1)
+                packs[i + 1] = _pack_rows(spec, rows[i + 1], len(grid.sets[i + 1]._raw))
+            else:
+                terms = _shift_raw(spec, rows[i], i, cols, packs[i])
         prev = cells
         yield point, terms
 

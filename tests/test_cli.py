@@ -314,6 +314,18 @@ def test_exit_codes():
     assert code == 1 and "tight" in err
 
 
+def test_witness_for_the_zero_polynomial_names_it():
+    """The zero polynomial has no degree: the degree condition says so
+    instead of printing deg f = None."""
+    want = "error: degree: f is the zero polynomial but the target needs degree 0\n"
+    for method in ("exhaustive", "divided-difference"):
+        for extra in ([], ["--json"]):
+            argv = ["witness", "--poly", "0", "--grid-inline", GRID_F3_2D, "--t", "0,0", "--method", method]
+            assert run_cli(argv + extra) == (1, "", want)
+    argv = ["witness", "--poly", "x1 - x1", "--grid-inline", GRID_F3_2D, "--t", "1,1"]
+    assert run_cli(argv) == (1, "", "error: degree: f is the zero polynomial but the target needs degree 2\n")
+
+
 def test_malformed_field_is_an_input_error():
     sets = '"sets":[[{"value":"0","mult":1}]]'
     for field, message in (

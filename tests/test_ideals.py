@@ -392,14 +392,23 @@ def test_grid_expansions_stop_when_partly_consumed(monkeypatch):
 
 
 def _count_groupings(monkeypatch):
+    """The variable of every row set the walk builds: f's rows in x_1 come
+    from _rows, and each shift at a level above the last writes the rows
+    of the next variable itself."""
     calls = []
-    inner = ideals._rows
+    inner_rows, inner_shift = ideals._rows, ideals._shift_raw
 
-    def counting(terms, var, size):
+    def counting_rows(terms, var, size):
         calls.append(var)
-        return inner(terms, var, size)
+        return inner_rows(terms, var, size)
 
-    monkeypatch.setattr(ideals, "_rows", counting)
+    def counting_shift(spec, rows, var, cols, packed=None, size=0):
+        if size:
+            calls.append(var + 1)
+        return inner_shift(spec, rows, var, cols, packed, size)
+
+    monkeypatch.setattr(ideals, "_rows", counting_rows)
+    monkeypatch.setattr(ideals, "_shift_raw", counting_shift)
     return calls
 
 

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from nullgrid import (
     parse_poly,
 )
 from nullgrid import polynomials
+from nullgrid.fields import is_probable_prime
 from randgen import rand_element, rand_poly, rand_spec
 from oracles import (
     expansion_coefficient_oracle,
@@ -641,3 +643,106 @@ def test_inv_series_times_its_input_is_one_below_y_to_the_n(spec):
         for k in range(n):
             coeff = sum((a[j] * b[k - j] for j in range(min(k, len(a) - 1) + 1)), spec.zero)
             assert coeff == (spec.one if k == 0 else spec.zero), (a, n, k)
+
+
+# -- packed row sets ------------------------------------------------------------
+
+_MIN = polynomials._PACKED_MIN_ROWS
+_WIDTH = array(polynomials._SLOT_CODE).itemsize
+
+
+def _slot_prime(size: int, above: bool) -> int:
+    """The largest prime p with size * (p - 1)^2 in a slot, or the next
+    prime above it."""
+    p = math.isqrt(((1 << 8 * _WIDTH) - 1) // size) + 1
+    while not is_probable_prime(p) or (size * (p - 1) ** 2).bit_length() > 8 * _WIDTH:
+        p -= 1
+    if above:
+        p += 1
+        while not is_probable_prime(p):
+            p += 1
+    return p
+
+
+def _row_set(rng, spec, count: int, size: int, arity: int = 3):
+    """count rows of length size, keyed by random exponents of the other
+    arity - 1 variables below 4, with some zero entries and a zero row; over
+    F_p also rows of p - 1 only, the largest entries a slot can meet."""
+    rows = {}
+    while len(rows) < count:
+        rest = tuple(rng.randrange(4) for _ in range(arity - 1))
+        kind = rng.random()
+        if kind < 0.1 and spec.p:
+            row = [spec.p - 1] * size
+        elif kind < 0.15:
+            row = [0] * size
+        else:
+            row = [0 if rng.random() < 0.3 else rand_element(rng, spec).value for _ in range(size)]
+        rows.setdefault(rest, row)
+    return rows
+
+
+def _both_shifts(spec, rows, var, cols, packed, size=0):
+    """The per-row and the packed shift, as lists of items in insertion order."""
+    per_row = polynomials._shift_raw(spec, rows, var, cols, None, size)
+    together = polynomials._shift_raw(spec, rows, var, cols, packed, size)
+    return list(per_row.items()), list(together.items())
+
+
+_PACKED_FIELDS = [
+    (F2, True),
+    (FieldSpec.prime(3), True),
+    (FieldSpec.prime(101), True),
+    (FieldSpec.prime(10007), True),
+    (FieldSpec.prime(_slot_prime(10, above=False)), True),
+    (FieldSpec.prime(_slot_prime(10, above=True)), False),
+    (FieldSpec.prime(2**61 - 1), False),
+    (Q, False),
+]
+
+
+@pytest.mark.parametrize("spec, packs", _PACKED_FIELDS, ids=lambda v: str(v))
+def test_packed_and_per_row_shifts_agree(spec, packs):
+    """Both paths give the same terms in the same order, rows first, then j,
+    and, asked for rows of the next variable, the same rows in the order
+    _rows gives them.  Row sets of rows of length 10 shifted at two values
+    or more pack from _PACKED_MIN_ROWS rows up over the largest p whose
+    10 * (p - 1)^2 fits a slot, while the next prime above it, 2^61 - 1 and
+    Q keep the per-row loop, as does a set shifted at one value.  Over F_2
+    and F_3 the rows' degree reaches p."""
+    rng = random.Random(89)
+    size = 10
+    for count in (1, _MIN - 1, _MIN, _MIN + 1, 3 * _MIN):
+        for _ in range(6):
+            rows = _row_set(rng, spec, count, size)
+            assert polynomials._pack_rows(spec, rows, 1) is None
+            packed = polynomials._pack_rows(spec, rows, 2)
+            if not packs or count < _MIN:
+                assert packed is None
+            else:
+                assert len(packed) == size
+            # the rows are in x_{var+1}; var = 2 is the last of three variables
+            for var in (0, 1, 2):
+                s = rand_element(rng, spec).value if rng.random() < 0.8 else 0
+                cols = polynomials._taylor_columns(spec, s, size - 1, rng.randint(1, size))
+                per_row, together = _both_shifts(spec, rows, var, cols, packed)
+                assert per_row == together, (spec, count, var, s)
+                if var < 2:
+                    want = polynomials._rows(dict(per_row), var + 1, 4)
+                    per_row, together = _both_shifts(spec, rows, var, cols, packed, 4)
+                    assert per_row == together == list(want.items()), (spec, count, var, s)
+
+
+def test_packed_slots_hold_the_largest_dot_product():
+    """At the largest p whose 10 * (p - 1)^2 fits a slot, a column of p - 1
+    against rows of p - 1 fills each slot to 10 * (p - 1)^2 with no carry
+    into the next; the next prime above it is not packed."""
+    for p, packs in ((_slot_prime(10, above=False), True), (_slot_prime(10, above=True), False)):
+        spec = FieldSpec.prime(p)
+        rows = {(k,): [p - 1] * 10 for k in range(_MIN + 1)}
+        packed = polynomials._pack_rows(spec, rows, 2)
+        if not packs:
+            assert packed is None
+            continue
+        (values,) = zip(*polynomials._packed_dots(spec, packed, len(rows), [[p - 1] * 10]))
+        assert list(values) == [10 * (p - 1) ** 2 % p] * len(rows)

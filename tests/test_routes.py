@@ -133,6 +133,8 @@ def test_graph_sees_the_calls_it_should():
     assert "polynomials._shift_raw" in _reach("ideals.grid_expansions")
     assert "polynomials._taylor_columns" in _reach("ideals.grid_expansions")
     assert "polynomials._rows" in _reach("ideals.grid_expansions")
+    assert "polynomials._pack_rows" in _reach("ideals.grid_expansions")
+    assert "polynomials._packed_dots" in _reach("ideals.grid_expansions")
     assert "polynomials._divmod_raw" in _reach("ideals.reduce_poly")
     assert "ideals.Multiset._generator_raw" in _reach("ideals.reduce_poly")
     assert "divdiff._coordinate_weights" in _reach("divdiff.weight_table")
@@ -140,6 +142,8 @@ def test_graph_sees_the_calls_it_should():
     assert "ideals.Multiset._generator_raw" in _reach("divdiff.divided_difference")
     assert "polynomials._shift_raw" in _reach("divdiff._contracted_sum")
     assert "polynomials._rows" in _reach("divdiff._contracted_sum")
+    assert "polynomials._pack_rows" in _reach("divdiff._contracted_sum")
+    assert "polynomials._packed_dots" in _reach("divdiff._contracted_sum")
     assert "divdiff._coordinate_weights" in _reach("divdiff._contracted_sum")
     assert "polynomials.MultiPoly.__mul__" in _reach("polynomials._Parser.term")
     assert "polynomials._inv_series" in _reach("divdiff.divided_difference")
@@ -160,6 +164,8 @@ def test_definitional_bracket_stays_off_the_expansions_and_the_weights():
             "ideals.grid_expansions",
             "polynomials._shift_raw",
             "polynomials._rows",
+            "polynomials._pack_rows",
+            "polynomials._packed_dots",
             "divdiff.weight_table",
             "divdiff._coordinate_weights",
             "divdiff.divided_difference_recursive",
@@ -195,6 +201,8 @@ def test_expansions_and_reduction_stay_apart():
         "ideals.grid_expansions",
         "polynomials._shift_raw",
         "polynomials._rows",
+        "polynomials._pack_rows",
+        "polynomials._packed_dots",
         "polynomials._taylor_columns",
     ]
     reduction = ["polynomials._divmod_raw", "ideals.reduce_poly", "ideals.Multiset._generator_raw"]
@@ -209,6 +217,8 @@ def test_series_inverse_stays_off_the_expansions_and_the_division():
         [
             "polynomials._shift_raw",
             "polynomials._rows",
+            "polynomials._pack_rows",
+            "polynomials._packed_dots",
             "polynomials._taylor_columns",
             "polynomials._divmod_raw",
             "ideals.grid_expansions",
