@@ -3,12 +3,15 @@ hyperplane coverings of multiset grids, the Cauchy-Davenport sumset bound,
 Sun's value-set bound for power-sum polynomials, and the Eliahou-Kervaire
 bound through Hopf-Stiefel numbers.
 
-These are verification tools: value sets and covers enumerate the full grid
-(a value set evaluates every point with MultiPoly.evaluate's loop, from
-power rows built once per support value; a cover counts its hits per
-zero-set class of planes, not plane by plane), and the bound checkers
-surface both sides as data so exhaustive suites can assert the
-inequalities rather than trust them.
+These are verification tools: value sets and covers enumerate the full grid,
+and the bound checkers surface both sides as data so exhaustive suites can
+assert the inequalities rather than trust them.  The per-coordinate work of
+a scan is done once per support value, and each point costs one C-level sum
+over a product of per-coordinate tables: a value set tabulates its terms in
+one variable and evaluates only its terms in two or more at every point,
+with MultiPoly.evaluate's loop; a cover counts its hits per zero-set class
+of planes, and an axis-parallel class is one entry of one coordinate's
+table.
 
 Sumsets, value sets, covers and the enumerators work on raw canonical
 values, as the kernels do: they read a Multiset's raw map and build their
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
@@ -150,12 +154,17 @@ def verify_cover(hyperplanes: Sequence[Hyperplane], grid: MultisetGrid) -> Cover
     """Count, for every nonzero grid point, the hyperplanes vanishing there;
     each point s needs at least |m(s)| - n + 1 hits and the origin none.
 
-    Hits are counted per zero-set class, not per plane.  Planes with equal
-    direction keys share a zero set, and planes whose keys share the
-    normalized normal (c1..cn) vanish at s exactly when c1*s1 + ... + cn*sn
-    equals minus their constant.  So each point costs one sum per normal
-    class, of terms read from per-coordinate tables, and one lookup in that
-    class's {-constant: planes} count."""
+    Hits are counted per zero-set class, not per plane: planes with equal
+    direction keys share a zero set.  A class whose normalized normal is
+    the unit vector e_i (an axis-parallel class, as every plane of
+    extremal_cover) vanishes exactly where s_i equals minus its constant,
+    so its count goes into coordinate i's table at that value, and the
+    axis-parallel hits of a point are one sum of a table entry per
+    coordinate.  The other classes are grouped by normal (c1..cn): such a
+    class vanishes at s exactly when c1*s1 + ... + cn*sn equals minus its
+    constant, so each normal costs one reduced sum per point and one lookup
+    in its {-constant: planes} count.  Every per-point count is a C-level
+    map over a product of per-coordinate rows, in grid.points() order."""
     _check_cover_hypothesis(grid)
     n = grid.arity
     for h in hyperplanes:
@@ -164,37 +173,34 @@ def verify_cover(hyperplanes: Sequence[Hyperplane], grid: MultisetGrid) -> Cover
         if h.spec != grid.spec:
             raise FieldMismatchError("hyperplane and grid fields differ")
     spec = grid.spec
+    reduce = spec._reduce
     groups: Dict[tuple, List[int]] = {}
     for i, h in enumerate(hyperplanes):
         groups.setdefault(h._key, []).append(i)
-    classes: Dict[tuple, Dict[object, int]] = {}
+    # tables[i][s]: the planes of the axis-parallel classes x_i = s
+    tables = [dict.fromkeys(ms._raw, 0) for ms in grid.sets]
+    oblique: Dict[tuple, Dict[object, int]] = {}
     for key, members in groups.items():
-        classes.setdefault(key[1:], {})[spec._reduce(-key[0])] = len(members)
+        normal, s = key[1:], reduce(-key[0])
+        if normal.count(0) == n - 1:  # the planes x_i = s
+            table = tables[normal.index(1)]
+            if s in table:
+                table[s] += len(members)
+        else:
+            oblique.setdefault(normal, {})[s] = len(members)
     supports = [list(ms._raw) for ms in grid.sets]
-    # per normal class, the terms c_i * s_i of each point, in grid.points()
-    # order; their sum is reduced once per point
-    term_streams = [
-        itertools.product(*([c * s for s in supp] for c, supp in zip(normal, supports)))
-        for normal in classes
+    streams = [map(sum, itertools.product(*(t.values() for t in tables)))] + [
+        map(hits.get, map(reduce, map(sum, itertools.product(
+            *([c * s for s in supp] for c, supp in zip(normal, supports))
+        ))), itertools.repeat(0))
+        for normal, hits in oblique.items()
     ]
-    origin_at = 0
-    for supp in supports:
-        origin_at = origin_at * len(supp) + supp.index(0)
-    reduce = spec._reduce
-    per_point = {}
-    undercovered = []
-    for at, point, mults, *terms in zip(
-        itertools.count(), grid.points(), grid.multiplicity_vectors(), *term_streams
-    ):
-        if at == origin_at:
-            continue
-        required = sum(mults) - n + 1
-        achieved = 0
-        for hits, t in zip(classes.values(), terms):
-            achieved += hits.get(reduce(sum(t)), 0)
-        per_point[point] = (required, achieved)
-        if achieved < required:
-            undercovered.append(point)
+    achieved = streams[0] if len(streams) == 1 else map(sum, zip(*streams))
+    required = map(sum, grid.multiplicity_vectors(), itertools.repeat(1 - n))
+    per_point = dict(zip(grid.points(), zip(required, achieved)))
+    origin = tuple(ms.support[supp.index(0)] for ms, supp in zip(grid.sets, supports))
+    del per_point[origin]
+    undercovered = [point for point, (r, a) in per_point.items() if a < r]
     origin_covered = any(not key[0] for key in groups)
     if origin_covered:
         verdict = "origin_violated"
@@ -279,24 +285,46 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
     largest sum(m_i(s_i)) - n + 1 over grid points s with f(s) = c.
 
     Cost is the full product of the supports; these checkers enumerate, they
-    do not solve.  Each support value's power row is built once, and every
-    point is evaluated from its coordinates' rows by the one evaluation loop
-    of MultiPoly.evaluate.
+    do not solve.  The terms in at most one variable (the constant counts
+    as x_1's) are tabulated per coordinate: table i holds, at every value of
+    S_i, the reduced sum of x_i's terms there, each power taken by pow
+    (modulo p over F_p).  A point's value is then one C-level sum of a
+    table entry per coordinate.  Only terms in two or more variables are
+    evaluated at every point, by MultiPoly.evaluate's loop from power rows
+    as long as their own degrees.  The points stream: one value and one
+    multiplicity sum at a time, besides the result.
     """
     _check_poly_grid(f, grid)
     spec = grid.spec
     reduce = spec._reduce
     n = grid.arity
-    row_sets = [
-        [_powers(spec, s, top) for s in ms._raw]
-        for ms, top in zip(grid.sets, _degrees(f.terms, n))
+    # terms[i]: the (exponent, coefficient) pairs of the terms in x_i alone
+    terms = [[] for _ in range(n)]
+    mixed = {}
+    for u, c in f.terms.items():
+        if u.count(0) < n - 1:
+            mixed[u] = c
+        else:
+            e = sum(u)
+            terms[u.index(e)].append((e, c))  # index 0 for the constant
+    mod = spec.p or None
+    tables = [
+        [reduce(sum([c * pow(s, e, mod) for e, c in pairs])) for s in ms._raw]
+        for ms, pairs in zip(grid.sets, terms)
     ]
+    values = map(sum, itertools.product(*tables))
+    if mixed:
+        row_sets = [
+            [_powers(spec, s, top) for s in ms._raw]
+            for ms, top in zip(grid.sets, _degrees(mixed, n))
+        ]
+        mixed_values = map(_evaluate_raw, itertools.repeat(mixed), itertools.product(*row_sets))
+        values = map(add, values, mixed_values)
     best: Dict[object, int] = {}
-    for rows, mults in zip(itertools.product(*row_sets), grid.multiplicity_vectors()):
-        acc = reduce(_evaluate_raw(f.terms, rows))
-        m = sum(mults) - n + 1
-        if best.get(acc, 0) < m:
-            best[acc] = m
+    mults = map(sum, grid.multiplicity_vectors(), itertools.repeat(1 - n))
+    for value, m in zip(map(reduce, values), mults):
+        if best.get(value, 0) < m:
+            best[value] = m
     return Multiset._from_raw(spec, best)
 
 

@@ -282,20 +282,20 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
     a set of enough rows one big-integer dot product per Taylor column at
     each value; other sets, larger p and Q keep the per-row loop.  The Taylor
     columns of each support value of S_i, 0 included, are built once per
-    walk, up to deg_{x_i} f and cut below m_i(s), and shared by every prefix
-    that shifts at that value; a value of S_1 is its own prefix, so its
-    columns are built when the walk reaches it and freed when it moves on.
+    walk, up to deg_{x_i} f and cut below m_i(s), when the walk first
+    reaches that value, and shared by every later prefix that shifts there,
+    so a scan that stops early builds only the columns it used; a value of
+    S_1 is its own prefix, so its columns are freed when the walk moves on.
     The terms are MultiPoly.shift's, in its order.  The walk is a loop, not
     a recursion, so the arity is not bounded by the recursion limit."""
     _check_poly_grid(f, grid)
     spec, n = f.spec, grid.arity
     tops = _degrees(f.terms, n)
-    # a cell (value, m, its Taylor columns) per support value, read by every
-    # prefix that shifts there; S_1's hold None, the walk builds those itself
-    cells_per_set = [tuple((v, m, None) for v, m in grid.sets[0]._raw.items())] + [
-        tuple((v, m, _taylor_columns(spec, v, top, m)) for v, m in ms._raw.items())
-        for ms, top in zip(grid.sets[1:], tops[1:])
-    ]
+    # a cell [value, m, its Taylor columns] per support value, read by every
+    # prefix that shifts there; the columns are built when the walk first
+    # reaches the value and kept, but S_1's cells keep None, since each of
+    # its values is one prefix
+    cells_per_set = [[[v, m, None] for v, m in ms._raw.items()] for ms in grid.sets]
     # rows[i] is f shifted in x_1..x_i at the current point's prefix,
     # grouped into rows in x_{i+1}, and packs[i] its packing or None;
     # shifting never raises a degree, so f's degrees size every row
@@ -310,9 +310,12 @@ def grid_expansions(f: MultiPoly, grid: MultisetGrid):
         while cells[depth] is prev[depth]:
             depth += 1
         for i in range(depth, n):
-            v, m, cols = cells[i]
-            if not i:
-                cols = _taylor_columns(spec, v, tops[0], m)
+            cell = cells[i]
+            v, m, cols = cell
+            if cols is None:
+                cols = _taylor_columns(spec, v, tops[i], m)
+                if i:
+                    cell[2] = cols
             if i + 1 < n:
                 rows[i + 1] = _shift_raw(spec, rows[i], i, cols, packs[i], tops[i + 1] + 1)
                 packs[i + 1] = _pack_rows(spec, rows[i + 1], len(grid.sets[i + 1]._raw))

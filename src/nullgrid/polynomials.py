@@ -10,8 +10,9 @@ None, a real sentinel rather than -1, so degree-bound checks stay honest
 when a cofactor vanishes.
 
 A point is evaluated by one loop, _evaluate_raw, from one power row per
-coordinate (_powers); evaluate() and the value sets of applications both
-call it, and the same power row is column 0 of the Taylor columns.
+coordinate (_powers); evaluate() calls it, as do the value sets of
+applications for their terms in two or more variables, and the same power
+row is column 0 of the Taylor columns.
 
 The parser caps every variable's degree and works on raw term maps, too: a
 sum folds each summand into one accumulator, so a sum of T monomials parses

@@ -375,6 +375,14 @@ def test_grid_expansions_build_first_coordinate_columns_as_they_go():
 
 def test_grid_expansions_stop_when_partly_consumed(monkeypatch):
     calls = _count_shifts(monkeypatch)
+    builds = []
+    inner = ideals._taylor_columns
+
+    def counting(spec, point, top, box):
+        builds.append(point)
+        return inner(spec, point, top, box)
+
+    monkeypatch.setattr(ideals, "_taylor_columns", counting)
     grid = MultisetGrid.of(F5, [{0: 1, 1: 1, 2: 1}, {0: 2, 3: 1}, {1: 1, 4: 2}])
     f = parse_poly("(x1 + x2 + 2*x3 + 1)^4", 3, F5)
     walk = grid_expansions(f, grid)
@@ -385,10 +393,13 @@ def test_grid_expansions_stop_when_partly_consumed(monkeypatch):
 
     first = step()
     assert first[0] == next(grid.points()) and calls == [0, 1, 2]
+    assert builds == [0, 0, 1]  # the columns of the values the first point reads
     second = step()
     assert second[1] == (1, 2, 2) and calls == [0, 1, 2, 2]
+    assert builds == [0, 0, 1, 4]
     walk.close()
     assert len(calls) == 4  # the full walk would shift 3 + 6 + 12 times
+    assert len(builds) == 4  # and build the columns of all 7 support values
 
 
 def _count_groupings(monkeypatch):

@@ -3,7 +3,10 @@
 Every view, count, comparison, hash and text is checked against a reference
 keyed by FieldElement and built here from the same inputs; the sumset, the
 value set and the cover report are checked against rules written in the test
-or in tests/oracles.py.  The last tests pin the raw path itself: the
+or in tests/oracles.py, on both sides of their split between per-coordinate
+tables and per-point work: one-variable terms and axis-parallel planes go
+to the tables, everything else is evaluated at each point, and each side is
+counted.  The last tests pin the raw path itself: the
 kernels and the constructors that read inputs build no FieldElement, the grid
 walk builds no FieldElement and no MultiPoly, and a plane listed m times is
 normalised once.
@@ -30,6 +33,7 @@ from nullgrid import (
     value_set,
     verify_cover,
 )
+from nullgrid import applications
 from nullgrid.certificates import find_witness
 from nullgrid.divdiff import divided_difference_recursive
 from randgen import rand_poly
@@ -201,6 +205,131 @@ def test_extremal_cover_reports_as_the_oracle_does():
             got, want = verify_cover(planes, grid), cover_report_oracle(planes, grid)
             assert got == want and list(got.per_point.items()) == list(want.per_point.items())
             assert got.verdict == "valid_cover" and got.k == got.bound
+
+
+def _rand_scalar(rng, spec):
+    """A nonzero field value, fractional over Q."""
+    if spec.p:
+        return rng.randrange(1, spec.p)
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+
+
+def _mixed_planes(rng, grid):
+    """Planes of every kind verify_cover tells apart: axis-parallel ones at
+    values of S_i and at values outside it, with any scaling; oblique ones;
+    some through the origin; and scaled copies of planes already drawn."""
+    spec, n = grid.spec, grid.arity
+    planes = []
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.random()
+        if planes and kind < 0.25:
+            h = rng.choice(planes)  # the same plane, or a proportional one
+            scale = rng.choice([1, _rand_scalar(rng, spec)])
+            planes.append(Hyperplane(spec, [spec.element(c) * scale for c in h.coeffs]))
+            continue
+        normal = [0] * n
+        if n == 1 or kind < 0.65:
+            i = rng.randrange(n)
+            normal[i] = _rand_scalar(rng, spec)
+            nonzero = [v for v in grid.sets[i].support if not v.is_zero()]
+            pick = rng.random()
+            if nonzero and pick < 0.6:
+                value = rng.choice(nonzero)
+            else:  # through the origin, or at a value that may lie outside S_i
+                value = spec.element(0 if pick < 0.75 else _rand_value(rng, spec))
+            constant = -value * normal[i]
+        else:
+            for i in rng.sample(range(n), rng.randint(2, n)):
+                normal[i] = _rand_scalar(rng, spec)
+            constant = spec.element(0 if rng.random() < 0.2 else _rand_value(rng, spec))
+        planes.append(Hyperplane(spec, [constant] + normal))
+    return planes
+
+
+def test_covers_of_mixed_planes_report_as_the_oracle_does():
+    rng = random.Random(1015)
+    for spec in (F2, F3, F7, Q):
+        for _ in range(60):
+            grid = _rand_grid(rng, spec, rng.randint(1, 3), zero=True)
+            planes = _mixed_planes(rng, grid)
+            if rng.random() < 0.3:
+                planes += extremal_cover(grid)
+                rng.shuffle(planes)
+            got, want = verify_cover(planes, grid), cover_report_oracle(planes, grid)
+            assert list(got.per_point.items()) == list(want.per_point.items()), (grid, planes)
+            assert got.undercovered_points == want.undercovered_points
+            assert (got.verdict, got.origin_covered) == (want.verdict, want.origin_covered)
+            assert got.proportional_pairs == want.proportional_pairs
+            assert got == want
+
+
+def _rand_terms(rng, spec, n, kind):
+    """A term map of one kind: terms in one variable, terms in two or more,
+    a constant, or both kinds; exponents reach past p over F_2 and F_3."""
+    top = 2 * spec.p + 2 if spec.p in (2, 3) else 4
+    terms = {}
+    if kind == "constant":
+        return {(0,) * n: _rand_scalar(rng, spec)}
+    for _ in range(rng.randint(1, 5)):
+        u = [0] * n
+        if kind == "mixed" or (kind == "both" and n > 1 and rng.random() < 0.5):
+            for i in rng.sample(range(n), rng.randint(2, n)):
+                u[i] = rng.randint(1, top)
+        else:
+            u[rng.randrange(n)] = rng.randint(0, top)
+        terms[tuple(u)] = _rand_scalar(rng, spec)
+    return terms
+
+
+def test_value_sets_of_every_term_split_match_the_enumeration_oracle():
+    rng = random.Random(1016)
+    for spec in (F2, F3, F7, Q):
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            grid = _rand_grid(rng, spec, n)
+            kinds = ["one-variable", "constant", "zero", "both"] + (["mixed"] if n > 1 else [])
+            kind = rng.choice(kinds)
+            f = MultiPoly.zero(n, spec) if kind == "zero" else MultiPoly(n, spec, _rand_terms(rng, spec, n, kind))
+            got, want = value_set(f, grid), value_set_oracle(f, grid)
+            assert list(got.entries.items()) == list(want.entries.items()), (kind, grid, f)
+
+
+def test_value_set_evaluates_point_by_point_only_the_mixed_terms(monkeypatch):
+    evaluated = []
+    inner = applications._evaluate_raw
+
+    def counting(terms, rows):
+        evaluated.append(terms)
+        return inner(terms, rows)
+
+    monkeypatch.setattr(applications, "_evaluate_raw", counting)
+    for spec in (F3, F7, Q):
+        grid = MultisetGrid.of(spec, [{0: 1, 1: 2, 2: 1}, {1: 3, 2: 1}, {0: 2, 2: 1}])
+        separable = MultiPoly(3, spec, {(4, 0, 0): 1, (0, 2, 0): 2, (0, 0, 1): 1, (0, 0, 0): 1})
+        evaluated.clear()
+        assert value_set(separable, grid) == value_set_oracle(separable, grid)
+        assert evaluated == []
+        mixed = separable + MultiPoly(3, spec, {(1, 1, 0): 1})
+        assert value_set(mixed, grid) == value_set_oracle(mixed, grid)
+        assert evaluated == [{(1, 1, 0): 1}] * grid.point_count()
+
+
+def test_axis_parallel_covers_reduce_per_class_not_per_point(monkeypatch):
+    for spec in (FieldSpec.prime(23), F10007, Q):
+        grid = MultisetGrid.of(spec, [{v: 1 + v % 2 for v in range(21)}] * 2)
+        planes = extremal_cover(grid) + [Hyperplane(spec, [-3, 0, 2])] * 2
+        reduced = []
+        inner = FieldSpec._reduce
+
+        def counting(self, v):
+            reduced.append(v)
+            return inner(self, v)
+
+        monkeypatch.setattr(FieldSpec, "_reduce", counting)
+        report = verify_cover(planes, grid)
+        monkeypatch.undo()
+        assert report.verdict == "valid_cover" and len(report.per_point) == 440
+        assert len(reduced) < grid.point_count()
 
 
 def _count_element_inits(monkeypatch):
