@@ -307,9 +307,8 @@ def value_set(f: MultiPoly, grid: MultisetGrid) -> Multiset:
         else:
             e = sum(u)
             terms[u.index(e)].append((e, c))  # index 0 for the constant
-    mod = spec.p or None
     tables = [
-        [reduce(sum([c * pow(s, e, mod) for e, c in pairs])) for s in ms._raw]
+        [reduce(sum([c * pow(s, e, spec.p) for e, c in pairs])) for s in ms._raw]
         for ms, pairs in zip(grid.sets, terms)
     ]
     values = map(sum, itertools.product(*tables))

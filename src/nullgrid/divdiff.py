@@ -26,8 +26,11 @@ weights at the maximal exponents are the inverted heads prod (s - s')^m(s'),
 never zero, which powers the witness search.  The table holds raw values.
 
 The top-coefficient identity checks the bracket against the weighted sum of
-expansion coefficients, contracted one coordinate at a time.  The
-divided-difference witness search sums it over one ideals.grid_expansions
+expansion coefficients, contracted to one row per coordinate: entry e of
+coordinate i's row is the weighted sum over S_i of the expansion
+coefficients of x_i^e, read off each element's Taylor columns, and f's terms
+are summed against products of row entries, so f itself is never shifted.
+The divided-difference witness search sums it over one ideals.grid_expansions
 walk instead, from the coordinate weights with no table, and takes the walk's
 first witness.  The Newton tables' single-point expansions come from such a
 walk too, so points that share a prefix share its shifts.
@@ -39,13 +42,13 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import prod
-from operator import getitem, itemgetter, mul
+from operator import add, getitem, itemgetter, mul
 from typing import Tuple
 
 from .errors import PreconditionError
 from .fields import FieldElement
 from .ideals import MultisetGrid, _check_poly_grid, grid_expansions
-from .polynomials import MultiPoly, _inv_series, _pack_rows, _rows, _shift_raw, _taylor_columns
+from .polynomials import MultiPoly, _inv_series, _taylor_columns
 
 # most Newton-table entries divided_difference_recursive will fill: the sum
 # over the coordinates i of (prod_{j<i} d_j) * T_i, where T_i is
@@ -234,7 +237,7 @@ def _coordinate_weights(ms) -> dict:
                 continue
             c = inv(diff)
             neg_c = reduce(-c)
-            factor, binom, power = [], 1, reduce(pow(c, big_m, p) if p else c**big_m)
+            factor, binom, power = [], 1, reduce(pow(c, big_m, p))
             for k in range(m):  # binom = C(M + k - 1, k), power = c^M * (-c)^k
                 factor.append(reduce(binom * power))
                 binom = binom * (big_m + k) // (k + 1)
@@ -306,39 +309,32 @@ def _weighted_sum(f: MultiPoly, grid: MultisetGrid):
 
 def _contracted_sum(f: MultiPoly, grid: MultisetGrid):
     """The raw weighted sum of f's expansion coefficients over the grid,
-    contracted one coordinate at a time instead of read from a weight table:
-    every weight is a product of one-coordinate weights, so the terms are
-    grouped into rows in x_i once per coordinate, and packed (_pack_rows)
-    when S_i has two values or more, and for each s in S_i the rows are
-    shifted at s inside its box (one dot product per Taylor column for a
-    packed row set), each term is
-    multiplied by the weight of (s, u_i), u_i is set to 0, and the results
-    are summed.  That takes sum_i |supp S_i| shifts instead of a walk over
-    prod_i |supp S_i| points, and the constant term left at the end is the
-    sum."""
+    contracted one coordinate at a time instead of read from a weight table.
+    A weight and an expansion coefficient of x^u are both products over the
+    coordinates, so the sum is the sum over the terms c x^u of f of c times
+    the product over i of K_i[u_i], where K_i[e] is the weighted sum over
+    S_i of the expansion coefficients of x_i^e: K_i[j + k] gathers
+    w[j] * taylor_j[k] for each s in S_i, with its weights w and its Taylor
+    columns up to x_i's largest exponent in f.  That takes one set of Taylor
+    columns per support value and never shifts f.  K_i is reduced once, and
+    the products are one chain of maps over f's exponent columns."""
     spec = f.spec
-    reduce = spec._reduce
-    terms = f.terms
-    for i, ms in enumerate(grid.sets):
-        if not terms:
-            break
-        top = max(u[i] for u in terms)
-        rows = _rows(terms, i, top + 1)
-        packed = _pack_rows(spec, rows, len(ms._raw))
-        acc = {}
+    products = f.terms.values()
+    for ms, col in zip(grid.sets, zip(*f.terms)):
+        top = max(col)
+        row = [0] * (top + 1)
         for s, w in _coordinate_weights(ms).items():
-            for u, c in _shift_raw(spec, rows, i, _taylor_columns(spec, s, top, len(w)), packed).items():
-                if w[u[i]]:
-                    v = u[:i] + (0,) + u[i + 1:]
-                    acc[v] = acc.get(v, 0) + w[u[i]] * c  # reduced once below
-        terms = {u: r for u, c in acc.items() if (r := reduce(c))}
-    return terms.get((0,) * grid.arity, 0)
+            for j, (wj, taylor) in enumerate(zip(w, _taylor_columns(spec, s, top, len(w)))):
+                row[j:] = map(add, row[j:], map(mul, repeat(wj), taylor))
+        products = map(mul, products, map(list(map(spec._reduce, row)).__getitem__, col))
+    return spec._reduce(sum(products))
 
 
 def top_coefficient_identity_holds(f: MultiPoly, grid: MultisetGrid) -> bool:
     """For deg f at most the sum of (d_i - 1), the coefficient of the largest
     standard monomial must equal the weighted sum of f's expansion
-    coefficients over the grid, contracted one coordinate at a time
+    coefficients over the grid, summed over f's terms against one row per
+    coordinate of weighted one-variable expansion coefficients
     (_contracted_sum)."""
     _check_poly_grid(f, grid)
     t = grid.top_exponent

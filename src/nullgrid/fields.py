@@ -251,9 +251,7 @@ class FieldElement:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         spec = self.spec
-        if spec.p:
-            return FieldElement(pow(self.value, e, spec.p), spec)
-        return FieldElement(spec._reduce(self.value**e), spec)
+        return FieldElement(spec._reduce(pow(self.value, e, spec.p)), spec)  # p is None over Q
 
     def inv(self) -> "FieldElement":
         return FieldElement(self.spec._inv(self.value), self.spec)

@@ -438,59 +438,62 @@ def test_contraction_matches_the_table_sum():
     the witness search sums it over one walk with per-coordinate weight
     rows; the entry-by-entry sum over the materialized table is the
     reference.  All equal the bracket for every f, so degrees run past the
-    identity's admissible total too."""
+    identity's admissible total too.  Every monomial x1^e with e <= 2 * d on
+    one-coordinate grids over F_2 and F_3 with multiplicities at least p,
+    and over Q at fractional values, checks the contraction's row for the
+    coordinate entry by entry."""
     rng = random.Random(53)
+    cases = []
     for trial in range(40):
         spec = Q if trial % 4 == 0 else rand_spec(rng, primes=(2, 3, 7, 101, 10007))
         n = rng.randint(1, 3)
         grid = rand_grid(rng, spec, n, max_size=5)
         if trial == 1:
-            f = MultiPoly.zero(n, spec)
+            cases.append((grid, MultiPoly.zero(n, spec)))
         else:
-            f = rand_poly(rng, spec, n, max_deg=rng.randint(0, 2 * sum(grid.sizes)))
+            cases.append((grid, rand_poly(rng, spec, n, max_deg=rng.randint(0, 2 * sum(grid.sizes)))))
+    for grid in (
+        MultisetGrid.of(F2, [{0: 2, 1: 3}]),
+        MultisetGrid.of(FieldSpec.prime(3), [{0: 3, 1: 4, 2: 1}]),
+        MultisetGrid.of(Q, [{Fraction(1, 2): 2, Fraction(-2, 3): 3, 5: 1}]),
+    ):
+        cases += [(grid, MultiPoly.monomial(1, grid.spec, (e,))) for e in range(2 * grid.sizes[0] + 1)]
+    for grid, f in cases:
+        spec = grid.spec
         expected = _contracted_sum(f, grid)
         assert _weighted_sum(f, grid)[0] == expected, (grid, f)
         assert spec.element(expected) == _table_sum(f, grid, weight_table(grid).weights), (grid, f)
         assert spec.element(expected) == divided_difference(f, grid)
 
 
-def test_contraction_groups_once_per_coordinate(monkeypatch):
-    """_contracted_sum groups its terms into rows once per coordinate that
-    it reaches, and shifts those rows at every support value of it."""
-    from nullgrid import divdiff
+def test_contraction_builds_taylor_columns_once_per_support_value(monkeypatch):
+    """_contracted_sum builds one set of Taylor columns per support value
+    of each coordinate, in order, and never groups or shifts f's terms."""
+    from nullgrid import ideals, polynomials
 
-    groups, shifts = [], []
-    inner_rows, inner_shift = divdiff._rows, divdiff._shift_raw
+    calls = []
+    inner = divdiff._taylor_columns
 
-    def counting_rows(terms, var, size):
-        groups.append(var)
-        return inner_rows(terms, var, size)
+    def counting(spec, point, top, box):
+        calls.append(point)
+        return inner(spec, point, top, box)
 
-    def counting_shift(spec, rows, var, *rest):
-        shifts.append(var)
-        return inner_shift(spec, rows, var, *rest)
+    def refused(*args):
+        raise AssertionError("the contraction groups or shifts f")
 
-    monkeypatch.setattr(divdiff, "_rows", counting_rows)
-    monkeypatch.setattr(divdiff, "_shift_raw", counting_shift)
+    monkeypatch.setattr(divdiff, "_taylor_columns", counting)
+    for module in (divdiff, ideals, polynomials):
+        for name in ("_rows", "_shift_raw"):
+            monkeypatch.setattr(module, name, refused, raising=False)
     rng = random.Random(79)
     for trial in range(40):
         spec = Q if trial % 4 == 0 else rand_spec(rng, primes=(2, 3, 7, 101))
         n = rng.randint(1, 3)
         grid = rand_grid(rng, spec, n, max_size=5)
         f = rand_poly(rng, spec, n, max_deg=rng.randint(0, 2 * sum(grid.sizes)))
-        groups.clear()
-        shifts.clear()
+        calls.clear()
         _contracted_sum(f, grid)
-        reached = len(groups)
-        assert groups == list(range(reached))
-        assert shifts == [i for i, ms in enumerate(grid.sets[:reached]) for _ in ms.support]
-    # f = g_1 * x2 has no expansion coefficient inside any box of S_1, so
-    # the contraction stops after coordinate 0
-    grid = MultisetGrid.of(F7, [{1: 2, 3: 1}, {0: 1, 2: 1}])
-    g1, _ = grid.generators()
-    groups.clear()
-    assert _contracted_sum(g1 * parse_poly("x2", 2, F7), grid) == 0
-    assert groups == [0]
+        assert calls == [s for ms in grid.sets for s in ms._raw]
 
 
 def test_single_entry_perturbation_is_detected():

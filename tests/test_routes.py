@@ -140,10 +140,7 @@ def test_graph_sees_the_calls_it_should():
     assert "divdiff._coordinate_weights" in _reach("divdiff.weight_table")
     assert "ideals.grid_expansions" in _reach("divdiff.divided_difference_recursive")
     assert "ideals.Multiset._generator_raw" in _reach("divdiff.divided_difference")
-    assert "polynomials._shift_raw" in _reach("divdiff._contracted_sum")
-    assert "polynomials._rows" in _reach("divdiff._contracted_sum")
-    assert "polynomials._pack_rows" in _reach("divdiff._contracted_sum")
-    assert "polynomials._packed_dots" in _reach("divdiff._contracted_sum")
+    assert "polynomials._taylor_columns" in _reach("divdiff._contracted_sum")
     assert "divdiff._coordinate_weights" in _reach("divdiff._contracted_sum")
     assert "polynomials.MultiPoly.__mul__" in _reach("polynomials._Parser.term")
     assert "polynomials._inv_series" in _reach("divdiff.divided_difference")
@@ -166,6 +163,7 @@ def test_definitional_bracket_stays_off_the_expansions_and_the_weights():
             "polynomials._rows",
             "polynomials._pack_rows",
             "polynomials._packed_dots",
+            "polynomials._taylor_columns",
             "divdiff.weight_table",
             "divdiff._coordinate_weights",
             "divdiff.divided_difference_recursive",
@@ -182,6 +180,11 @@ def test_contraction_stays_off_the_remainder_the_recursion_and_the_table():
             "polynomials._divmod_raw",
             "divdiff.divided_difference_recursive",
             "divdiff.weight_table",
+            "divdiff._bracket_row",
+            "polynomials._shift_raw",
+            "polynomials._rows",
+            "polynomials._pack_rows",
+            "polynomials._packed_dots",
         ],
     )
 
