@@ -68,21 +68,17 @@ class Hyperplane:
             raise ValueError("hyperplane needs a constant term and at least one variable")
         if not any(raw[1:]):
             raise ValueError("hyperplane normal vector is zero")
-        self._set(spec, raw)
+        inv = spec._inv(next(c for c in raw[1:] if c))
+        self.spec, self._raw, self._coeffs = spec, raw, None
+        self._key = tuple(spec._reduce(c * inv) for c in raw)
 
     @classmethod
     def _from_raw(cls, spec: FieldSpec, raw: tuple) -> "Hyperplane":
-        """The plane of canonical raw coefficients with a nonzero normal."""
+        """The plane of canonical raw coefficients whose first nonzero
+        normal entry is 1, so that they are their own direction key."""
         h = object.__new__(cls)
-        h._set(spec, raw)
+        h.spec, h._raw, h._key, h._coeffs = spec, raw, raw, None
         return h
-
-    def _set(self, spec: FieldSpec, raw: tuple):
-        inv = spec._inv(next(c for c in raw[1:] if c))
-        self.spec = spec
-        self._raw = raw
-        self._key = tuple(spec._reduce(c * inv) for c in raw)
-        self._coeffs = None
 
     @property
     def coeffs(self) -> Tuple[FieldElement, ...]:

@@ -13,9 +13,9 @@ with per-variable degrees below the multiset sizes, and decides ideal
 membership; membership can be cross-checked pointwise through expansion
 coefficients, and the remainder and cofactors never leave the subring
 generated by the inputs' coefficients because the generators are monic.
-Grid scans read those coefficients from grid_expansions, which walks the
-grid one coordinate at a time, so that points sharing a prefix share its
-shifts and its packed rows, and yields raw points and raw term maps.
+Grid scans read those coefficients from grid_expansions, the walk of
+polynomials._expansions that MultiPoly.shift runs at one point, so points
+sharing a prefix share its shifts; it yields raw points and raw term maps.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
 from .fields import FieldElement, FieldSpec, _short_repr, _value_text
-from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _degrees, _divmod_raw, _mul_raw, _pack_rows, _rows, _shift_raw, _taylor_columns
+from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _divmod_raw, _expansions, _mul_raw
 
 
 class Multiset:
@@ -267,62 +267,12 @@ def reduce_poly(f: MultiPoly, grid: MultisetGrid) -> ReductionResult:
 
 
 def grid_expansions(f: MultiPoly, grid: MultisetGrid):
-    """Yield (point, terms) for every grid point, lazily and in points()
-    order: the point as raw values, and the raw terms of f.shift(point, mv)
-    at its multiplicity vector mv, which readers iterate instead of scanning
-    the box; the walk never touches them again once it has yielded them.
-
-    The box bound m_i(s_i) depends on s_i alone, so the grid is walked as a
-    tree: x_{i+1} is shifted and cut once per prefix (s_1, ..., s_{i+1}), and
-    every point below that prefix shares the result.  f is grouped into
-    rows in x_1 once; each prefix's shift writes its shifted polynomial
-    straight into rows in the next variable, and those rows are shifted at
-    every value of the next coordinate.  A row set shifted at two values
-    or more is packed where it is built (_pack_rows), which over F_p gives
-    a set of enough rows one big-integer dot product per Taylor column at
-    each value; other sets, larger p and Q keep the per-row loop.  The Taylor
-    columns of each support value of S_i, 0 included, are built once per
-    walk, up to deg_{x_i} f and cut below m_i(s), when the walk first
-    reaches that value, and shared by every later prefix that shifts there,
-    so a scan that stops early builds only the columns it used; a value of
-    S_1 is its own prefix, so its columns are freed when the walk moves on.
-    The terms are MultiPoly.shift's, in its order.  The walk is a loop, not
-    a recursion, so the arity is not bounded by the recursion limit."""
+    """The walk of polynomials._expansions over the grid: (point, terms) for
+    every grid point in points() order, the terms of f.shift(point, mv) at
+    its multiplicity vector mv.  The walk is returned, not wrapped, so f and
+    the grid are checked when this is called, not at the first next()."""
     _check_poly_grid(f, grid)
-    spec, n = f.spec, grid.arity
-    tops = _degrees(f.terms, n)
-    # a cell [value, m, its Taylor columns] per support value, read by every
-    # prefix that shifts there; the columns are built when the walk first
-    # reaches the value and kept, but S_1's cells keep None, since each of
-    # its values is one prefix
-    cells_per_set = [[[v, m, None] for v, m in ms._raw.items()] for ms in grid.sets]
-    # rows[i] is f shifted in x_1..x_i at the current point's prefix,
-    # grouped into rows in x_{i+1}, and packs[i] its packing or None;
-    # shifting never raises a degree, so f's degrees size every row
-    rows = [_rows(f.terms, 0, tops[0] + 1)] + [None] * (n - 1)
-    packs = [_pack_rows(spec, rows[0], len(grid.sets[0]._raw))] + [None] * (n - 1)
-    prev = (None,) * n
-    points = itertools.product(*(ms._raw for ms in grid.sets))
-    for point, cells in zip(points, itertools.product(*cells_per_set)):
-        # product changes a suffix of the cells, the last one at least:
-        # reshift from its first new cell
-        depth = 0
-        while cells[depth] is prev[depth]:
-            depth += 1
-        for i in range(depth, n):
-            cell = cells[i]
-            v, m, cols = cell
-            if cols is None:
-                cols = _taylor_columns(spec, v, tops[i], m)
-                if i:
-                    cell[2] = cols
-            if i + 1 < n:
-                rows[i + 1] = _shift_raw(spec, rows[i], i, cols, packs[i], tops[i + 1] + 1)
-                packs[i + 1] = _pack_rows(spec, rows[i + 1], len(grid.sets[i + 1]._raw))
-            else:
-                terms = _shift_raw(spec, rows[i], i, cols, packs[i])
-        prev = cells
-        yield point, terms
+    return _expansions(f.spec, f.terms, [ms._raw for ms in grid.sets])
 
 
 def in_local_ideal(f: MultiPoly, point: Sequence, box: Sequence[int]) -> bool:

@@ -26,33 +26,30 @@ Coordinate shifts f(x) -> f(x + s) are the workhorse: the coefficient of x^u
 in the shifted polynomial is the expansion coefficient of f at s attached to
 (x - s)^u.  Reading those coefficients off a shift is valid in every
 characteristic, unlike the factorial-scaled derivative formula.  Callers
-usually need only the exponents below a box (a multiplicity vector), so
-shift takes an optional box and works one coordinate at a time, cutting
-each coordinate to its bound before the next is shifted.  Everything a
-coordinate's shift needs to know about its value and its bound is in one
-table, the Taylor columns (_taylor_columns), built by Pascal's rule and
-only as wide as the box; the kernel, _shift_raw, serves every value, 0
-included, where the columns make the shift a cut.  It reads the terms
-grouped into dense rows in that variable (_rows); a caller that shifts one
-polynomial at several values, as the grid walk does at each prefix, groups
-it once and shifts the same rows at each.  Over F_p such a caller also
-packs a large enough row set once (_pack_rows), the small-field
-packing of Dumas, Fousse and Salvy (J. Symbolic Comput. 46, 2011): every
-row's coefficient of x^k shares one big integer, so one dot product per
-Taylor column shifts all the rows.  The grid walk has each shift write the
-next variable's rows directly, so only f itself goes through _rows.
+usually need only the exponents below a box (a multiplicity vector), which
+one walk, _expansions, computes at every point of a product of {value:
+multiplicity} maps: one coordinate at a time, each cut to its bound before
+the next is shifted, and once per prefix of the points.  MultiPoly.shift is
+the walk at one point.  A coordinate's value and bound are all in one table,
+the Taylor columns (_taylor_columns), built by Pascal's rule and only as
+wide as the box; the kernel, _shift_raw, serves every value, 0 included,
+where the columns make the shift a cut.  It reads dense rows in that
+variable: f is grouped by _rows once, and each shift writes the next
+variable's rows.  Over F_p a large enough row set shifted at several values
+is packed once (_pack_rows), the small-field packing of Dumas, Fousse and
+Salvy (J. Symbolic Comput. 46, 2011): every row's coefficient of x^k shares
+one big integer, so one dot product per Taylor column shifts all the rows.
 
 Products and powers go through one kernel, _mul_raw.  Sparse operands are
 multiplied term pair by term pair, and a monomial times f term by term of
-f.  Dense ones -- at
-least _KRONECKER_MIN_PAIRS term pairs, and a product box with at most
-_KRONECKER_FACTOR slots per pair -- by Kronecker substitution: each operand
-is packed into one big integer, exponents as mixed-radix slot indices and
-coefficients as fixed-width slots, so the product is one big-integer
-multiplication (Karatsuba in CPython at these sizes), read back and reduced
-once per coefficient.  Power series are inverted by one kernel,
-_inv_series, which the bracket rows and the coordinate weights of divdiff
-share.
+f.  Dense ones -- at least _KRONECKER_MIN_PAIRS term pairs, and a product
+box with at most _KRONECKER_FACTOR slots per pair -- by Kronecker
+substitution: each operand is packed into one big integer, exponents as
+mixed-radix slot indices and coefficients as fixed-width slots, so the
+product is one big-integer multiplication (Karatsuba in CPython at these
+sizes), read back and reduced once per coefficient.  Power series are
+inverted by one kernel, _inv_series, which the bracket rows and the
+coordinate weights of divdiff share.
 """
 
 from __future__ import annotations
@@ -264,19 +261,16 @@ class MultiPoly:
         expansion coefficient of this polynomial at s attached to (x - s)^u.
 
         With a box, only the coefficients with u strictly below it in every
-        component are computed and kept.  The shift runs one coordinate at a
-        time, truncating as it goes, so later passes see only the rows that
-        survive the earlier boxes."""
+        component are computed and kept.  The shift is the walk of
+        _expansions at one point: one coordinate at a time, truncating as it
+        goes, so later passes see only the rows that survive the earlier boxes."""
         if box is not None and (len(box) != self.arity or any(b < 1 for b in box)):
             raise ArityMismatchError(f"box {tuple(box)} must be >= 1 in every component")
-        spec = self.spec
-        s = self._point_raw(point)
-        terms = self.terms
-        # the zero polynomial has no degrees, and no shift to run
-        for i, (si, top) in enumerate(zip(s, map(max, zip(*terms)))):
-            cols = _taylor_columns(spec, si, top, top + 1 if box is None else box[i])
-            terms = _shift_raw(spec, _rows(terms, i, top + 1), i, cols)
-        return MultiPoly._from_raw(self.arity, spec, terms)
+        if box is None:
+            box = [top + 1 for top in _degrees(self.terms, self.arity)]
+        sets = [{s: b} for s, b in zip(self._point_raw(point), box)]
+        ((_, terms),) = _expansions(self.spec, self.terms, sets)
+        return MultiPoly._from_raw(self.arity, self.spec, terms)
 
     # -- division by a univariate ----------------------------------------------
 
@@ -561,9 +555,8 @@ def _rows(terms: Dict[ExponentVector, object], var: int, size: int) -> Dict[Expo
     coefficient of the term with exponent e in x_{var+1} and rest in the
     others, 0 where there is none.  Rows come in the order of their first
     term, and each has length size, which must exceed the terms' degree in
-    x_{var+1}.  _shift_raw reads these rows, so a caller that shifts one
-    polynomial at several values groups it once; the grid walk groups only
-    f here, and its shifts write the rows of the levels below."""
+    x_{var+1}.  _shift_raw reads these rows; the walk of _expansions, which
+    every shift runs, groups only f here and has its shifts write the rest."""
     rows: Dict[ExponentVector, list] = {}
     for u, c in terms.items():
         rest = u[:var] + u[var + 1:]
@@ -667,6 +660,66 @@ def _packed_dots(spec: FieldSpec, packed: list, count: int, cols):
         slots.frombytes(sum(map(mul, col, packed[j:])).to_bytes(count * slots.itemsize, sys.byteorder))
         per_column.append(map(reduce, slots))
     return zip(*per_column)
+
+
+def _expansions(spec: FieldSpec, terms: Dict[ExponentVector, object], sets: Sequence[Dict]):
+    """Yield (point, terms) for every point of the product of sets, raw
+    {value: multiplicity} maps, lazily and in product order: the raw point
+    and f, the raw terms given, shifted there and cut below its
+    multiplicities, terms the walk never touches again once yielded.
+
+    The box bound m_i(s_i) depends on s_i alone, so the grid is walked as a
+    tree: x_{i+1} is shifted and cut once per prefix (s_1, ..., s_{i+1}), and
+    every point below that prefix shares the result.  f is grouped into
+    rows in x_1 once; each prefix's shift writes its shifted polynomial
+    straight into rows in the next variable, and those rows are shifted at
+    every value of the next coordinate.  A row set shifted at two values
+    or more is packed where it is built (_pack_rows), which over F_p gives
+    a set of enough rows one big-integer dot product per Taylor column at
+    each value; other sets, larger p and Q keep the per-row loop.  The Taylor
+    columns of each support value of S_i, 0 included, are built once per
+    walk, up to deg_{x_i} f and cut below m_i(s), when the walk first
+    reaches that value, and shared by every later prefix that shifts there,
+    so a scan that stops early builds only the columns it used; a value of
+    S_1 is its own prefix, so its columns are freed when the walk moves on.
+    The walk is a loop, not a recursion, so the arity is not bounded by the
+    recursion limit; with no variables, f is its one point's expansion."""
+    n = len(sets)
+    if not n:
+        yield (), dict(terms)
+        return
+    tops = _degrees(terms, n)
+    # a cell [value, m, its Taylor columns] per support value, read by every
+    # prefix that shifts there; the columns are built when the walk first
+    # reaches the value and kept, but S_1's cells keep None, since each of
+    # its values is one prefix
+    cells_per_set = [[[v, m, None] for v, m in s.items()] for s in sets]
+    # rows[i] is f shifted in x_1..x_i at the current point's prefix,
+    # grouped into rows in x_{i+1}, and packs[i] its packing or None;
+    # shifting never raises a degree, so f's degrees size every row
+    rows = [_rows(terms, 0, tops[0] + 1)] + [None] * (n - 1)
+    packs = [_pack_rows(spec, rows[0], len(sets[0]))] + [None] * (n - 1)
+    prev = (None,) * n
+    for point, cells in zip(itertools.product(*sets), itertools.product(*cells_per_set)):
+        # product changes a suffix of the cells, the last one at least:
+        # reshift from its first new cell
+        depth = 0
+        while cells[depth] is prev[depth]:
+            depth += 1
+        for i in range(depth, n):
+            cell = cells[i]
+            v, m, cols = cell
+            if cols is None:
+                cols = _taylor_columns(spec, v, tops[i], m)
+                if i:
+                    cell[2] = cols
+            if i + 1 < n:
+                rows[i + 1] = _shift_raw(spec, rows[i], i, cols, packs[i], tops[i + 1] + 1)
+                packs[i + 1] = _pack_rows(spec, rows[i + 1], len(sets[i + 1]))
+            else:
+                out = _shift_raw(spec, rows[i], i, cols, packs[i])
+        prev = cells
+        yield point, out
 
 
 # -- expression parser ------------------------------------------------------------

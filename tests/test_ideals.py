@@ -27,7 +27,7 @@ from nullgrid import (
     term_order_family,
     universal_gb_check,
 )
-from nullgrid import ideals
+from nullgrid import ideals, polynomials
 from randgen import rand_grid, rand_ideal_member, rand_multiset, rand_poly, rand_spec
 from nullgrid.errors import ArityMismatchError
 from oracles import (
@@ -264,13 +264,13 @@ def _walk_instance(rng, spec, n):
 
 def _count_shifts(monkeypatch):
     calls = []
-    inner = ideals._shift_raw
+    inner = polynomials._shift_raw
 
     def counting(spec, terms, var, *rest):
         calls.append(var)
         return inner(spec, terms, var, *rest)
 
-    monkeypatch.setattr(ideals, "_shift_raw", counting)
+    monkeypatch.setattr(polynomials, "_shift_raw", counting)
     return calls
 
 
@@ -288,6 +288,12 @@ def test_grid_expansions_match_per_point_shifts():
             assert mv == grid.multiplicity_vector(s)
             # equal terms in equal insertion order
             assert list(got.items()) == list(f.shift(s, mv).terms.items())
+            # shift and the walk share one driver, so the box is also read
+            # against the term-by-term oracle at every exponent below mv
+            box = list(itertools.product(*map(range, mv)))
+            assert set(got) <= set(box) and all(got.values())
+            for u in box:
+                assert got.get(u, 0) == expansion_coefficient_oracle(f, s, u).value, (spec, s, u)
     # more coordinates than the interpreter's recursion limit
     grid = MultisetGrid.of(F5, [{1: 1}] * 1500 + [{0: 1, 2: 2}])
     f = parse_poly("x1^2 + 3*x1501 + 1", 1501, F5)
@@ -318,13 +324,13 @@ def test_grid_expansions_shift_each_prefix_once(monkeypatch):
 def test_grid_expansions_build_taylor_columns_once_per_value(monkeypatch):
     calls = _count_shifts(monkeypatch)
     builds = []
-    inner = ideals._taylor_columns
+    inner = polynomials._taylor_columns
 
     def counting(spec, point, top, box):
         builds.append(point)
         return inner(spec, point, top, box)
 
-    monkeypatch.setattr(ideals, "_taylor_columns", counting)
+    monkeypatch.setattr(polynomials, "_taylor_columns", counting)
     rng = random.Random(67)
     for _ in range(40):
         spec = rng.choice([FieldSpec.prime(3), FieldSpec.prime(101), Q])
@@ -376,13 +382,13 @@ def test_grid_expansions_build_first_coordinate_columns_as_they_go():
 def test_grid_expansions_stop_when_partly_consumed(monkeypatch):
     calls = _count_shifts(monkeypatch)
     builds = []
-    inner = ideals._taylor_columns
+    inner = polynomials._taylor_columns
 
     def counting(spec, point, top, box):
         builds.append(point)
         return inner(spec, point, top, box)
 
-    monkeypatch.setattr(ideals, "_taylor_columns", counting)
+    monkeypatch.setattr(polynomials, "_taylor_columns", counting)
     grid = MultisetGrid.of(F5, [{0: 1, 1: 1, 2: 1}, {0: 2, 3: 1}, {1: 1, 4: 2}])
     f = parse_poly("(x1 + x2 + 2*x3 + 1)^4", 3, F5)
     walk = grid_expansions(f, grid)
@@ -407,7 +413,7 @@ def _count_groupings(monkeypatch):
     from _rows, and each shift at a level above the last writes the rows
     of the next variable itself."""
     calls = []
-    inner_rows, inner_shift = ideals._rows, ideals._shift_raw
+    inner_rows, inner_shift = polynomials._rows, polynomials._shift_raw
 
     def counting_rows(terms, var, size):
         calls.append(var)
@@ -418,8 +424,8 @@ def _count_groupings(monkeypatch):
             calls.append(var + 1)
         return inner_shift(spec, rows, var, cols, packed, size)
 
-    monkeypatch.setattr(ideals, "_rows", counting_rows)
-    monkeypatch.setattr(ideals, "_shift_raw", counting_shift)
+    monkeypatch.setattr(polynomials, "_rows", counting_rows)
+    monkeypatch.setattr(polynomials, "_shift_raw", counting_shift)
     return calls
 
 
@@ -467,7 +473,7 @@ def test_taylor_columns_entry_by_entry():
             for s in [0, 1, rng.randint(2, 50), Fraction(-3, 7) if spec.p is None else rng.randint(0, 200)]:
                 point = spec.element(s)
                 for width in sorted({1, 2, top + 1, rng.randint(1, top + 1)}):
-                    cols = ideals._taylor_columns(spec, point.value, top, width)
+                    cols = polynomials._taylor_columns(spec, point.value, top, width)
                     assert len(cols) == min(width, top + 1)
                     for j, col in enumerate(cols):
                         assert len(col) == top - j + 1

@@ -172,6 +172,34 @@ def test_shift_examples():
     a = Q.element(7)
     h = parse_poly("x1 - 7", 1, Q)
     assert h.shift([a]) == parse_poly("x1", 1, Q)
+    # no variables: a constant is its own expansion, with or without a box
+    c = MultiPoly(0, F5, {(): 3})
+    assert c.shift(()) == c == c.shift((), ())
+    assert MultiPoly.zero(0, F5).shift(()).is_zero()
+    # the zero polynomial shifts to zero, boxed or not
+    for spec in (F5, Q):
+        zero = MultiPoly.zero(3, spec)
+        point = [spec.element(v) for v in (1, 2, 4)]
+        assert zero.shift(point).is_zero() and zero.shift(point, (1, 3, 2)).is_zero()
+
+
+def test_shift_groups_the_terms_into_rows_once(monkeypatch):
+    """The shift is the grid walk at one point: f is grouped into rows in
+    x_1 once, and each coordinate's shift writes the next one's rows."""
+    calls = []
+    inner = polynomials._rows
+
+    def counting(terms, var, size):
+        calls.append(var)
+        return inner(terms, var, size)
+
+    monkeypatch.setattr(polynomials, "_rows", counting)
+    f = parse_poly("(x1 + 2*x2 - x3 + 1)^3 + x2*x3^4", 3, F7)
+    point = [F7.element(v) for v in (3, 0, 5)]
+    for box in (None, (2, 1, 3), (9, 9, 9)):
+        calls.clear()
+        f.shift(point, box)
+        assert calls == [0]
 
 
 def test_shift_composition_random():

@@ -373,6 +373,10 @@ def test_cover_builds_no_field_element_once_the_points_exist(monkeypatch):
 
 
 def test_each_distinct_plane_is_normalised_once(monkeypatch):
+    """A plane read from its coefficients inverts its first nonzero normal
+    entry once, when it is built; the planes x_i = s of extremal_cover are
+    their own direction keys and invert nothing, and verify_cover inverts
+    nothing either."""
     for spec in (F7, Q):
         grid = MultisetGrid.of(spec, [{0: 1, 2: 3, 5: 1}, {0: 1, 1: 4}])
         inverted = []
@@ -387,15 +391,16 @@ def test_each_distinct_plane_is_normalised_once(monkeypatch):
         report = verify_cover(planes, grid)
         monkeypatch.undo()
         assert len(planes) == 8 and len({id(h) for h in planes}) == 3
-        assert len(inverted) == 3
+        assert inverted == []
         assert report.verdict == "valid_cover"
-        # a plane read from its coefficients is normalised when it is built
-        h = Hyperplane(spec, [1, 0, 2])
+        for h in planes:
+            assert h.direction_key() == Hyperplane(spec, h.coeffs).direction_key()
         monkeypatch.setattr(FieldSpec, "_inv", counting)
-        inverted.clear()
+        h = Hyperplane(spec, [1, 0, 2])
+        assert inverted == [2]
         verify_cover([h] * 5, grid)
         monkeypatch.undo()
-        assert inverted == []
+        assert inverted == [2]
 
 
 def test_constructors_read_inputs_without_building_field_elements(monkeypatch):

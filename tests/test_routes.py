@@ -135,6 +135,8 @@ def test_graph_sees_the_calls_it_should():
     assert "polynomials._rows" in _reach("ideals.grid_expansions")
     assert "polynomials._pack_rows" in _reach("ideals.grid_expansions")
     assert "polynomials._packed_dots" in _reach("ideals.grid_expansions")
+    assert "polynomials._expansions" in _reach("ideals.grid_expansions")
+    assert "polynomials._expansions" in _reach("polynomials.MultiPoly.shift")
     assert "polynomials._divmod_raw" in _reach("ideals.reduce_poly")
     assert "ideals.Multiset._generator_raw" in _reach("ideals.reduce_poly")
     assert "divdiff._coordinate_weights" in _reach("divdiff.weight_table")
@@ -159,6 +161,7 @@ def test_definitional_bracket_stays_off_the_expansions_and_the_weights():
         ["divdiff.divided_difference"],
         [
             "ideals.grid_expansions",
+            "polynomials._expansions",
             "polynomials._shift_raw",
             "polynomials._rows",
             "polynomials._pack_rows",
@@ -181,6 +184,7 @@ def test_contraction_stays_off_the_remainder_the_recursion_and_the_table():
             "divdiff.divided_difference_recursive",
             "divdiff.weight_table",
             "divdiff._bracket_row",
+            "polynomials._expansions",
             "polynomials._shift_raw",
             "polynomials._rows",
             "polynomials._pack_rows",
@@ -202,6 +206,7 @@ def test_witness_search_reads_coordinate_weights_not_the_table():
 def test_expansions_and_reduction_stay_apart():
     expansions = [
         "ideals.grid_expansions",
+        "polynomials._expansions",
         "polynomials._shift_raw",
         "polynomials._rows",
         "polynomials._pack_rows",
@@ -225,6 +230,7 @@ def test_series_inverse_stays_off_the_expansions_and_the_division():
             "polynomials._taylor_columns",
             "polynomials._divmod_raw",
             "ideals.grid_expansions",
+            "polynomials._expansions",
         ],
     )
 
