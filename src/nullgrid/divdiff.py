@@ -48,7 +48,7 @@ from typing import Tuple
 from .errors import PreconditionError
 from .fields import FieldElement
 from .ideals import MultisetGrid, _check_poly_grid, grid_expansions
-from .polynomials import MultiPoly, _inv_series, _taylor_columns
+from .polynomials import MultiPoly, _inv_series, _mul_raw, _taylor_columns
 
 # most Newton-table entries divided_difference_recursive will fill: the sum
 # over the coordinates i of (prod_{j<i} d_j) * T_i, where T_i is
@@ -211,8 +211,8 @@ def _coordinate_weights(ms) -> dict:
     Any other factor is taken as the closed-form series of its inverse, the
     sum over k of C(M + k - 1, k) * c^M * (-c)^k * y^k with c = (s - t)^(-1),
     in O(m) steps and one inversion; the first such series is taken as it
-    is, and each later one, and the inverted polynomial, are convolved into
-    it at about m^2 / 2 cheaper steps each.  A row of two elements has one
+    is, and each later one, and the inverted polynomial, are multiplied into
+    it by polynomials._mul_raw, cut below y^m.  A row of two elements has one
     factor, whose closed form is the whole series, so it always takes that
     form.  C(M + k - 1, k) is carried from k - 1 to k as an exact integer
     and reduced like any other coefficient, so no factorial is inverted and
@@ -222,7 +222,7 @@ def _coordinate_weights(ms) -> dict:
     row = list(ms._raw.items())
     weights = {}
     for s, m in row:
-        poly, factors = [1], []  # the small factors' product; series to convolve
+        poly, factors = [1], []  # the small factors' product; series to multiply
         for t, big_m in row:
             if t == s:
                 continue
@@ -247,7 +247,8 @@ def _coordinate_weights(ms) -> dict:
             factors.append(_inv_series(spec, poly, m))
         series = factors[0]
         for factor in factors[1:]:
-            series = [reduce(sum(map(mul, series[: k + 1], reversed(factor[: k + 1])))) for k in range(m)]
+            terms = _mul_raw(spec, *({(k,): c for k, c in enumerate(cs) if c} for cs in (series, factor)))
+            series = [terms.get((k,), 0) for k in range(m)]
         weights[s] = series[::-1]
     return weights
 

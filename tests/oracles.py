@@ -14,6 +14,7 @@ generator, except in operator_route_oracle, which checks the parser
 against those operators.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -257,21 +258,30 @@ def residue_weight_oracle(grid, point, u):
     weight = spec.one
     for ms, s, e in zip(grid.sets, point, u):
         s = spec.element(s)
-        m = ms.multiplicity(s)
-        series = [spec.one] + [spec.zero] * (m - 1)
-        for other, mult in ms.entries.items():
-            if other == s:
-                continue
-            # (y + c)^(-1) = sum over k of (-1)^k c^(-k-1) y^k
-            c_inv = (s - other).inv()
-            geometric = [(-c_inv) ** k * c_inv for k in range(m)]
-            for _ in range(mult):
-                series = [
-                    sum((series[i] * geometric[k - i] for i in range(k + 1)), spec.zero)
-                    for k in range(m)
-                ]
-        weight = weight * series[m - 1 - e]
+        weight = weight * _residue_series(ms, s)[ms.multiplicity(s) - 1 - e]
     return weight
+
+
+@functools.lru_cache(maxsize=64)
+def _residue_series(ms, s):
+    """The series of the weights of (s, e) in coordinate multiset ms, by
+    repeated geometric series, kept so that the entries of one element share
+    it."""
+    spec = ms.spec
+    m = ms.multiplicity(s)
+    series = [spec.one] + [spec.zero] * (m - 1)
+    for other, mult in ms.entries.items():
+        if other == s:
+            continue
+        # (y + c)^(-1) = sum over k of (-1)^k c^(-k-1) y^k
+        c_inv = (s - other).inv()
+        geometric = [(-c_inv) ** k * c_inv for k in range(m)]
+        for _ in range(mult):
+            series = [
+                sum((series[i] * geometric[k - i] for i in range(k + 1)), spec.zero)
+                for k in range(m)
+            ]
+    return series
 
 
 def _drop_one(row, value):

@@ -246,9 +246,10 @@ def test_weight_table_examples():
 
 def test_weight_table_of_a_long_multiplicity():
     """The partial fractions of 1/((x - 1)^9999 (x - 2)): every weight at 1 is
-    -1 and the weight at 2 is 1.  Starting each element's residue series
-    from its first factor keeps this to milliseconds; a first convolution
-    with 1 + 0*y + ... costs O(m^2), seconds at m = 9999."""
+    -1 and the weight at 2 is 1.  Each element's residue series starts as
+    its first factor, so an element of one factor multiplies nothing and
+    this takes milliseconds; an O(m^2) convolution into 1 + 0*y + ... first
+    took seconds at m = 9999."""
     spec = FieldSpec.prime(10007)
     start = time.process_time()
     table = weight_table(MultisetGrid.of(spec, [{1: 9999, 2: 1}]))
@@ -276,6 +277,29 @@ def test_weight_table_of_two_long_multiplicities():
         binom = math.comb(4999 + k, k)
         assert table.weight((1,), (e,)) == spec.element(binom)
         assert table.weight((2,), (e,)) == spec.element((-1) ** k * binom)
+
+
+@pytest.mark.parametrize(
+    "spec, sets, entries",
+    [
+        (F10007, [{1: 3000, 2: 3000, 3: 3000, 4: 1000}], 10000),
+        (Q, [{Fraction(1, 2): 200, Fraction(-2, 3): 200, 5: 200}], 600),
+    ],
+    ids=["F_10007", "Q"],
+)
+def test_weight_table_of_several_long_multiplicities(spec, sets, entries):
+    """Every element multiplies two or three closed-form series, of up to
+    3000 terms over F_10007 and 200 rational ones over Q, by Kronecker
+    products in polynomials._mul_raw: about 0.1 s each, where a convolution
+    per product took 1.1-1.6 s and 1.6 s."""
+    grid = MultisetGrid.of(spec, sets)
+    start = time.process_time()
+    table = weight_table(grid)
+    assert time.process_time() - start < 0.5
+    assert len(table.weights) == entries
+    for point in grid.points():
+        top = tuple(mult - 1 for mult in grid.multiplicity_vector(point))
+        assert table.weight(point, top) == top_weight_closed_form(grid, point)
 
 
 def test_weight_table_domain_cardinality():
@@ -352,6 +376,12 @@ def test_every_weight_matches_residue_oracle():
         (FieldSpec.prime(10007), [{1: 16, 2: 1, 3: 3, 4: 7, 5: 1}]),  # 1: closed for 4 only
         (Q, [{1: 16, 2: 1, 3: 3, 4: 7, 5: 1}]),
     ]
+    # every element multiplies two series or more in polynomials._mul_raw:
+    # under 32 term pairs each (term pair by term pair) in the first grid,
+    # packed by Kronecker substitution in the second; over F_3 some binomials
+    # vanish, 2^61 - 1 needs wide slots and Q signed ones
+    for spec in (FieldSpec.prime(3), FieldSpec.prime(2**61 - 1), Q):
+        cases += [(spec, [{0: 2, 1: 5, 2: 5}]), (spec, [{0: 40, 1: 10, 2: 10}])]
     for spec, sets in cases:
         grid = MultisetGrid.of(spec, sets)
         for (point, u), w in weight_table(grid).weights.items():

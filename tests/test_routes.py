@@ -147,6 +147,7 @@ def test_graph_sees_the_calls_it_should():
     assert "polynomials.MultiPoly.__mul__" in _reach("polynomials._Parser.term")
     assert "polynomials._inv_series" in _reach("divdiff.divided_difference")
     assert "polynomials._inv_series" in _reach("divdiff._coordinate_weights")
+    assert "polynomials._mul_raw" in _reach("divdiff._coordinate_weights")
 
 
 def test_weight_table_stays_off_the_recursion_and_the_remainder():
