@@ -56,11 +56,20 @@ def _witness(spec, point, exponent, value) -> Witness:  # from raw values
     return Witness(tuple(FieldElement(x, spec) for x in point), exponent, FieldElement(value, spec))
 
 
+def _target(t: Sequence[int], grid: MultisetGrid, nonnegative: bool) -> Tuple[int, ...]:
+    """t as a tuple, refused unless it holds one int (not a bool) per
+    coordinate of grid, and with nonnegative, none below 0."""
+    t = tuple(t)
+    if len(t) != grid.arity or any(
+        isinstance(e, bool) or not isinstance(e, int) or (nonnegative and e < 0) for e in t
+    ):
+        raise PreconditionError("target", f"bad target exponent {t} for arity {grid.arity}")
+    return t
+
+
 def _check_witness_preconditions(f: MultiPoly, grid: MultisetGrid, t: Sequence[int]):
     _check_poly_grid(f, grid)
-    t = tuple(t)
-    if len(t) != grid.arity or any(e < 0 for e in t):
-        raise PreconditionError("target", f"bad target exponent {t} for arity {grid.arity}")
+    t = _target(t, grid, True)
     deg = f.total_degree()
     if deg is None:
         raise PreconditionError("degree", f"f is the zero polynomial but the target needs degree {sum(t)}")
@@ -80,9 +89,7 @@ def trim_grid(grid: MultisetGrid, t: Sequence[int]) -> MultisetGrid:
     """Shrink each coordinate multiset to its t_i + 1 canonically smallest
     elements, counted with multiplicity: the prefix of its raw map that holds
     them.  A negative t_i keeps nothing, which Multiset refuses."""
-    t = tuple(t)
-    if len(t) != grid.arity:
-        raise PreconditionError("target", f"bad target exponent {t} for arity {grid.arity}")
+    t = _target(t, grid, False)
     sets = []
     for i, ms in enumerate(grid.sets):
         keep = t[i] + 1

@@ -40,14 +40,17 @@ is packed once (_pack_rows), the small-field packing of Dumas, Fousse and
 Salvy (J. Symbolic Comput. 46, 2011): every row's coefficient of x^k shares
 one big integer, so one dot product per Taylor column shifts all the rows.
 
-Products and powers go through one kernel, _mul_raw.  Sparse operands are
-multiplied term pair by term pair, and a monomial times f term by term of
-f.  Dense ones -- at least _KRONECKER_MIN_PAIRS term pairs, and a product
-box with at most _KRONECKER_FACTOR slots per pair -- by Kronecker
+Products and powers go through one kernel, _mul_raw, with two routes.
+Sparse operands, one-term ones among them, are multiplied term pair by term
+pair.  Dense ones -- at least _KRONECKER_MIN_PAIRS term pairs, and a
+product box with at most _KRONECKER_FACTOR slots per pair -- by Kronecker
 substitution: each operand is packed into one big integer, exponents as
-mixed-radix slot indices and coefficients as fixed-width slots, so the
-product is one big-integer multiplication (Karatsuba in CPython at these
-sizes), read back and reduced once per coefficient.  Power series are
+mixed-radix slot indices and coefficients as unsigned slots of one width,
+each holding its coefficient plus a bias (0 over F_p; over Q, where the
+operands are first cleared of denominators, a power of two above any
+product coefficient's size), so the product is one big-integer
+multiplication (Karatsuba in CPython at these sizes), read back less the
+bias and reduced once per coefficient.  Power series are
 inverted by one kernel, _inv_series, which the bracket rows and the
 coordinate weights of divdiff share.
 """
@@ -70,10 +73,6 @@ ExponentVector = Tuple[int, ...]
 
 _MAX_EXPONENT = 10_000  # parser guard on exponent literals and on each variable's degree
 _MAX_NESTING = 200  # parser guard: deeper '(' / unary '-' chains would exhaust the stack
-
-
-def _grlex_key(u: ExponentVector):
-    return (sum(u), u)
 
 
 class TermOrder:
@@ -295,37 +294,30 @@ class MultiPoly:
 
     # -- printing ----------------------------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-
     def __str__(self):
+        """The terms by total degree, then exponents, highest first, each
+        written with its sign, which the first term drops when it is +."""
         if not self.terms:
             return "0"
-        chunks = []
+        text = ""
         try:
-            for u, value in self._sorted_terms():
-                negative = value < 0  # only over the rationals; prime reps are in [0, p)
-                mag = -value if negative else value
-                factors = []
-                for i, e in enumerate(u):
-                    if e == 1:
-                        factors.append(f"x{i + 1}")
-                    elif e > 1:
-                        factors.append(f"x{i + 1}^{e}")
-                if not factors:
-                    body = str(mag)
-                elif mag == 1:
-                    body = "*".join(factors)
+            for u, value in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+                if value < 0:  # only over the rationals; prime reps are in [0, p)
+                    text += " - "
+                    value = -value
                 else:
-                    body = str(mag) + "*" + "*".join(factors)
-                chunks.append(("-" if negative else "+", body))
-        except ValueError as exc:  # only str(mag) raises, past the digit limit
+                    text += " + "
+                sep = ""
+                if value != 1 or not any(u):
+                    text += str(value)
+                    sep = "*"
+                for i, e in enumerate(u, 1):
+                    if e:
+                        text += f"{sep}x{i}" if e == 1 else f"{sep}x{i}^{e}"
+                        sep = "*"
+        except ValueError as exc:  # only str(value) raises, past the digit limit
             raise _output_size_error() from exc
-        sign, body = chunks[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -344,11 +336,10 @@ def _mul_raw(spec: FieldSpec, a: Dict[ExponentVector, object], b: Dict[ExponentV
     """Product of two raw term maps of one arity, as a raw term map without
     zeros.
 
-    Sparse operands are multiplied term pair by term pair; when one of them
-    is a monomial, each product is a coefficient of the result as it stands,
-    with nothing to accumulate.  Dense ones, whose
-    product box prod_i (deg_a,i + deg_b,i + 1) holds few slots per term pair,
-    go through one big-integer product (_mul_packed).  The pair count is
+    Sparse operands are multiplied term pair by term pair, each coefficient
+    summed unreduced and reduced once.  Dense ones, whose product box
+    prod_i (deg_a,i + deg_b,i + 1) holds few slots per term pair, go
+    through one big-integer product (_mul_packed).  The pair count is
     tested before the degree scan, so tiny products pay nothing for the
     choice."""
     if not a or not b:
@@ -358,21 +349,12 @@ def _mul_raw(spec: FieldSpec, a: Dict[ExponentVector, object], b: Dict[ExponentV
         radix = [x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
         if math.prod(radix) <= _KRONECKER_FACTOR * pairs:
             return _mul_packed(spec, radix, a, b)
-    reduce = spec._reduce
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        # a monomial times b: the exponents stay distinct and in b's order,
-        # and a product of nonzero values is nonzero
-        ((u, c),) = a.items()
-        return {tuple(map(add, u, w)): reduce(c * bv) for w, bv in b.items()}
     out: Dict[ExponentVector, object] = {}
     for u, av in a.items():
         for w, bv in b.items():
             e = tuple(map(add, u, w))
-            out[e] = out.get(e, 0) + av * bv  # reduced once per coefficient below
-    out = {e: reduce(v) for e, v in out.items()}
-    return {e: v for e, v in out.items() if v}
+            out[e] = out.get(e, 0) + av * bv
+    return {e: v for e, v in zip(out, map(spec._reduce, out.values())) if v}
 
 
 def _inv_series(spec: FieldSpec, a: Sequence, n: int) -> list:
@@ -397,47 +379,41 @@ def _mul_packed(spec: FieldSpec, radix: Sequence[int], a, b):
     """The product of a and b by Kronecker substitution.  Exponent u maps to
     the mixed-radix index sum_i u_i * stride_i (the last variable varies
     fastest), so radix must exceed the product's degree in every variable.
-    Coefficient c goes to the slot at that index of one big integer, width
-    bytes per slot, and each coefficient of the product sits in its own slot
-    of the product of the two integers, read back and reduced once.
+    Every slot of one big integer per operand, width bytes each, holds the
+    coefficient at its index plus a bias, 0 where there is no term; the
+    operands are unbiased, multiplied, and the product rebiased, so each
+    coefficient of the product sits in its own unsigned slot, read back
+    less the bias and reduced once.
 
-    Over F_p a slot holds a sum of at most min(|a|, |b|) products of
-    representatives in [0, p).  Over Q each operand is first scaled to
-    integers by the lcm of its denominators; slots are signed, read back with
-    a borrow, and each is divided by the two scales once."""
+    Over F_p the bias is 0, and a slot holds a sum of at most min(|a|, |b|)
+    products of representatives in [0, p).  Over Q each operand is first
+    scaled to integers by the lcm of its denominators, the bias is the
+    smallest power of two above the bound on a product coefficient's size,
+    and each slot is divided by the two scales once."""
     strides = [1] * len(radix)
     for i in range(len(radix) - 1, 0, -1):
         strides[i - 1] = strides[i] * radix[i]
     box = math.prod(radix)
-    signed = not spec.p
-    if signed:
+    if spec.p:
+        scale, bias = 1, 0
+        bound = min(len(a), len(b)) * (spec.p - 1) ** 2
+    else:
         a, scale_a = _clear_denominators(a)
         b, scale_b = _clear_denominators(b)
         scale = scale_a * scale_b
         bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    else:
-        scale = 1
-        bound = min(len(a), len(b)) * (spec.p - 1) ** 2
-    width = (bound.bit_length() + signed + 7) // 8
-    prod = _pack(a, strides, box, width) * _pack(b, strides, box, width)
-    negative = prod < 0
-    data = abs(prod).to_bytes(box * width, "little")
+        bias = 1 << bound.bit_length()
+    width = ((bias + bound).bit_length() + 7) // 8
+    fill = bias.to_bytes(width, "little") * box
+    offset = int.from_bytes(fill, "little")
+    prod = (_pack(a, strides, fill, width, bias) - offset) * (_pack(b, strides, fill, width, bias) - offset)
+    data = (prod + offset).to_bytes(box * width, "little")
     from_bytes = int.from_bytes
-    slots = [from_bytes(data[k:k + width], "little") for k in range(0, box * width, width)]
-    if signed:
-        # balanced digits: a slot at or above half its range stands for a
-        # negative coefficient, which borrowed one from the slot above
-        half, full, carry = 1 << (8 * width - 1), 1 << (8 * width), 0
-        for k, v in enumerate(slots):
-            v += carry
-            carry = v >= half
-            if carry:
-                v -= full
-            slots[k] = -v if negative else v
-    reduce = spec._reduce
+    slots = [from_bytes(data[k:k + width], "little") - bias for k in range(0, box * width, width)]
     exponents = itertools.compress(itertools.product(*map(range, radix)), slots)
-    out = {e: reduce(v if scale == 1 else Fraction(v, scale)) for e, v in zip(exponents, filter(None, slots))}
-    return {e: v for e, v in out.items() if v}
+    reduce = spec._reduce
+    values = filter(None, slots) if scale == 1 else (Fraction(v, scale) for v in filter(None, slots))
+    return {e: v for e, v in zip(exponents, map(reduce, values)) if v}
 
 
 def _clear_denominators(terms):
@@ -449,17 +425,15 @@ def _clear_denominators(terms):
     return {u: c.numerator * (scale // c.denominator) for u, c in terms.items()}, scale
 
 
-def _pack(terms, strides, box: int, width: int) -> int:
-    """The sum over the terms of c * 2^(8 * width * index(u)), with index(u)
-    the dot product of u and strides; each |c| must fit in width bytes."""
-    pos, neg = bytearray(box * width), bytearray(box * width)
+def _pack(terms, strides, fill: bytes, width: int, bias: int) -> int:
+    """The integer with fill's slots, width bytes each, but c + bias in the
+    slot at index(u), the dot product of u and strides, for every term
+    c * x^u; each c + bias must fit in width bytes unsigned."""
+    data = bytearray(fill)
     for u, c in terms.items():
         k = sum(map(mul, u, strides)) * width
-        if c < 0:
-            neg[k:k + width] = (-c).to_bytes(width, "little")
-        else:
-            pos[k:k + width] = c.to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        data[k:k + width] = (c + bias).to_bytes(width, "little")
+    return int.from_bytes(data, "little")
 
 
 def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, divisor: Sequence):

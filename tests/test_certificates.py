@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,23 @@ def test_witness_preconditions_are_named():
     with pytest.raises(ValueError) as err:
         find_witness(parse_poly("x1", 1, F5), grid, (1,), method="divided-difference")
     assert str(err.value) == "unknown witness method 'divided-difference'"
+    # a target entry must be an int and not a bool, in every check that reads one
+    grid2 = MultisetGrid.of(F5, [{0: 1, 1: 2}, {2: 1, 3: 1}])
+    f = parse_poly("x1*x2", 2, F5)
+    assert find_witness(f, grid2, (1, 1)).exponent == (0, 0)
+    checks = [
+        lambda t: find_witness(f, grid2, t),
+        lambda t: find_witness(f, grid2, t, method="divided_difference"),
+        lambda t: cofactor_obstruction_check(f, grid2, t),
+        lambda t: trim_grid(grid2, t),
+    ]
+    for check in checks:
+        for t in ((True, True), (1.0, 1), (1, Fraction(1)), (1.5, 0.5)):
+            with pytest.raises(PreconditionError, match="bad target exponent") as err:
+                check(t)
+            assert err.value.condition == "target"
+    with pytest.raises(PreconditionError, match=r"bad target exponent \(1\.5, 0\)"):
+        trim_grid(grid2, (1.5, 0))
 
 
 def test_trim_grid_drops_largest_first():

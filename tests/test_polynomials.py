@@ -91,7 +91,10 @@ def _sparse_poly(rng, spec, n, terms, degree):
     return MultiPoly(n, spec, {u: _random_coefficient(rng, spec) for u in exponents})
 
 
-def test_products_and_powers_match_schoolbook_oracle(monkeypatch):
+@pytest.fixture
+def packed(monkeypatch):
+    """packed(a, b) checks a * b against the schoolbook oracle and tells
+    whether the product took _mul_packed."""
     packed_calls = []
     real_packed = polynomials._mul_packed
 
@@ -101,12 +104,16 @@ def test_products_and_powers_match_schoolbook_oracle(monkeypatch):
 
     monkeypatch.setattr(polynomials, "_mul_packed", spy)
 
-    def packed(a, b):
+    def check(a, b):
         del packed_calls[:]
         product = a * b
         assert product == poly_product_oracle(a, b)
         return bool(packed_calls)
 
+    return check
+
+
+def test_products_and_powers_match_schoolbook_oracle(packed):
     rng = random.Random(2026)
     side = math.isqrt(polynomials._KRONECKER_MIN_PAIRS) + 1  # side * side term pairs clear the floor
     specs = [FieldSpec.prime(p) for p in (2, 13, 10007, 2**61 - 1)] + [Q]
@@ -135,7 +142,7 @@ def test_products_and_powers_match_schoolbook_oracle(monkeypatch):
                 tuple(int(i == j) for j in range(n)): _random_coefficient(rng, spec) for i in range(-1, n)
             })
             base = rand_poly(rng, spec, n, max_deg=2, max_terms=4)
-            # a one-term base: its squarings take _mul_raw's monomial path
+            # a one-term base: its squarings take the term-pair loop
             coeff = Fraction(-7, 3) if spec.p is None else spec.p - 2 or 1
             monomial = MultiPoly.monomial(n, spec, [2] + [1] * (n - 1), coeff)
             expected_linear = expected_base = expected_monomial = MultiPoly.constant(n, spec, 1)
@@ -152,6 +159,40 @@ def test_products_and_powers_match_schoolbook_oracle(monkeypatch):
     a = MultiPoly(1, Q, {(k,): Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**9)) for k in range(20)})
     b = MultiPoly(1, Q, {(k,): Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**9)) for k in range(20)})
     assert packed(a, b) and packed(-a, b) and packed(a, -a)
+
+
+def test_packed_products_at_the_slot_edges(packed):
+    """Products whose slots sit at the edges of the biased encoding, each
+    through _mul_packed: a product coefficient exactly at minus the slot
+    bound, or at the bound over F_p; every coefficient negative; scales
+    other than 1; and one-term operands on both sides of a dense
+    polynomial."""
+    rng = random.Random(40)
+    for m in (1, 2**31 - 1, 10**29 + 7):
+        for den_a, den_b in ((1, 1), (3, 5)):
+            # six terms of -M times six of M: the x^5 coefficient is -6M^2,
+            # minus the bound 6M^2 once the denominators are cleared
+            a = MultiPoly(1, Q, {(k,): Fraction(-m, den_a) for k in range(6)})
+            b = MultiPoly(1, Q, {(k,): Fraction(m, den_b) for k in range(6)})
+            assert packed(a, b) and packed(b, a) and packed(a, a)
+            assert (a * b).terms[(5,)] == Fraction(-6 * m * m, den_a * den_b)
+    for p in (2, 13, 2**61 - 1):
+        # every coefficient p - 1: the middle slot holds the bound 6(p - 1)^2
+        full = MultiPoly(1, FieldSpec.prime(p), {(k,): p - 1 for k in range(6)})
+        assert packed(full, full)
+    for n in (1, 2, 3):
+        degrees = [40 >> (n - 1)] + [1] * (n - 1)  # over 32 terms
+        # every coefficient of the product negative, wide and with a scale
+        positive = MultiPoly(n, Q, {u: abs(c) * 10**30 for u, c in _dense_poly(rng, Q, degrees).terms.items()})
+        negative = MultiPoly(n, Q, {u: -abs(c) for u, c in _dense_poly(rng, Q, degrees).terms.items()})
+        assert packed(positive, negative) and packed(negative, positive)
+        assert all(c < 0 for c in (positive * negative).terms.values())
+        for spec in [FieldSpec.prime(p) for p in (2, 13, 10007, 2**61 - 1)] + [Q]:
+            dense = _dense_poly(rng, spec, degrees)
+            for u in ((0,) * n, (2,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)):
+                for c in ([Fraction(-7, 3), 10**29 + 7] if spec.p is None else [1, spec.p - 1]):
+                    mono = MultiPoly.monomial(n, spec, u, c)
+                    assert packed(mono, dense) and packed(dense, mono)
 
 
 def test_eval_examples():
