@@ -49,8 +49,9 @@ mixed-radix slot indices and coefficients as unsigned slots of one width,
 each holding its coefficient plus a bias (0 over F_p; over Q, where the
 operands are first cleared of denominators, a power of two above any
 product coefficient's size), so the product is one big-integer
-multiplication (Karatsuba in CPython at these sizes), read back less the
-bias and reduced once per coefficient.  Power series are
+multiplication (Karatsuba in CPython at these sizes), read back at C
+level through whole 8-byte limbs (_read_slots), less the bias, and reduced
+once per coefficient; a square packs its operand once.  Power series are
 inverted by one kernel, _inv_series, which the bracket rows and the
 coordinate weights of divdiff share.
 """
@@ -63,7 +64,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from operator import add, mul
+from operator import add, lshift, mul, sub
 from typing import Dict, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PolyParseError
@@ -383,7 +384,8 @@ def _mul_packed(spec: FieldSpec, radix: Sequence[int], a, b):
     coefficient at its index plus a bias, 0 where there is no term; the
     operands are unbiased, multiplied, and the product rebiased, so each
     coefficient of the product sits in its own unsigned slot, read back
-    less the bias and reduced once.
+    (_read_slots) less the bias and reduced once.  A square, b is a, packs
+    its operand once and multiplies the integer by itself.
 
     Over F_p the bias is 0, and a slot holds a sum of at most min(|a|, |b|)
     products of representatives in [0, p).  Over Q each operand is first
@@ -394,22 +396,24 @@ def _mul_packed(spec: FieldSpec, radix: Sequence[int], a, b):
     for i in range(len(radix) - 1, 0, -1):
         strides[i - 1] = strides[i] * radix[i]
     box = math.prod(radix)
+    square = b is a
     if spec.p:
         scale, bias = 1, 0
         bound = min(len(a), len(b)) * (spec.p - 1) ** 2
     else:
         a, scale_a = _clear_denominators(a)
-        b, scale_b = _clear_denominators(b)
+        b, scale_b = (a, scale_a) if square else _clear_denominators(b)
         scale = scale_a * scale_b
         bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
         bias = 1 << bound.bit_length()
     width = ((bias + bound).bit_length() + 7) // 8
     fill = bias.to_bytes(width, "little") * box
     offset = int.from_bytes(fill, "little")
-    prod = (_pack(a, strides, fill, width, bias) - offset) * (_pack(b, strides, fill, width, bias) - offset)
-    data = (prod + offset).to_bytes(box * width, "little")
-    from_bytes = int.from_bytes
-    slots = [from_bytes(data[k:k + width], "little") - bias for k in range(0, box * width, width)]
+    packed = _pack(a, strides, fill, width, bias) - offset
+    prod = packed * (packed if square else _pack(b, strides, fill, width, bias) - offset)
+    slots = _read_slots((prod + offset).to_bytes(box * width, "little"), width)
+    if bias:
+        slots = list(map(sub, slots, itertools.repeat(bias)))
     exponents = itertools.compress(itertools.product(*map(range, radix)), slots)
     reduce = spec._reduce
     values = filter(None, slots) if scale == 1 else (Fraction(v, scale) for v in filter(None, slots))
@@ -434,6 +438,26 @@ def _pack(terms, strides, fill: bytes, width: int, bias: int) -> int:
         k = sum(map(mul, u, strides)) * width
         data[k:k + width] = (c + bias).to_bytes(width, "little")
     return int.from_bytes(data, "little")
+
+
+def _read_slots(data: bytes, width: int) -> list:
+    """The unsigned integers in data's little-endian slots of width bytes
+    each, read at C level: every slot is spread into whole 8-byte limbs by
+    one extended-slice copy per byte position, the limbs are read as one
+    array of unsigned 64-bit words, and a slot of several limbs adds its
+    limbs up, each shifted to its place, by one map per limb."""
+    limbs = (width + 7) // 8
+    step = 8 * limbs
+    wide = bytearray(len(data) // width * step)
+    for k in range(width):
+        wide[k::step] = data[k::width]
+    words = array("Q", wide)
+    if sys.byteorder == "big":
+        words.byteswap()
+    slots = words[::limbs].tolist()
+    for j in range(1, limbs):
+        slots = list(map(add, slots, map(lshift, words[j::limbs], itertools.repeat(64 * j))))
+    return slots
 
 
 def _divmod_raw(spec: FieldSpec, terms: Dict[ExponentVector, object], var: int, divisor: Sequence):

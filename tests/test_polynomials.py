@@ -195,6 +195,53 @@ def test_packed_products_at_the_slot_edges(packed):
                     assert packed(mono, dense) and packed(dense, mono)
 
 
+def test_slot_reader_matches_per_slot_reads():
+    """_read_slots against one int.from_bytes per slot, at every width from
+    1 to 17 bytes, so slots of one, two and three 8-byte limbs and the
+    8/9 and 16/17 edges between them, on zero, all-ones and random slots."""
+    rng = random.Random(41)
+    for width in range(1, 18):
+        top = (1 << 8 * width) - 1
+        for count in (1, 2, 7):
+            for values in ([0] * count, [top] * count, [rng.randint(0, top) for _ in range(count)],
+                           [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]):
+                data = b"".join(v.to_bytes(width, "little") for v in values)
+                oracle = [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+                assert polynomials._read_slots(data, width) == oracle == values, (width, values)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.prime(13), FieldSpec.prime(10007), FieldSpec.prime(2**61 - 1), Q])
+def test_packed_squares_pack_once(monkeypatch, spec):
+    """A packed square, f * f or a squaring inside a power, packs its
+    operand once, over Q after one clearing of its denominators; a product
+    of two distinct operands packs both."""
+    packs, products = [], []
+    real_pack, real_packed = polynomials._pack, polynomials._mul_packed
+
+    def pack_spy(terms, *args):
+        packs.append(terms)
+        return real_pack(terms, *args)
+
+    def packed_spy(*args):
+        products.append(args)
+        return real_packed(*args)
+
+    monkeypatch.setattr(polynomials, "_pack", pack_spy)
+    monkeypatch.setattr(polynomials, "_mul_packed", packed_spy)
+    rng = random.Random(42)
+    f, g = _dense_poly(rng, spec, [6, 1]), _dense_poly(rng, spec, [6, 1])
+    if spec.p is None:
+        assert any(c.denominator > 1 for c in f.terms.values())
+    square = poly_product_oracle(f, f)
+    for a, b, expected, count in ((f, f, square, 1), (f, g, poly_product_oracle(f, g), 2)):
+        del packs[:], products[:]
+        assert a * b == expected
+        assert len(products) == 1 and len(packs) == count
+    del packs[:], products[:]
+    assert f**4 == poly_product_oracle(square, square)
+    assert len(products) == 2 and len(packs) == 2  # two packed squarings, one pack each
+
+
 def test_eval_examples():
     f = parse_poly("x1*x2", 2, Q)
     assert f.evaluate([Q.element(2), Q.element(3)]).value == 6
