@@ -164,8 +164,6 @@ def cofactor_obstruction_check(f: MultiPoly, grid: MultisetGrid, t: Sequence[int
         for u in prod.terms:
             if sum(u) == deg_f and u[i] < d[i]:
                 return False
-        if not prod.coefficient(t).is_zero():
-            return False
     return res.remainder.coefficient(t) == f.coefficient(t)
 
 

@@ -9,14 +9,15 @@ closed stdout (`| head`) cuts the output without a traceback; the exit code
 is still the computation's.  The parser is built once per process.  Each
 call is parsed by its subcommand's parser alone; the top-level parser sees
 only an argv that does not start with a subcommand, and reports the command
-missing or unknown (or prints the top-level help).  A subcommand's argv of
-exact option strings only -- each store option with a value that is not
-dash-led or follows "=", each flag bare -- whose values pass their type and
-choices and which names every required option is read from the option
-table built once from that parser's own actions.  Any other argv (help,
-abbreviations, "--", dash-led or missing values, usage errors) goes to
-argparse, so its messages and exit codes are argparse's.  Subcommand foo-bar
-is handled by _cmd_foo_bar, looked up at dispatch.
+missing or unknown (or prints the top-level help).  Each subcommand's
+options are declared once, in _COMMANDS: argparse is built from that
+declaration, and a direct reader reads it too.  A subcommand's argv of exact
+option strings only -- each option with a value that is not dash-led or
+follows "=", each flag bare -- whose values pass their type and choices and
+which names every required option is read by that reader.  Any other argv
+(help, abbreviations, "--", dash-led or missing values, usage errors) goes
+to argparse, so its messages and exit codes are argparse's.  Subcommand
+foo-bar is handled by _cmd_foo_bar, looked up at dispatch.
 """
 
 from __future__ import annotations
@@ -89,70 +90,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         if first is not None and first[0] is None and not arg_string.startswith("--"):
             return None
         return parsed
-
-    @functools.cached_property
-    def _option_table(self):
-        """(table, required actions, defaults) for _read_argv, from _actions:
-        the table maps each option string to its action when the reader
-        models it (a store of one value, or store_true) and to None when not.
-        None in place of the triple when an absent action does more than
-        leave its default: a positional, a str default that a type converts,
-        set_defaults or an exclusive group."""
-        if self._defaults or self._mutually_exclusive_groups:
-            return None
-        table, required, defaults = {}, [], {}
-        for action in self._actions:
-            if not action.option_strings or (isinstance(action.default, str) and action.type is not None):
-                return None
-            kind = type(action)
-            read = kind is argparse._StoreTrueAction or (kind is argparse._StoreAction and action.nargs is None)
-            table.update(dict.fromkeys(action.option_strings, action if read else None))
-            if action.required:
-                required.append(action)
-            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-                defaults.setdefault(action.dest, action.default)
-        return table, required, defaults
-
-    def _read_argv(self, argv):
-        """The attributes parse_args(argv) sets, read from the option table
-        when every token is an exact option string: a store option with its
-        value next (not dash-led) or after "=", or a store_true flag.  Values
-        pass through the registered type function and the choices, every
-        required option must be present, the last of a repeated option wins
-        and an absent one keeps its default.  None for any other argv, which
-        parse_args then parses, so help, usage errors and abbreviations stay
-        argparse's."""
-        if self._option_table is None:
-            return None
-        table, required, defaults = self._option_table
-        values, seen, tokens = dict(defaults), set(), iter(argv)
-        for token in tokens:
-            if token in table:
-                action = table[token]
-                if action is None:
-                    return None
-                if action.nargs == 0:  # store_true
-                    values[action.dest] = action.const
-                    seen.add(action)
-                    continue
-                text = next(tokens, "-")  # a missing value gives up as a dash-led one does
-                if text.startswith("-"):
-                    return None
-            else:
-                option, eq, text = token.partition("=")
-                action = table.get(option)
-                # before Python 3.13 argparse drops an option's value "--"
-                if not eq or action is None or action.nargs == 0 or text == "--":
-                    return None
-            try:
-                value = self._registry_get("type", action.type, action.type)(text)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
-                return None
-            if action.choices is not None and value not in action.choices:
-                return None
-            values[action.dest] = value
-            seen.add(action)
-        return values if seen.issuperset(required) else None
 
 
 def _parse_field(text: str) -> FieldSpec:
@@ -471,88 +408,120 @@ def _cmd_ek_check(args):
     return text, obj, 0 if chk.holds else 1
 
 
+# -- the subcommands: each one's help line and its options in argparse's
+# listing order, a flag and its add_argument keywords each.  build_parser
+# adds them to argparse and _read_argv reads them from here
+
+_JSON = ("--json", dict(action="store_true", help="emit a JSON object"))
+_GRIDDED = (  # the options every subcommand on a grid starts with
+    _JSON, ("--grid", dict(help="path to a grid JSON file")), ("--grid-inline", dict(help="grid JSON given inline")))
+_REQUIRED = dict(required=True)
+_POLY = ("--poly", _REQUIRED)
+_REQUIRED_INT = dict(type=int, required=True)
+_COMMANDS = {
+    "reduce": ("remainder and cofactors modulo the grid", (*_GRIDDED, _POLY)),
+    "member": ("grid ideal membership", (
+        *_GRIDDED, _POLY, ("--method", dict(choices=["remainder", "pointwise", "both"], default="both")))),
+    "witness": ("nonvanishing witness", (
+        *_GRIDDED, _POLY, ("--t", dict(required=True, help="target exponent, e.g. 1,1")),
+        ("--method", dict(choices=["exhaustive", "divided-difference"], default="exhaustive")))),
+    "punctured": ("punctured decomposition", (
+        *_GRIDDED, _POLY, ("--sub-grid", dict(help="path to the sub-grid JSON file")),
+        ("--sub-grid-inline", dict(help="sub-grid JSON given inline")))),
+    "divdiff": ("generalized divided difference", (
+        *_GRIDDED, _POLY, ("--method", dict(choices=["def", "rec", "both"], default="both")))),
+    "alpha": ("weight table of the grid", _GRIDDED),
+    "check-relation": ("top-coefficient linear identity", (*_GRIDDED, _POLY)),
+    "cover-check": ("verify a hyperplane cover", (
+        *_GRIDDED, ("--hyperplanes", dict(help="path to hyperplane JSON (list of coefficient arrays)")),
+        ("--hyperplanes-inline", dict(help="hyperplane JSON given inline")))),
+    "cover-extremal": ("the bound-matching cover", _GRIDDED),
+    "sumset": ("multiset sumset over F_p", (
+        _JSON, ("--field", dict(required=True, help="prime:<p>")),
+        ("--a", dict(required=True, help='multiset JSON, e.g. [{"value":"0","mult":2}]')), ("--b", _REQUIRED))),
+    "cd-check": ("Cauchy-Davenport bound", (
+        _JSON, ("--field", dict(required=True, help="prime:<p>")), ("--a", _REQUIRED), ("--b", _REQUIRED))),
+    "valueset": ("value-set multiset", (*_GRIDDED, _POLY)),
+    "sun-check": ("power-sum value-set bound", (
+        *_GRIDDED, ("--coeffs", dict(required=True, help="nonzero coefficients, e.g. 1,1")), ("--k", _REQUIRED_INT),
+        ("--g", dict(default="", help="perturbation polynomial with deg < k")))),
+    "hopf-stiefel": ("Hopf-Stiefel number", (
+        _JSON, ("--p", _REQUIRED_INT), ("--r", _REQUIRED_INT), ("--s", _REQUIRED_INT))),
+    "ek-check": ("Eliahou-Kervaire bound over F_p^d", (
+        _JSON, ("--p", _REQUIRED_INT), ("--dim", _REQUIRED_INT),
+        ("--a", dict(required=True, help='vector multiset JSON, e.g. [{"value":[0,1],"mult":1}]')),
+        ("--b", _REQUIRED))),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="nullgrid",
         description="Exact vanishing-ideal computations on multiset grids.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON object")
-    gridded = argparse.ArgumentParser(add_help=False)
-    gridded.add_argument("--grid", help="path to a grid JSON file")
-    gridded.add_argument("--grid-inline", help="grid JSON given inline")
-
-    sub = parser.add_subparsers(dest="command")
-
-    sp = sub.add_parser("reduce", parents=[common, gridded], help="remainder and cofactors modulo the grid")
-    sp.add_argument("--poly", required=True)
-
-    sp = sub.add_parser("member", parents=[common, gridded], help="grid ideal membership")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--method", choices=["remainder", "pointwise", "both"], default="both")
-
-    sp = sub.add_parser("witness", parents=[common, gridded], help="nonvanishing witness")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--t", required=True, help="target exponent, e.g. 1,1")
-    sp.add_argument(
-        "--method", choices=["exhaustive", "divided-difference"], default="exhaustive"
-    )
-
-    sp = sub.add_parser("punctured", parents=[common, gridded], help="punctured decomposition")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--sub-grid", help="path to the sub-grid JSON file")
-    sp.add_argument("--sub-grid-inline", help="sub-grid JSON given inline")
-
-    sp = sub.add_parser("divdiff", parents=[common, gridded], help="generalized divided difference")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--method", choices=["def", "rec", "both"], default="both")
-
-    sp = sub.add_parser("alpha", parents=[common, gridded], help="weight table of the grid")
-
-    sp = sub.add_parser(
-        "check-relation", parents=[common, gridded], help="top-coefficient linear identity"
-    )
-    sp.add_argument("--poly", required=True)
-
-    sp = sub.add_parser("cover-check", parents=[common, gridded], help="verify a hyperplane cover")
-    sp.add_argument("--hyperplanes", help="path to hyperplane JSON (list of coefficient arrays)")
-    sp.add_argument("--hyperplanes-inline", help="hyperplane JSON given inline")
-
-    sp = sub.add_parser(
-        "cover-extremal", parents=[common, gridded], help="the bound-matching cover"
-    )
-
-    sp = sub.add_parser("sumset", parents=[common], help="multiset sumset over F_p")
-    sp.add_argument("--field", required=True, help="prime:<p>")
-    sp.add_argument("--a", required=True, help='multiset JSON, e.g. [{"value":"0","mult":2}]')
-    sp.add_argument("--b", required=True)
-
-    sp = sub.add_parser("cd-check", parents=[common], help="Cauchy-Davenport bound")
-    sp.add_argument("--field", required=True, help="prime:<p>")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-
-    sp = sub.add_parser("valueset", parents=[common, gridded], help="value-set multiset")
-    sp.add_argument("--poly", required=True)
-
-    sp = sub.add_parser("sun-check", parents=[common, gridded], help="power-sum value-set bound")
-    sp.add_argument("--coeffs", required=True, help="nonzero coefficients, e.g. 1,1")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--g", default="", help="perturbation polynomial with deg < k")
-
-    sp = sub.add_parser("hopf-stiefel", parents=[common], help="Hopf-Stiefel number")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-
-    sp = sub.add_parser("ek-check", parents=[common], help="Eliahou-Kervaire bound over F_p^d")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--a", required=True, help='vector multiset JSON, e.g. [{"value":[0,1],"mult":1}]')
-    sp.add_argument("--b", required=True)
-
+    subparsers = parser.add_subparsers(dest="command")
+    for command, (help_line, options) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_line)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+    parser._commands = subparsers.choices  # each subcommand's parser by name, for _parse_args
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _option_table(command: str):
+    """(table, required dests, defaults) for _read_argv, from the command's
+    declared options: the table maps each flag to its dest, the function
+    that reads its value (None for a store_true flag) and its choices."""
+    table, required, defaults = {}, set(), {}
+    for flag, kwargs in _COMMANDS[command][1]:
+        dest = flag[2:].replace("-", "_")
+        if kwargs.get("action") == "store_true":
+            table[flag], defaults[dest] = (dest, None, None), False
+        else:
+            read = _parse_int if kwargs.get("type") is int else str
+            table[flag], defaults[dest] = (dest, read, kwargs.get("choices")), kwargs.get("default")
+        if kwargs.get("required"):
+            required.add(dest)
+    return table, required, defaults
+
+
+def _read_argv(command: str, argv):
+    """The attributes the command's parse_args(argv) sets, read from its
+    declared options when every token is an exact option string: an option
+    with its value next (not dash-led) or after "=", or a store_true flag.
+    Values pass through _parse_int for an int option and the choices, every
+    required option must be present, the last of a repeated option wins and
+    an absent one keeps its default.  None for any other argv, which
+    parse_args then parses, so help, usage errors and abbreviations stay
+    argparse's."""
+    table, required, defaults = _option_table(command)
+    values, seen, tokens = dict(defaults), set(), iter(argv)
+    for token in tokens:
+        if token in table:
+            dest, read, choices = table[token]
+            if read is None:  # store_true
+                values[dest] = True
+                continue
+            text = next(tokens, "-")  # a missing value gives up as a dash-led one does
+            if text.startswith("-"):
+                return None
+        else:
+            option, eq, text = token.partition("=")
+            # before Python 3.13 argparse drops an option's value "--"
+            if not eq or option not in table or table[option][1] is None or text == "--":
+                return None
+            dest, read, choices = table[option]
+        try:
+            value = read(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        seen.add(dest)
+    return values if seen >= required else None
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -561,18 +530,17 @@ def _parse_args(argv) -> argparse.Namespace:
     on unchanged (its subparsers action takes nargs=PARSER), after
     classifying each one only to find the command; it parses just an argv
     that does not start with a command, to report the command missing or
-    unknown.  The subcommand's parser first reads its arguments from its
-    option table (_ArgumentParser._read_argv); an argument list the table
-    does not read (help, abbreviations, "--", dash-led or missing values,
-    usage errors) goes to the subcommand's parse_args."""
+    unknown.  The arguments are first read from the subcommand's declared
+    options (_read_argv), which argparse was built from too; an argument
+    list the reader does not read (help, abbreviations, "--", dash-led or
+    missing values, usage errors) goes to the subcommand's parse_args."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    if argv and argv[0] in commands:
-        sub, namespace = commands[argv[0]], argparse.Namespace(command=argv[0])
-        values = sub._read_argv(argv[1:])
+    if argv and argv[0] in parser._commands:
+        command, namespace = argv[0], argparse.Namespace(command=argv[0])
+        values = _read_argv(command, argv[1:])
         if values is None:
-            return sub.parse_args(argv[1:], namespace)
+            return parser._commands[command].parse_args(argv[1:], namespace)
         vars(namespace).update(values)
         return namespace
     return parser.parse_args(argv)

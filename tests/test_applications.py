@@ -251,6 +251,12 @@ def test_iter_multisets_counts():
     assert sum(1 for _ in iter_multisets(F2, 3)) == 2 + 3 + 4
 
 
+def test_iter_multisets_refuses_the_rationals():
+    with pytest.raises(PreconditionError) as err:
+        next(iter_multisets(Q, 2))
+    assert str(err.value) == "field: enumeration needs a finite ground set"
+
+
 # -- value sets --------------------------------------------------------------------
 
 
@@ -343,6 +349,14 @@ def test_sun_preconditions():
         sun_value_set_check(["1"], 2, parse_poly("x2", 2, F5), grid)
     with pytest.raises(FieldMismatchError):
         sun_value_set_check(["1"], 2, parse_poly("x1", 1, F7), grid)
+
+
+def test_sun_refuses_a_coefficient_count_off_the_arity():
+    grid = MultisetGrid.of(F5, [{0: 1, 1: 1}, {0: 1, 1: 1}])
+    for coeffs in (["1"], ["1", "1", "1"]):
+        with pytest.raises(ArityMismatchError) as err:
+            sun_value_set_check(coeffs, 2, MultiPoly.zero(2, F5), grid)
+        assert str(err.value) == f"{len(coeffs)} coefficients for arity 2"
 
 
 def test_sun_over_rationals_has_no_cap():
@@ -458,6 +472,14 @@ def test_vector_multiset_validation():
     with pytest.raises(ArityMismatchError) as err:
         VectorMultiset(3, 2, [((0, 0), 1), ((1, 2, 0), 1)])
     assert str(err.value) == "vector (1, 2, 0) has dimension != 2"
+
+
+def test_vector_sumset_refuses_different_spaces():
+    a = VectorMultiset(2, 1, [((1,), 1)])
+    for b in (VectorMultiset(2, 2, [((1, 0), 1)]), VectorMultiset(3, 1, [((1,), 1)])):
+        with pytest.raises(FieldMismatchError) as err:
+            vector_sumset(a, b)
+        assert str(err.value) == "vector multisets live in different spaces"
 
 
 def test_vector_sumset_group_structure():

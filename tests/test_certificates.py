@@ -191,14 +191,24 @@ def test_obstruction_check_examples():
 def test_obstruction_check_refuses_a_bogus_cofactor(monkeypatch):
     grid = MultisetGrid.of(F3, [{0: 1, 1: 1}, {0: 1, 1: 1}])
     f = parse_poly("x1*x2", 2, F3)
-    real = certificates.reduce_poly
+    res = certificates.reduce_poly(f, grid)
+    one, zero = MultiPoly.constant(2, F3, 1), MultiPoly.zero(2, F3)
 
-    def bogus(f, grid):
-        # h_1 = f makes h_1 * g_1 of degree 4, above deg f = 2
-        res = real(f, grid)
-        return dataclasses.replace(res, cofactors=(f,) + res.cofactors[1:])
+    def reduced_to(**changes):
+        return lambda f, grid: dataclasses.replace(res, **changes)
 
-    monkeypatch.setattr(certificates, "reduce_poly", bogus)
+    # h_1 = f makes h_1 * g_1 of degree 4, above deg f = 2
+    monkeypatch.setattr(certificates, "reduce_poly", reduced_to(cofactors=(f,) + res.cofactors[1:]))
+    assert cofactor_obstruction_check(f, grid, (1, 1)) is False
+    # a zero remainder
+    monkeypatch.setattr(certificates, "reduce_poly", reduced_to(remainder=zero))
+    assert cofactor_obstruction_check(f, grid, (1, 1)) is False
+    # h_1 = 1 passes with g_1 = x1^2 - x1, whose full-degree monomial is x1^2,
+    # and fails with g_1 = x2^2, a full-degree monomial below x1^2
+    monkeypatch.setattr(certificates, "reduce_poly", reduced_to(cofactors=(one, zero)))
+    assert cofactor_obstruction_check(f, grid, (1, 1)) is True
+    gens = grid.generators()
+    monkeypatch.setattr(MultisetGrid, "generators", lambda self: (parse_poly("x2^2", 2, F3),) + gens[1:])
     assert cofactor_obstruction_check(f, grid, (1, 1)) is False
 
 

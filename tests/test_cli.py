@@ -1127,8 +1127,7 @@ def test_canonical_argvs_are_read_without_argparse(monkeypatch):
     options and --json --json, on every subcommand, give the full parse's
     namespace while every argparse parse refuses to run, so a silent fall
     back to argparse fails here."""
-    commands = cli.build_parser()._subparsers._group_actions[0].choices
-    assert sorted(_CANONICAL) == sorted(commands)
+    assert sorted(_CANONICAL) == sorted(cli._COMMANDS)
     argvs = [argv for command, pairs in _CANONICAL.items() for argv in _canonical_argvs(command, pairs)]
     argvs += [
         ["reduce", "--poly", "x1", "--poly", "x2", "--json", "--json"],
@@ -1147,33 +1146,6 @@ def test_canonical_argvs_are_read_without_argparse(monkeypatch):
         for argv, want in zip(argvs, expected):
             assert sorted(vars(cli._parse_args(argv)).items()) == want, argv
         assert run_cli(["hopf-stiefel", "--p=2", "--r", "2", "--s=2", "--json"])[0] == 0
-
-
-def test_option_table_leaves_unmodeled_parsers_and_actions_to_argparse():
-    """A parser with a positional, a str default that a type converts,
-    set_defaults or an exclusive group is never read from its table; an
-    action kind the table does not model is read only while absent."""
-
-    def parser_with(*setups):
-        parser = cli._ArgumentParser(prog="t")
-        parser.add_argument("--n", type=int, default=5)
-        for setup in setups:
-            setup(parser)
-        return parser
-
-    for setup in (
-        lambda p: p.add_argument("path", nargs="?"),
-        lambda p: p.add_argument("--m", type=int, default="3"),
-        lambda p: p.set_defaults(extra=1),
-        lambda p: p.add_mutually_exclusive_group().add_argument("--x"),
-    ):
-        parser = parser_with(setup)
-        assert parser._read_argv(["--n", "4"]) is None
-        assert parser.parse_args(["--n", "4"]).n == 4
-    parser = parser_with(lambda p: p.add_argument("--tag", action="append"), lambda p: p.add_argument("--v", action="count"))
-    assert parser._read_argv(["--n=4"]) == vars(parser.parse_args(["--n=4"])) == {"n": 4, "tag": None, "v": None}
-    for argv in (["--tag", "a"], ["--v"], ["--n", "4", "--tag=b"]):
-        assert parser._read_argv(argv) is None
 
 
 def test_bom_led_json_is_the_decoders_error_inline_and_from_a_file(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 
 from nullgrid import (
     ArityMismatchError,
+    FieldMismatchError,
     FieldSpec,
     MultiPoly,
     PolyParseError,
@@ -39,6 +41,35 @@ def test_arith_examples():
     f = parse_poly("3*x1^2 + x2", 2, Q)
     assert f + MultiPoly.zero(2, Q) == f
     assert parse_poly("(x1+1)^2", 1, F2) == parse_poly("x1^2 + 1", 1, F2)
+
+
+def test_ring_operations_refuse_mixed_arities_and_fields():
+    f = parse_poly("x1 + 1", 1, F5)
+    for other, error, message in (
+        (parse_poly("x1 + 1", 2, F5), ArityMismatchError, "arity 1 vs 2"),
+        (parse_poly("x1 + 1", 1, F7), FieldMismatchError, "mixed fields F_5 and F_7"),
+    ):
+        for op in (operator.add, operator.sub, operator.mul, lambda a, b: a.divmod_univariate(b, 0)):
+            with pytest.raises(error) as err:
+                op(f, other)
+            assert str(err.value) == message
+
+
+def test_term_order_refuses_an_unknown_kind_and_a_non_permutation():
+    with pytest.raises(ValueError) as err:
+        TermOrder("lux")
+    assert str(err.value) == "unknown term order kind 'lux'"
+    with pytest.raises(ValueError) as err:
+        TermOrder("lex", (0, 2))
+    assert str(err.value) == "not a permutation of 0..1: (0, 2)"
+
+
+def test_variable_refuses_an_index_out_of_range():
+    assert MultiPoly.variable(2, F5, 1) == parse_poly("x2", 2, F5)
+    for index in (-1, 2):
+        with pytest.raises(ArityMismatchError) as err:
+            MultiPoly.variable(2, F5, index)
+        assert str(err.value) == f"variable index {index} out of range for arity 2"
 
 
 def test_exponents_must_be_nonnegative_ints():
@@ -501,6 +532,12 @@ def test_parse_refuses_non_ascii_digits():
     assert parse_poly("x1 +\u00a02", 1, F5) == parse_poly("x1 + 2", 1, F5)
     with pytest.raises(PolyParseError, match=r"unexpected character 'x' \(position 5\)"):
         parse_poly("x1 + x", 1, F5)
+
+
+def test_parse_names_an_operator_where_an_operand_belongs():
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("x1 + *", 1, F5)
+    assert str(err.value) == "unexpected '*' (position 5)" and err.value.position == 5
 
 
 def test_parse_refuses_literals_past_the_int_digit_limit():
