@@ -8,8 +8,12 @@ otherwise.  FieldSpec._reduce writes that rule and FieldSpec._raw_value
 coerces inputs into it: kernels compute on raw values with native + - * and
 reduce each result, and every layer hands raw values to the next.  A
 FieldElement wraps one raw value where it leaves the library: a coefficient,
-a value or a point; it defines __lt__ alone, and <=, > and >= follow from
-__lt__ and __eq__.  All values are immutable.
+a value or a point.  Its + - * / and their reflections share one rule,
+_operator_pair: an int or Fraction operand is coerced by FieldSpec.element
+and any other type is refused with TypeError, the native operation runs on
+the raw values (division multiplies by FieldSpec._inv), and the result is
+reduced once, so 3 / a works as 3 - a does.  It defines __lt__ alone, and
+<=, > and >= follow from __lt__ and __eq__.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -188,6 +192,23 @@ class FieldSpec:
         return self._reduce(_FRACTION_ONE / a)  # never 1 / a: an int a gives a float
 
 
+def _operator_pair(raw):
+    """The forward and reflected methods of one operator: raw(spec, x, y) on
+    the raw values of the left and right operands, once coerced, reduced once."""
+
+    def method(reflected):
+        def apply(self, other):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            x, y = (other, self) if reflected else (self, other)
+            return FieldElement(self.spec._reduce(raw(self.spec, x.value, y.value)), self.spec)
+
+        return apply
+
+    return method(False), method(True)
+
+
 @functools.total_ordering
 class FieldElement:
     """An element of a FieldSpec field, in canonical form.
@@ -214,33 +235,10 @@ class FieldElement:
             return NotImplemented
         return self.spec.element(other)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec._reduce(self.value + other.value), self.spec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec._reduce(self.value - other.value), self.spec)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec._reduce(other.value - self.value), self.spec)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec._reduce(self.value * other.value), self.spec)
-
-    __rmul__ = __mul__
+    __add__, __radd__ = _operator_pair(lambda spec, x, y: x + y)
+    __sub__, __rsub__ = _operator_pair(lambda spec, x, y: x - y)
+    __mul__, __rmul__ = _operator_pair(lambda spec, x, y: x * y)
+    __truediv__, __rtruediv__ = _operator_pair(lambda spec, x, y: x * spec._inv(y))
 
     def __neg__(self):
         return FieldElement(self.spec._reduce(-self.value), self.spec)
@@ -255,12 +253,6 @@ class FieldElement:
 
     def inv(self) -> "FieldElement":
         return FieldElement(self.spec._inv(self.value), self.spec)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
 
     def is_zero(self) -> bool:
         return not self.value

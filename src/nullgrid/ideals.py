@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ArityMismatchError, FieldMismatchError, PreconditionError
-from .fields import FieldElement, FieldSpec, _short_repr, _value_text
+from .fields import FieldElement, FieldSpec, _short_repr, _value_text, field_from_dict, field_to_dict
 from .polynomials import _MAX_EXPONENT, MultiPoly, TermOrder, _divmod_raw, _expansions, _mul_raw
 
 
@@ -363,8 +363,6 @@ def multiset_from_list(spec: FieldSpec, items: list) -> Multiset:
 
 
 def grid_to_dict(grid: MultisetGrid) -> dict:
-    from .fields import field_to_dict
-
     return {
         "field": field_to_dict(grid.spec),
         "sets": [multiset_to_list(ms) for ms in grid.sets],
@@ -372,8 +370,6 @@ def grid_to_dict(grid: MultisetGrid) -> dict:
 
 
 def grid_from_dict(d: dict) -> MultisetGrid:
-    from .fields import field_from_dict
-
     if not isinstance(d, dict) or "field" not in d or "sets" not in d:
         raise ValueError("grid must be an object with 'field' and 'sets'")
     spec = field_from_dict(d["field"])

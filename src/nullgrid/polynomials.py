@@ -190,7 +190,9 @@ class MultiPoly:
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def __add__(self, other):
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_compatible(other)
         reduce = self.spec._reduce
         out = dict(self.terms)
@@ -198,17 +200,11 @@ class MultiPoly:
             out[u] = reduce(out.get(u, 0) + c)
         return MultiPoly._from_raw(self.arity, self.spec, out)
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check_compatible(other)
-        reduce = self.spec._reduce
-        out = dict(self.terms)
-        for u, c in other.terms.items():
-            out[u] = reduce(out.get(u, 0) - c)
-        return MultiPoly._from_raw(self.arity, self.spec, out)
+    def __sub__(self, other):
+        return self + -other if isinstance(other, MultiPoly) else NotImplemented
 
     def __neg__(self) -> "MultiPoly":
-        reduce = self.spec._reduce
-        return MultiPoly._from_raw(self.arity, self.spec, {u: reduce(-c) for u, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):

@@ -15,6 +15,7 @@ from nullgrid import (
     Multiset,
     MultisetGrid,
     PreconditionError,
+    TermOrder,
     VectorMultiset,
     cauchy_davenport_check,
     eliahou_kervaire_check,
@@ -528,3 +529,30 @@ def test_application_json_helpers():
     vm = VectorMultiset(2, 2, [((0, 1), 2)])
     assert vector_multiset_to_list(vm) == [{"value": [0, 1], "mult": 2}]
     assert vector_multiset_from_list(2, 2, vector_multiset_to_list(vm)) == vm
+
+
+def test_reprs_and_equality_with_a_foreign_type():
+    f7 = FieldSpec.prime(7)
+    q = FieldSpec.rationals()
+    ms = Multiset(f7, [(3, 2), (0, 1)])
+    grid = MultisetGrid([ms, Multiset(f7, [(1, 1)])])
+    objects = {
+        # perfbench digests render weight-table points as tuples of elements
+        "3:F_7": f7.element(3),
+        "-1/2:QQ": q.element("-1/2"),
+        "MultiPoly(x1^2 - 1/2*x2 + 3)": parse_poly("x1^2 - 1/2*x2 + 3", 2, q),
+        "Multiset({0:1, 3:2})": ms,
+        "MultisetGrid({0:1, 3:2} x {1:1})": grid,
+        "Hyperplane(2*x1 + 3*x3 + 1)": Hyperplane(f7, [1, 2, 0, 3]),
+        "VectorMultiset(p=3, dim=2, {[0, 0]:1, [1, 2]:2})": VectorMultiset(3, 2, [((1, 2), 2), ((0, 0), 1)]),
+    }
+    for text, obj in objects.items():
+        assert repr(obj) == text
+        assert obj != "x" and not obj == None  # noqa: E711, the foreign-type branch of __eq__
+    assert repr((f7.element(3), f7.element(0))) == "(3:F_7, 0:F_7)"
+    assert str(grid) == "{0:1, 3:2} x {1:1}"
+    assert repr(TermOrder()) == "TermOrder('grlex', None)"
+    assert repr(TermOrder("grevlex", (1, 0))) == "TermOrder('grevlex', (1, 0))"
+    with pytest.raises(ValueError) as err:
+        VectorMultiset(3, 0, [])
+    assert str(err.value) == "dimension must be at least 1"

@@ -460,6 +460,45 @@ def test_coercions_rejected():
     assert f5.element(Fraction(4, 1)).value == 4
 
 
+def test_reflected_division_takes_the_one_rule():
+    """x / a and a / x for an int, a Fraction or a same-field x, each the
+    raw quotient; division by zero, a cross-field quotient and a foreign
+    operand fail as the other operators do, on either side."""
+    for spec in (FieldSpec.prime(2), FieldSpec.prime(7), FieldSpec.prime(2**61 - 1), FieldSpec.rationals()):
+        p = spec.p
+        if p:
+            def quotient(x, y):
+                return x * pow(y, -1, p) % p
+            values = [1, 3, 10, p - 1, -5, 2**70 + 1]
+            values = [v for v in values if v % p]
+        else:
+            def quotient(x, y):
+                return Fraction(x) / Fraction(y)
+            values = [1, 3, -5, Fraction(1, 2), Fraction(-7, 3), 2**70 + 1]
+        for a in map(spec.element, values):
+            for x in values:
+                for other in (x, Fraction(x), spec.element(x)):
+                    assert type(other / a) is FieldElement and (other / a).spec is spec
+                    assert (other / a).value == spec._reduce(quotient(spec._raw_value(x), a.value))
+                    assert (a / other).value == spec._reduce(quotient(a.value, spec._raw_value(x)))
+    f7 = FieldSpec.prime(7)
+    assert 3 / f7.element(2) == f7.element(5) and Fraction(6, 2) / f7.element(2) == 5
+    q = FieldSpec.rationals()
+    assert Fraction(1, 2) / q.element(Fraction(1, 3)) == q.element(Fraction(3, 2))
+    for zero_division in (lambda: 1 / f7.zero, lambda: f7.one / 0, lambda: Fraction(1) / f7.element(7)):
+        with pytest.raises(ZeroDivisionError) as info:
+            zero_division()
+        assert str(info.value) == "inverse of zero in F_7"
+    with pytest.raises(FieldMismatchError) as info:
+        FieldSpec.prime(5).element(1) / f7.element(2)
+    assert str(info.value) == "mixed fields F_5 and F_7"
+    a = f7.element(2)
+    for other in (True, 1.5, "2", None):
+        for quotient in (lambda: a / other, lambda: other / a):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                quotient()
+
+
 @given(spec_and_elements())
 def test_field_axioms(data):
     spec, (a, b, c) = data

@@ -55,6 +55,23 @@ def test_ring_operations_refuse_mixed_arities_and_fields():
             assert str(err.value) == message
 
 
+def test_sum_and_difference_refuse_a_non_polynomial():
+    f = parse_poly("x1 + 1", 1, F5)
+    for other in (3, Fraction(3), F5.element(3), "3", 2.5, None):
+        name = type(other).__name__
+        for op, sign in ((operator.add, "+"), (operator.sub, "-")):
+            with pytest.raises(TypeError) as err:
+                op(f, other)
+            assert str(err.value) == f"unsupported operand type(s) for {sign}: 'MultiPoly' and '{name}'"
+            with pytest.raises(TypeError):
+                op(other, f)
+    # a difference is the sum with the negation, which scales by -1
+    g = parse_poly("3*x1^2 + 4", 1, F5)
+    assert -g == g * -1 == parse_poly("2*x1^2 + 1", 1, F5) and f - g == parse_poly("2*x1^2 + x1 + 2", 1, F5)
+    h = parse_poly("1/2*x1 - 3", 1, Q)
+    assert -h == parse_poly("-1/2*x1 + 3", 1, Q) and h - h == MultiPoly.zero(1, Q)
+
+
 def test_term_order_refuses_an_unknown_kind_and_a_non_permutation():
     with pytest.raises(ValueError) as err:
         TermOrder("lux")

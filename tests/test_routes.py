@@ -11,9 +11,11 @@ A call is resolved by name alone, which over-approximates what can run: a
 bare name goes to the function or class (its constructor) of that name
 defined in the module or imported into it, an attribute goes to every
 function and method of that name in the package, and an operator goes to
-every method that implements it.  A reference that is not a call counts as one, since
-the function may be called later.  A nested function belongs to the
-function that defines it.  So "does not reach" here is a safe claim, and the
+every method that implements it.  A name assigned in a class body is a
+method too, which calls every name its expression refers to, a bare name
+also as a method of that name.  A reference that is not a call counts as
+one, since the function may be called later.  A nested function belongs to
+the function that defines it.  So "does not reach" here is a safe claim, and the
 positive checks make sure the graph is not empty by mistake.
 """
 
@@ -62,6 +64,7 @@ def _call_graph():
     top = {}  # module -> {top-level name: qualified names it stands for}
     imports = {}  # module -> {local name: (module, name)}
     by_name = {}  # bare name -> qualified names of every def with that name
+    assigned = set()  # qualified names of methods made by assignment
     for path in sorted(SRC.glob("*.py")):
         mod = path.stem
         tree = ast.parse(path.read_text(), str(path))
@@ -79,10 +82,18 @@ def _call_graph():
                 top[mod][node.name] = set()
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        qual = f"{mod}.{node.name}.{item.name}"
-                        bodies[qual] = (mod, item)
-                        by_name.setdefault(item.name, set()).add(qual)
-                        if item.name in ("__init__", "__new__", "__post_init__"):
+                        methods = [(item.name, item)]
+                    elif isinstance(item, ast.Assign):  # __add__, __radd__ = _operator_pair(...)
+                        names = [t for target in item.targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+                        methods = [(t.id, item.value) for t in names]
+                        assigned.update(f"{mod}.{node.name}.{t.id}" for t in names)
+                    else:
+                        continue
+                    for name, body in methods:
+                        qual = f"{mod}.{node.name}.{name}"
+                        bodies[qual] = (mod, body)
+                        by_name.setdefault(name, set()).add(qual)
+                        if name in ("__init__", "__new__", "__post_init__"):
                             top[mod][node.name].add(qual)
 
     def resolve(mod, name, seen=()):
@@ -97,6 +108,8 @@ def _call_graph():
     graph = {}
     for qual, (mod, node) in bodies.items():
         bare, attrs = _names_used(node)
+        if qual in assigned:  # a bare name may be a method of the class: __rmul__ = __mul__
+            attrs |= bare
         out = set()
         for name in bare:
             out |= resolve(mod, name)
@@ -148,6 +161,9 @@ def test_graph_sees_the_calls_it_should():
     assert "polynomials._inv_series" in _reach("divdiff.divided_difference")
     assert "polynomials._inv_series" in _reach("divdiff._coordinate_weights")
     assert "polynomials._mul_raw" in _reach("divdiff._coordinate_weights")
+    assert "fields.FieldElement._coerce" in _reach("fields.FieldElement.__rtruediv__")
+    assert "fields.FieldSpec._inv" in _reach("fields.FieldElement.__truediv__")
+    assert "polynomials.MultiPoly.__mul__" in _reach("polynomials.MultiPoly.__rmul__")
 
 
 def test_weight_table_stays_off_the_recursion_and_the_remainder():
